@@ -8,8 +8,9 @@ region (Liapunov analysis) and cross-check every gradient against a finite
 difference oracle.
 """
 
-from .adjoint import (CostateSeq, GradSeq, backward_costates, final_costate,
-                      per_step_gradients)
+from .adjoint import (CostateSeq, GradSeq, GradSet, backward_costates,
+                      final_costate, max_step_norm, per_step_gradients,
+                      summed_gradients)
 from .errors import (CheckpointFormatError, ConfigurationError,
                      CostateExplosionError, DatasetFormatError,
                      DivergenceError, NumericalError, StateOverflowError,
@@ -20,8 +21,8 @@ from .model import (BrnnParams, Dims, NONLINEARITIES, Sequence, Trajectory,
 from .stability import (LyapunovRegion, StabilityReport, bibo_bound, delta_v,
                         lyapunov_region, make_stable_A, stability_report)
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
-from .trainer import (AGGREGATIONS, EpochMetrics, GradSet, TrainConfig,
-                      aggregate, apply_update, init_params, train)
+from .trainer import (AGGREGATIONS, EpochMetrics, TrainConfig, aggregate,
+                      apply_update, epoch_gradient, init_params, train)
 from .verify import (GradCheckReport, compare_gradients, gradcheck,
                      numeric_gradient, random_instance)
 

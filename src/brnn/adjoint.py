@@ -1,4 +1,4 @@
-"""Backward multiplier recursion and per-step parameter gradients.
+"""Backward multiplier recursion and the parameter gradients built from it.
 
 The Lagrange multipliers lambda_k carry the sensitivity of the total cost
 to the state x_k and propagate backward in time:
@@ -12,6 +12,13 @@ a parameter update. Growth or decay of ||lambda_k|| is governed by powers
 of (A + U diag sigma'_k): this recursion is the exact quantification of
 vanishing/exploding gradients, and a non-finite lambda raises
 CostateExplosionError naming the step.
+
+Every per-step gradient contribution is a rank-one term plus a regularizer,
+a_k b_k^T + gamma P (for example lambda_{k+1} h_k^T + gamma1 U). The sum
+over k, which the sum and mean aggregations need, is one matrix product
+(summed_gradients), and the largest per-step block norm has a closed form
+(max_step_norm); only median and min_abs need the per-step contributions
+themselves (per_step_gradients).
 """
 
 from dataclasses import dataclass
@@ -29,7 +36,6 @@ class CostateSeq:
     lam[0] is diagnostic only."""
 
     lam: np.ndarray        # (N+1, n)
-    has_lambda0: bool = True
 
     @property
     def N(self) -> int:
@@ -51,6 +57,18 @@ class GradSeq:
     dc: np.ndarray   # (N+1, r)
 
 
+@dataclass
+class GradSet:
+    """One epoch-level gradient per parameter group."""
+
+    dU: np.ndarray
+    dW: np.ndarray
+    db: np.ndarray
+    dV: np.ndarray
+    dD: np.ndarray
+    dc: np.ndarray
+
+
 def final_costate(params: BrnnParams, x_N, e_N) -> np.ndarray:
     """Boundary condition lambda_N = sigma'(x_N) (.) (V^T e_N)."""
     sp = nonlinearity_derivative(params.sigma, x_N)
@@ -66,18 +84,39 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
     if not np.isfinite(lam[N]).all():
         raise CostateExplosionError(f"non-finite multiplier at k={N}", k=N)
 
-    At, Ut, Vt, kind = params.A.T, params.U.T, params.V.T, params.sigma
+    At, Ut = params.A.T, params.U.T
+    x, h = traj.x[:N], traj.h[:N]
     # explosion is detected explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        sp = nonlinearity_derivative(params.sigma, x)
+        # every term that does not depend on lambda, for all k at once
+        force = sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
         for k in range(N - 1, -1, -1):
-            sp = nonlinearity_derivative(kind, traj.x[k])
-            v = (At @ lam[k + 1] + sp * (Ut @ lam[k + 1])
-                 + sp * (Vt @ traj.e[k])
-                 + state_loss_grad(w, traj.x[k], traj.h[k], sp))
+            v = At @ lam[k + 1] + sp[k] * (Ut @ lam[k + 1]) + force[k]
             if not np.isfinite(v).all():
                 raise CostateExplosionError(f"non-finite multiplier at k={k}", k=k)
             lam[k] = v
-    return CostateSeq(lam=lam, has_lambda0=True)
+    return CostateSeq(lam=lam)
+
+
+def _contributions(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
+                   seq: Sequence, w: LossWeights) -> dict:
+    """Per group, the factors (a, b, P, g) of the step-k contribution
+    a_k b_k^T + g P; b is None for the bias groups, whose contribution is
+    the vector a_k + g P."""
+    N = traj.N
+    if costates.N != N or seq.N != N:
+        raise ConfigurationError("costates/sequence length mismatch")
+    lam = costates.lam[1:]       # lambda_1..lambda_N
+    h, e, s = traj.h, traj.e, seq.s
+    return {
+        "dU": (lam, h[:N], params.U, w.gamma1),
+        "dW": (lam, s[:N], params.W, w.gamma1),
+        "db": (lam, None, params.b, w.gamma1),
+        "dV": (e, h, params.V, w.gamma2),
+        "dD": (e, s, params.Dft, w.gamma2),
+        "dc": (e, None, params.c, w.gamma2),
+    }
 
 
 def per_step_gradients(params: BrnnParams, traj: Trajectory,
@@ -92,16 +131,46 @@ def per_step_gradients(params: BrnnParams, traj: Trajectory,
         dD_k = gamma2 Dft + e_k s_k^T
         dc_k = gamma2 c + e_k
     """
-    N = traj.N
-    if costates.N != N or seq.N != N:
-        raise ConfigurationError("costates/sequence length mismatch")
-    lam_next = costates.lam[1:]       # lambda_1..lambda_N
-    h, e, s = traj.h, traj.e, seq.s
+    out = {}
+    for name, (a, b, P, g) in _contributions(params, traj, costates, seq, w).items():
+        outer = a if b is None else a[:, :, None] * b[:, None, :]
+        out[name] = outer + g * P
+    return GradSeq(**out)
 
-    dU = np.einsum("ki,kj->kij", lam_next, h[:N]) + w.gamma1 * params.U
-    dW = np.einsum("ki,kj->kij", lam_next, s[:N]) + w.gamma1 * params.W
-    db = lam_next + w.gamma1 * params.b
-    dV = np.einsum("ki,kj->kij", e, h) + w.gamma2 * params.V
-    dD = np.einsum("ki,kj->kij", e, s) + w.gamma2 * params.Dft
-    dc = e + w.gamma2 * params.c
-    return GradSeq(dU=dU, dW=dW, db=db, dV=dV, dD=dD, dc=dc)
+
+def summed_gradients(params: BrnnParams, traj: Trajectory,
+                     costates: CostateSeq, seq: Sequence,
+                     w: LossWeights) -> GradSet:
+    """Sum over k of the per-step contributions, without forming them:
+
+        dU = Lambda^T H + N gamma1 U      (Lambda rows lambda_1..lambda_N,
+        dV = E^T H + (N+1) gamma2 V        H rows h_0..h_{N-1} resp. h_0..h_N)
+
+    and likewise for W, b, Dft, c. This is the exact gradient of the cost.
+    """
+    out = {}
+    for name, (a, b, P, g) in _contributions(params, traj, costates, seq, w).items():
+        rank_one = a.sum(axis=0) if b is None else a.T @ b
+        out[name] = rank_one + a.shape[0] * g * P
+    return GradSet(**out)
+
+
+def max_step_norm(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
+                  seq: Sequence, w: LossWeights) -> float:
+    """Largest Frobenius norm of any per-step contribution of any group, from
+
+        ||a b^T + g P||_F^2 = ||a||^2 ||b||^2 + 2 g a^T P b + g^2 ||P||_F^2
+
+    per k, clamped at 0 against cancellation before the square root.
+    """
+    worst = 0.0
+    for a, b, P, g in _contributions(params, traj, costates, seq, w).values():
+        sq = (a * a).sum(axis=1)
+        if b is None:
+            cross = a @ P
+        else:
+            sq *= (b * b).sum(axis=1)
+            cross = ((a @ P) * b).sum(axis=1)
+        sq += 2.0 * g * cross + g * g * (P * P).sum()
+        worst = max(worst, float(np.sqrt(np.maximum(sq, 0.0)).max()))
+    return worst

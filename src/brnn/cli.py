@@ -128,7 +128,12 @@ def _resolve(args, config: dict, key: str, cast, default):
     if flag is not None:
         return flag
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise ConfigurationError(
+                f"config value {key} = {config[key]!r} is not a valid "
+                f"{cast.__name__}") from None
     return default
 
 

@@ -206,22 +206,24 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
         raise ConfigurationError("x0 contains non-finite entries")
 
     N, n = seq.N, params.n
-    A, U, W, b = params.A, params.U, params.W, params.b
-    s, kind = seq.s, params.sigma
+    A, U, s = params.A, params.U, seq.s
+    sigma = _SIGMA[params.sigma]
 
     x = np.empty((N + 1, n))
     h = np.empty((N + 1, n))
     x[0] = x0
     # overflow is detected explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        # the input drive W s[k] + b does not depend on the state
+        drive = s[:N] @ params.W.T + params.b
         for k in range(N):
-            hk = apply_nonlinearity(kind, x[k])
+            hk = sigma(x[k])
             h[k] = hk
-            xn = A @ x[k] + U @ hk + W @ s[k] + b
+            xn = A @ x[k] + U @ hk + drive[k]
             if not np.isfinite(xn).all():
                 raise StateOverflowError(f"non-finite state at k={k + 1}", k=k + 1)
             x[k + 1] = xn
-        h[N] = apply_nonlinearity(kind, x[N])
+        h[N] = sigma(x[N])
 
         y = h @ params.V.T + s @ params.Dft.T + params.c
     if not np.isfinite(y).all():

@@ -5,33 +5,24 @@ aggregation rule. Summation is the true gradient of the total cost; mean
 differs only by a count factor that a rescaled learning rate absorbs;
 median and min_abs are robust alternatives that are deliberately *not*
 gradients of the cost (a near-zero mean can hide large per-step changes).
+Sum and mean take the summed gradients from :mod:`brnn.adjoint` directly;
+only median and min_abs form the per-step contributions and aggregate them.
 
 Parameters are frozen within an epoch: forward and backward passes of
 epoch i see only params_i, and the update produces params_{i+1}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import GradSeq, backward_costates, per_step_gradients
+from .adjoint import (CostateSeq, GradSeq, GradSet, backward_costates,
+                      max_step_norm, per_step_gradients, summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
-from .model import BrnnParams, Dims, NONLINEARITIES, Sequence, forward
+from .model import BrnnParams, Dims, NONLINEARITIES, Sequence, Trajectory, forward
 
 AGGREGATIONS = ("sum", "mean", "median", "min_abs")
-
-
-@dataclass
-class GradSet:
-    """One epoch-level gradient per parameter group."""
-
-    dU: np.ndarray
-    dW: np.ndarray
-    db: np.ndarray
-    dV: np.ndarray
-    dD: np.ndarray
-    dc: np.ndarray
 
 
 @dataclass
@@ -63,7 +54,6 @@ class EpochMetrics:
     cost: CostBreakdown
     grad_norm: float               # max per-step gradient block norm
     lambda_max: float              # max ||lambda_k||_2 over k = 1..N
-    param_norms: dict = field(default_factory=dict)
 
 
 def _reduce(a: np.ndarray, mode: str) -> np.ndarray:
@@ -120,12 +110,20 @@ def init_params(dims: Dims, sigma: str = "tanh", init_scale: float = 0.1,
         V=u(r, n), Dft=u(r, m), c=np.zeros(r), sigma=sigma)
 
 
-def _max_step_norm(grads: GradSeq) -> float:
-    worst = 0.0
-    for a in (grads.dU, grads.dW, grads.db, grads.dV, grads.dD, grads.dc):
-        flat = a.reshape(a.shape[0], -1)
-        worst = max(worst, float(np.sqrt((flat ** 2).sum(axis=1)).max()))
-    return worst
+def epoch_gradient(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
+                   seq: Sequence, w: LossWeights, mode: str) -> GradSet:
+    """The epoch's update direction under aggregation `mode`. mean is the
+    summed gradient divided by the step count of each group, N for the
+    state-equation groups and N+1 for the output-equation ones, exactly as
+    aggregate divides."""
+    if mode not in ("sum", "mean"):
+        return aggregate(per_step_gradients(params, traj, costates, seq, w), mode)
+    g = summed_gradients(params, traj, costates, seq, w)
+    if mode == "mean":
+        N = traj.N
+        g = GradSet(dU=g.dU / N, dW=g.dW / N, db=g.db / N,
+                    dV=g.dV / (N + 1), dD=g.dD / (N + 1), dc=g.dc / (N + 1))
+    return g
 
 
 def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
@@ -143,14 +141,12 @@ def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
             traj = forward(params, seq, x0)
             cost = total_cost(traj, seq, params, w)
             costates = backward_costates(params, traj, w)
-            grads = per_step_gradients(params, traj, costates, seq, w)
-            gset = aggregate(grads, config.aggregation)
+            gset = epoch_gradient(params, traj, costates, seq, w,
+                                  config.aggregation)
             history.append(EpochMetrics(
                 epoch=i, cost=cost,
-                grad_norm=_max_step_norm(grads),
-                lambda_max=float(np.linalg.norm(costates.lam[1:], axis=1).max()),
-                param_norms={name: float(np.linalg.norm(getattr(params, name)))
-                             for name in ("U", "W", "b", "V", "Dft", "c")}))
+                grad_norm=max_step_norm(params, traj, costates, seq, w),
+                lambda_max=float(np.linalg.norm(costates.lam[1:], axis=1).max())))
             if cost.total < config.stop_tol:
                 break
             params = apply_update(params, gset, config.eta)

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import backward_costates, per_step_gradients
+from .adjoint import GradSet, backward_costates, summed_gradients
 from .errors import ConfigurationError
 from .loss import LossWeights, total_cost
 from .model import BrnnParams, Sequence, forward
-from .trainer import GradSet, aggregate
 
 # grad field of GradSet -> parameter attribute of BrnnParams
 PARAM_GROUPS = (("dU", "U"), ("dW", "W"), ("db", "b"),
@@ -33,10 +32,11 @@ def cost_value(params: BrnnParams, seq: Sequence, x0, w: LossWeights) -> float:
 
 def analytic_gradient(params: BrnnParams, seq: Sequence, x0,
                       w: LossWeights) -> GradSet:
-    """Sum-aggregated multiplier gradient (the exact gradient of the cost)."""
+    """Summed multiplier gradient (the exact gradient of the cost), by the
+    same code path the trainer's sum aggregation uses."""
     traj = forward(params, seq, x0)
     costates = backward_costates(params, traj, w)
-    return aggregate(per_step_gradients(params, traj, costates, seq, w), "sum")
+    return summed_gradients(params, traj, costates, seq, w)
 
 
 def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,

@@ -1,11 +1,20 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
-from brnn.adjoint import backward_costates, final_costate, per_step_gradients
+from brnn.adjoint import (backward_costates, final_costate, max_step_norm,
+                          per_step_gradients, summed_gradients)
 from brnn.errors import CostateExplosionError
 from brnn.loss import LossWeights
-from brnn.model import (BrnnParams, Sequence, forward, nonlinearity_derivative)
+from brnn.model import (NONLINEARITIES, BrnnParams, Sequence, forward,
+                        nonlinearity_derivative)
 from brnn.stability import spectral_norm
+from brnn.trainer import aggregate, epoch_gradient
+from brnn.verify import random_instance
+
+GROUPS = ("dU", "dW", "db", "dV", "dD", "dc")
 
 
 def scalar_params(A=0.5, U=0.1, W=1.0, b=0.0, V=1.0, Dft=0.0, c=0.0, sigma="tanh"):
@@ -188,3 +197,64 @@ def test_costate_decay_bound():
     norms = np.linalg.norm(cs.lam, axis=1)
     bound = rho ** (N - np.arange(N + 1)) * norms[N] * (1 + 1e-10)
     assert (norms <= bound).all()
+
+
+def materialized_max_step_norm(grads):
+    """Reference for max_step_norm: the largest Frobenius norm over the
+    formed per-step blocks of every group."""
+    return max(float(np.linalg.norm(a.reshape(a.shape[0], -1), axis=1).max())
+               for a in (getattr(grads, name) for name in GROUPS))
+
+
+def equivalence_instances():
+    """Every sigma x state loss x (gamma1, gamma2) on/off, n = 1 and n > 1,
+    with (params, traj, costates, seq, w) ready for the gradient builders."""
+    combos = itertools.product(NONLINEARITIES, ("none", "tanh_approx", "l1"),
+                               (0.0, 0.05), (0.0, 0.03), (1, 4))
+    for i, (sigma, loss, gamma1, gamma2, n) in enumerate(combos):
+        params, seq, x0, w = random_instance(
+            900 + i, n=n, m=2, r=2, N=7 + i % 5, sigma=sigma,
+            state_loss_kind=loss, gamma1=gamma1, gamma2=gamma2)
+        traj = forward(params, seq, x0)
+        yield params, traj, backward_costates(params, traj, w), seq, w
+
+
+@pytest.mark.parametrize("case", list(equivalence_instances()))
+def test_summed_gradients_and_max_step_norm_match_per_step(case):
+    ref = per_step_gradients(*case)
+    fused = summed_gradients(*case)
+    summed = aggregate(ref, "sum")
+    for name in GROUPS:
+        want = getattr(summed, name)
+        err = np.abs(getattr(fused, name) - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), name
+    want_norm = materialized_max_step_norm(ref)
+    assert abs(max_step_norm(*case) - want_norm) <= 1e-12 * want_norm
+
+
+def test_mean_is_the_summed_gradient_over_the_step_counts():
+    for params, traj, cs, seq, w in equivalence_instances():
+        N = traj.N
+        fused = summed_gradients(params, traj, cs, seq, w)
+        mean = epoch_gradient(params, traj, cs, seq, w, "mean")
+        for name in GROUPS:
+            count = N if name in ("dU", "dW", "db") else N + 1
+            assert (getattr(mean, name) == getattr(fused, name) / count).all(), name
+
+
+def test_max_step_norm_clamps_cancelling_blocks():
+    # n = 1: lam_1 h_0 = -gamma1 U makes the k = 0 block of dU vanish, and the
+    # expanded square can round below zero; it must not reach the square root
+    for seed in range(40):
+        params, seq, x0, w = random_instance(seed, n=1, m=1, r=1, N=4,
+                                             gamma1=0.5, gamma2=0.5)
+        traj = forward(params, seq, x0)
+        cs = backward_costates(params, traj, w)
+        cs.lam[1] = -w.gamma1 * params.U[0] / traj.h[0]
+        ref = per_step_gradients(params, traj, cs, seq, w)
+        assert abs(ref.dU[0, 0, 0]) <= 1e-15 * abs(w.gamma1 * params.U[0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = max_step_norm(params, traj, cs, seq, w)
+        want = materialized_max_step_norm(ref)
+        assert abs(got - want) <= 1e-12 * want

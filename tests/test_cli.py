@@ -95,6 +95,15 @@ def test_bad_configuration_exits_2(tmp_path):
                "--checkpoint-out", str(tmp_path / "c.txt")) == 2
 
 
+def test_config_value_that_fails_its_cast_exits_2(tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("N = abc\n")
+    assert run("train", "--config", str(config),
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
 def test_missing_dataset_exits_4(tmp_path, capsys):
     assert run("eval", "--checkpoint", str(tmp_path / "none.txt"),
                "--data", str(tmp_path / "none.csv")) == 4
