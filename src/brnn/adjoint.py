@@ -77,7 +77,9 @@ def final_costate(params: BrnnParams, x_N, e_N) -> np.ndarray:
 
 def backward_costates(params: BrnnParams, traj: Trajectory,
                       w: LossWeights) -> CostateSeq:
-    """Run the multiplier recursion from k = N down to k = 0."""
+    """Run the multiplier recursion from k = N down to k = 0, for one model."""
+    if params.batch:
+        raise ConfigurationError("backward_costates takes one model, not stacked params")
     N, n = traj.N, params.n
     lam = np.empty((N + 1, n))
     lam[N] = final_costate(params, traj.x[N], traj.e[N])

@@ -3,8 +3,8 @@ and report stability diagnostics.
 
 Subcommands: generate | train | eval | gradcheck | stability.
 Exit codes: 0 success (gradcheck: pass), 1 gradcheck failure, 2 usage or
-configuration errors, 3 numerical explosion/divergence, 4 I/O and format
-errors.
+configuration errors, 3 numerical explosion/divergence or no stability
+certificate, 4 I/O and format errors.
 
 A config file (one "key = value" per line, # comments allowed) can seed
 the train subcommand; explicit command-line flags win over file values.
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import stability as stab
 from .errors import (CheckpointFormatError, ConfigurationError,
-                     DatasetFormatError, NumericalError)
+                     DatasetFormatError, NumericalError, UnboundedRegionError)
 from .loss import LossWeights, total_cost
 from .model import BrnnParams, Dims, NONLINEARITIES, forward
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
@@ -224,6 +224,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ConfigurationError("instances must be >= 1")
     worst = None
     for i in range(args.instances):
         params, seq, x0, w = random_instance(
@@ -392,6 +394,9 @@ def main(argv=None) -> int:
             where.append(f"step k={exc.k}")
         suffix = f" ({', '.join(where)})" if where else ""
         print(f"numerical failure: {exc}{suffix}", file=sys.stderr)
+        return 3
+    except UnboundedRegionError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (DatasetFormatError, CheckpointFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

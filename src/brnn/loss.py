@@ -51,6 +51,9 @@ class LossWeights:
 
 @dataclass
 class CostBreakdown:
+    """Each field is a float, or a (B,) array of one value per member for
+    params stacked along a batch axis of length B."""
+
     phi_N: float        # 1/2 ||e_N||^2
     output_sum: float   # sum_{k<N} 1/2 ||e_k||^2
     state_sum: float    # beta  * sum_{k<N} P(x_k)
@@ -60,12 +63,13 @@ class CostBreakdown:
     total: float
 
 
-def _penalty(kind: str, alpha: float, z: np.ndarray) -> float:
+def _penalty(kind: str, alpha: float, z: np.ndarray) -> np.ndarray:
+    """P summed over the last two (step, unit) axes."""
     if kind == "l1":
-        return float(np.abs(z).sum())
+        return np.abs(z).sum(axis=(-2, -1))
     if kind == "tanh_approx":
-        return float((z * np.tanh(alpha * z)).sum())
-    return 0.0
+        return (z * np.tanh(alpha * z)).sum(axis=(-2, -1))
+    return np.zeros(z.shape[:-2])
 
 
 def _penalty_grad(kind: str, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -94,29 +98,31 @@ def state_loss_grad(w: LossWeights, x_k, h_k, sigma_prime_k) -> np.ndarray:
 
 def total_cost(traj: Trajectory, seq: Sequence, params: BrnnParams,
                w: LossWeights) -> CostBreakdown:
-    """Evaluate the full cost of a trajectory."""
+    """Evaluate the full cost of a trajectory, per member for stacked params."""
     N = seq.N
-    if traj.x.shape[0] != N + 1 or traj.e.shape != seq.d.shape:
+    if traj.x.shape[-2] != N + 1 or traj.e.shape[-2:] != seq.d.shape:
         raise ConfigurationError("trajectory does not match sequence length")
 
-    phi_N = 0.5 * float(traj.e[N] @ traj.e[N])
-    output_sum = 0.5 * float((traj.e[:N] ** 2).sum())
+    e = traj.e
+    phi_N = 0.5 * (e[..., N, :] ** 2).sum(axis=-1)
+    output_sum = 0.5 * (e[..., :N, :] ** 2).sum(axis=(-2, -1))
 
-    state_sum = 0.0
-    hidden_sum = 0.0
+    state_sum = hidden_sum = np.zeros(params.batch)
     if w.state_loss_kind != "none":
         kind, alpha = w.state_loss_kind, w.alpha_ent
         if w.beta != 0.0:
-            state_sum = w.beta * sum(_penalty(kind, alpha, traj.x[k]) for k in range(N))
+            state_sum = w.beta * _penalty(kind, alpha, traj.x[..., :N, :])
         if w.beta0 != 0.0:
-            hidden_sum = w.beta0 * sum(_penalty(kind, alpha, traj.h[k]) for k in range(N))
+            hidden_sum = w.beta0 * _penalty(kind, alpha, traj.h[..., :N, :])
 
-    theta_sq = float((params.U ** 2).sum() + (params.W ** 2).sum() + (params.b ** 2).sum())
-    nu_sq = float((params.V ** 2).sum() + (params.Dft ** 2).sum() + (params.c ** 2).sum())
-    reg_theta = w.gamma1 * N * 0.5 * theta_sq
-    reg_nu = w.gamma2 * (N + 1) * 0.5 * nu_sq
-
-    total = phi_N + output_sum + state_sum + hidden_sum + reg_theta + reg_nu
-    return CostBreakdown(phi_N=phi_N, output_sum=output_sum, state_sum=state_sum,
-                         hidden_sum=hidden_sum, reg_theta=reg_theta, reg_nu=reg_nu,
-                         total=total)
+    theta_sq = ((params.U ** 2).sum(axis=(-2, -1)) + (params.W ** 2).sum(axis=(-2, -1))
+                + (params.b ** 2).sum(axis=-1))
+    nu_sq = ((params.V ** 2).sum(axis=(-2, -1)) + (params.Dft ** 2).sum(axis=(-2, -1))
+             + (params.c ** 2).sum(axis=-1))
+    fields = dict(phi_N=phi_N, output_sum=output_sum, state_sum=state_sum,
+                  hidden_sum=hidden_sum, reg_theta=w.gamma1 * N * 0.5 * theta_sq,
+                  reg_nu=w.gamma2 * (N + 1) * 0.5 * nu_sq)
+    fields["total"] = sum(fields.values())
+    if not params.batch:
+        fields = {name: float(v) for name, v in fields.items()}
+    return CostBreakdown(**fields)

@@ -8,7 +8,8 @@ The network runs over a finite horizon k = 0..N:
 
 A is fixed (never trained) and chosen stable so that bounded inputs keep
 the state inside a bounded region; see :mod:`brnn.stability`. All
-arithmetic is float64.
+arithmetic is float64. `forward` also runs a stack of models (trainable
+parameters with a leading batch axis) in one recursion.
 """
 
 from dataclasses import dataclass
@@ -86,16 +87,18 @@ class Dims:
 class BrnnParams:
     """All model parameters. A is fixed; U, W, b, V, Dft, c are trainable.
 
-    Dft is the direct input-to-output feedthrough matrix.
+    Dft is the direct input-to-output feedthrough matrix. The trainable
+    arrays may carry a common leading batch axis, which stacks B models that
+    share A and sigma; `batch` is then (B,), and () for one model.
     """
 
-    A: np.ndarray      # n x n, fixed
-    U: np.ndarray      # n x n
-    W: np.ndarray      # n x m
-    b: np.ndarray      # n
-    V: np.ndarray      # r x n
-    Dft: np.ndarray    # r x m
-    c: np.ndarray      # r
+    A: np.ndarray      # n x n, fixed and shared
+    U: np.ndarray      # batch + (n, n)
+    W: np.ndarray      # batch + (n, m)
+    b: np.ndarray      # batch + (n,)
+    V: np.ndarray      # batch + (r, n)
+    Dft: np.ndarray    # batch + (r, m)
+    c: np.ndarray      # batch + (r,)
     sigma: str = "tanh"
 
     def __post_init__(self):
@@ -103,22 +106,27 @@ class BrnnParams:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
+    def batch(self) -> tuple:
+        return self.U.shape[:-2]
+
+    @property
     def n(self) -> int:
         return self.A.shape[0]
 
     @property
     def m(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
     @property
     def r(self) -> int:
-        return self.V.shape[0]
+        return self.V.shape[-2]
 
     def validate(self):
-        n, m, r = self.n, self.m, self.r
+        n, m, r, batch = self.n, self.m, self.r, self.batch
         shapes = {
-            "A": (n, n), "U": (n, n), "W": (n, m), "b": (n,),
-            "V": (r, n), "Dft": (r, m), "c": (r,),
+            "A": (n, n), "U": batch + (n, n), "W": batch + (n, m),
+            "b": batch + (n,), "V": batch + (r, n), "Dft": batch + (r, m),
+            "c": batch + (r,),
         }
         for name, want in shapes.items():
             got = getattr(self, name).shape
@@ -176,23 +184,26 @@ class Sequence:
 
 @dataclass
 class Trajectory:
-    """Forward-pass record: states x, hidden h = sigma(x), outputs y, errors e = y - d."""
+    """Forward-pass record: states x, hidden h = sigma(x), outputs y, errors
+    e = y - d. Each array has the batch axes of the params in front."""
 
-    x: np.ndarray  # (N+1, n)
-    h: np.ndarray  # (N+1, n)
-    y: np.ndarray  # (N+1, r)
-    e: np.ndarray  # (N+1, r)
+    x: np.ndarray  # batch + (N+1, n)
+    h: np.ndarray  # batch + (N+1, n)
+    y: np.ndarray  # batch + (N+1, r)
+    e: np.ndarray  # batch + (N+1, r)
 
     @property
     def N(self) -> int:
-        return self.x.shape[0] - 1
+        return self.x.shape[-2] - 1
 
 
 def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
     """Run the state recursion from x0 over the whole sequence.
 
-    Raises ConfigurationError on dimension mismatch and StateOverflowError
-    (naming the first offending k) if the state or output turns non-finite.
+    Stacked params (see BrnnParams.batch) run every member from the same x0
+    on the same sequence in one recursion. Raises ConfigurationError on
+    dimension mismatch and StateOverflowError (naming the first offending k
+    over all members) if the state or output turns non-finite.
     """
     params.validate()
     if seq.m != params.m or seq.r != params.r:
@@ -206,27 +217,37 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
         raise ConfigurationError("x0 contains non-finite entries")
 
     N, n = seq.N, params.n
-    A, U, s = params.A, params.U, seq.s
+    At, U, s = params.A.T, params.U, seq.s
     sigma = _SIGMA[params.sigma]
 
-    x = np.empty((N + 1, n))
-    h = np.empty((N + 1, n))
-    x[0] = x0
+    x = np.empty(params.batch + (N + 1, n))
+    h = np.empty_like(x)
+    # time-first views: xs[k] is step k of every member
+    xs, hs = np.moveaxis(x, -2, 0), np.moveaxis(h, -2, 0)
+    xs[0] = x0
     # overflow is detected explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
         # the input drive W s[k] + b does not depend on the state
-        drive = s[:N] @ params.W.T + params.b
+        drive = np.moveaxis(
+            s[:N] @ np.swapaxes(params.W, -1, -2) + params.b[..., None, :], -2, 0)
         for k in range(N):
-            hk = sigma(x[k])
-            h[k] = hk
-            xn = A @ x[k] + U @ hk + drive[k]
-            if not np.isfinite(xn).all():
-                raise StateOverflowError(f"non-finite state at k={k + 1}", k=k + 1)
-            x[k + 1] = xn
-        h[N] = sigma(x[N])
-
-        y = h @ params.V.T + s @ params.Dft.T + params.c
-    if not np.isfinite(y).all():
-        bad = int(np.argwhere(~np.isfinite(y).all(axis=1))[0, 0])
-        raise StateOverflowError(f"non-finite output at k={bad}", k=bad)
+            hk = sigma(xs[k])
+            hs[k] = hk
+            xs[k + 1] = xs[k] @ At + (U @ hk[..., None])[..., 0] + drive[k]
+        hs[N] = sigma(xs[N])
+        # x holds every step, so one check after the loop finds the first
+        # non-finite k
+        _check_finite(x, "state")
+        y = (h @ np.swapaxes(params.V, -1, -2) + s @ np.swapaxes(params.Dft, -1, -2)
+             + params.c[..., None, :])
+    _check_finite(y, "output")
     return Trajectory(x=x, h=h, y=y, e=y - seq.d)
+
+
+def _check_finite(a, what):
+    """Raise StateOverflowError naming the first step k at which any member
+    of a (batch + (N+1, dim)) is non-finite."""
+    bad = ~np.isfinite(a).all(axis=-1)
+    if bad.any():
+        k = int(np.argwhere(bad)[:, -1].min())
+        raise StateOverflowError(f"non-finite {what} at k={k}", k=k)

@@ -2,9 +2,10 @@
 
 The oracle perturbs every scalar entry of U, W, b, V, Dft, c by +/-eps and
 central-differences the total cost; it never touches the multiplier code
-path, so agreement certifies the backward recursion. Valid only for smooth
-configurations: sigma in {tanh, logistic, identity} and state loss in
-{none, tanh_approx}.
+path, so agreement certifies the backward recursion. All perturbed models
+are stacked along a batch axis and run as one batched rollout (in chunks
+of bounded memory). Valid only for smooth configurations: sigma in
+{tanh, logistic, identity} and state loss in {none, tanh_approx}.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from .adjoint import GradSet, backward_costates, summed_gradients
 from .errors import ConfigurationError
 from .loss import LossWeights, total_cost
-from .model import BrnnParams, Sequence, forward
+from .model import BrnnParams, Dims, Sequence, forward
 
 # grad field of GradSet -> parameter attribute of BrnnParams
 PARAM_GROUPS = (("dU", "U"), ("dW", "W"), ("db", "b"),
@@ -23,9 +24,14 @@ PARAM_GROUPS = (("dU", "U"), ("dW", "W"), ("db", "b"),
 SMOOTH_SIGMAS = ("tanh", "logistic", "identity")
 SMOOTH_STATE_LOSSES = ("none", "tanh_approx")
 
+# memory the oracle may give one batched rollout; larger models run in
+# more, smaller chunks of perturbed members
+ORACLE_CHUNK_BYTES = 8 << 20
 
-def cost_value(params: BrnnParams, seq: Sequence, x0, w: LossWeights) -> float:
-    """Total cost of one forward pass."""
+
+def cost_value(params: BrnnParams, seq: Sequence, x0, w: LossWeights):
+    """Total cost of one forward pass: a float, or a (B,) array for params
+    stacked along a batch axis of length B."""
     traj = forward(params, seq, x0)
     return total_cost(traj, seq, params, w).total
 
@@ -41,7 +47,12 @@ def analytic_gradient(params: BrnnParams, seq: Sequence, x0,
 
 def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
                      eps: float = 1e-5) -> GradSet:
-    """Central finite differences of the total cost over every parameter entry."""
+    """Central finite differences of the total cost over every parameter entry.
+
+    The P trainable entries, in PARAM_GROUPS order, form one vector theta.
+    Rows 2i and 2i+1 of the stacked models are theta with entry i moved by
+    +eps and -eps; each chunk of rows is one cost_value call.
+    """
     if not 1e-7 <= eps <= 1e-3:
         raise ConfigurationError(f"eps={eps} outside [1e-7, 1e-3]")
     if params.sigma not in SMOOTH_SIGMAS:
@@ -49,22 +60,33 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
     if w.state_loss_kind not in SMOOTH_STATE_LOSSES:
         raise ConfigurationError(
             f"state loss {w.state_loss_kind!r} is not smooth enough for the oracle")
+    if params.batch:
+        raise ConfigurationError("the oracle takes one model, not stacked params")
 
-    work = params.copy()
-    out = {}
-    for gname, pname in PARAM_GROUPS:
-        arr = getattr(work, pname)
-        grad = np.empty_like(arr)
-        for i in range(arr.size):
-            orig = arr.flat[i]
-            arr.flat[i] = orig + eps
-            jp = cost_value(work, seq, x0, w)
-            arr.flat[i] = orig - eps
-            jm = cost_value(work, seq, x0, w)
-            arr.flat[i] = orig
-            grad.flat[i] = (jp - jm) / (2.0 * eps)
-        out[gname] = grad
-    return GradSet(**out)
+    shapes = [getattr(params, pname).shape for _, pname in PARAM_GROUPS]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    theta = np.concatenate([getattr(params, pname).ravel() for _, pname in PARAM_GROUPS])
+    P = theta.size
+    # floats one perturbed member holds: its parameters, and its x, h, y, e
+    # with temporaries of the same size
+    member_bytes = 8 * (P + 4 * (seq.N + 1) * (params.n + params.r))
+    chunk = max(1, ORACLE_CHUNK_BYTES // (2 * member_bytes))
+
+    bounds = np.cumsum(sizes)[:-1]
+    grad = np.empty(P)
+    for lo in range(0, P, chunk):
+        idx = np.arange(lo, min(lo + chunk, P))
+        plus = 2 * (idx - lo)
+        rows = np.repeat(theta[None, :], 2 * idx.size, axis=0)
+        rows[plus, idx] += eps
+        rows[plus + 1, idx] -= eps
+        stacked = BrnnParams(A=params.A, sigma=params.sigma, **{
+            pname: g.reshape((rows.shape[0],) + shape) for (_, pname), g, shape
+            in zip(PARAM_GROUPS, np.split(rows, bounds, axis=1), shapes)})
+        J = cost_value(stacked, seq, x0, w)
+        grad[idx] = (J[0::2] - J[1::2]) / (2.0 * eps)
+    return GradSet(**{gname: g.reshape(shape) for (gname, _), g, shape
+                      in zip(PARAM_GROUPS, np.split(grad, bounds), shapes)})
 
 
 @dataclass
@@ -113,6 +135,7 @@ def random_instance(seed: int, n: int = 4, m: int = 2, r: int = 2, N: int = 10,
                     beta: float = 0.3, beta0: float = 0.2,
                     scale: float = 0.5):
     """Seeded random (params, seq, x0, weights) tuple for gradient checks."""
+    Dims(n=n, m=m, r=r, N=N)  # raises ConfigurationError on sizes below 1
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-scale, scale, shape)
     params = BrnnParams(

@@ -142,6 +142,27 @@ def test_gradcheck_cli_fails_at_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--n", "--m", "--instances"])
+def test_gradcheck_bad_dimensions_exit_2(flag, capsys):
+    assert run("gradcheck", flag, "0") == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_stability_without_certificate_exits_3(tmp_path, capsys):
+    assert run("stability", "--alphaA", "1.0", "--n", "2") == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical failure: spectral norm of A is")
+    assert len(err.splitlines()) == 1
+
+    ckpt = tmp_path / "c.txt"
+    assert run("train", "--task", "sine", "--N", "10", "--n", "2", "--epochs", "1",
+               "--alphaA", "1.0", "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(ckpt)) == 0
+    capsys.readouterr()
+    assert run("stability", "--checkpoint", str(ckpt)) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: spectral norm of A is")
+
+
 def test_stability_cli_scalar_example(tmp_path, capsys):
     csv_out = tmp_path / "stab.csv"
     assert run("stability", "--alphaA", "0.5", "--n", "1", "--Msup", "1",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,31 @@ def test_total_is_sum_of_components():
              + cost.reg_theta + cost.reg_nu)
     assert cost.total == pytest.approx(parts, rel=1e-12)
     assert cost.total >= 0.0
+
+
+@pytest.mark.parametrize("state_loss_kind", ["none", "l1", "tanh_approx"])
+def test_stacked_total_cost_matches_single_models(state_loss_kind):
+    rng = np.random.default_rng(19)
+    B, n, m, r, N = 4, 3, 2, 2, 9
+    params = BrnnParams(A=0.5 * np.eye(n), U=rng.uniform(-0.5, 0.5, (B, n, n)),
+                        W=rng.uniform(-1, 1, (B, n, m)), b=rng.uniform(-1, 1, (B, n)),
+                        V=rng.uniform(-1, 1, (B, r, n)), Dft=rng.uniform(-1, 1, (B, r, m)),
+                        c=rng.uniform(-1, 1, (B, r)), sigma="tanh")
+    seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
+    x0 = rng.uniform(-1, 1, n)
+    w = LossWeights(beta=0.3, beta0=0.2, gamma1=0.05, gamma2=0.01,
+                    state_loss_kind=state_loss_kind)
+    stacked = total_cost(forward(params, seq, x0), seq, params, w)
+    fields = [f.name for f in dataclasses.fields(stacked)]
+    for i in range(B):
+        one = dataclasses.replace(params, **{k: getattr(params, k)[i]
+                                             for k in ("U", "W", "b", "V", "Dft", "c")})
+        single = total_cost(forward(one, seq, x0), seq, one, w)
+        for name in fields:
+            value = getattr(single, name)
+            assert type(value) is float
+            assert getattr(stacked, name).shape == (B,)
+            np.testing.assert_allclose(getattr(stacked, name)[i], value, rtol=1e-13, atol=0)
 
 
 def test_regularizer_step_counts():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,14 @@ from brnn.errors import ConfigurationError, StateOverflowError
 from brnn.model import (BrnnParams, Dims, Sequence, apply_nonlinearity,
                         forward, nonlinearity_derivative)
 from brnn.stability import bibo_bound
+
+
+TRAINABLE = ("U", "W", "b", "V", "Dft", "c")
+
+
+def member(params, i):
+    """Model i of stacked params."""
+    return dataclasses.replace(params, **{k: getattr(params, k)[i] for k in TRAINABLE})
 
 
 def scalar_params(A=0.5, U=0.1, W=1.0, b=0.0, V=1.0, Dft=0.0, c=0.0, sigma="tanh"):
@@ -94,6 +104,26 @@ def test_trajectory_invariants_exact(sigma):
     assert (traj.e == traj.y - seq.d).all()
 
 
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_stacked_forward_matches_single_models(sigma):
+    rng = np.random.default_rng(31)
+    B, n, m, r, N = 5, 4, 2, 3, 25
+    params = BrnnParams(A=0.6 * np.eye(n), U=rng.uniform(-0.4, 0.4, (B, n, n)),
+                        W=rng.uniform(-1, 1, (B, n, m)), b=rng.uniform(-0.2, 0.2, (B, n)),
+                        V=rng.uniform(-1, 1, (B, r, n)), Dft=rng.uniform(-1, 1, (B, r, m)),
+                        c=rng.uniform(-1, 1, (B, r)), sigma=sigma)
+    assert params.batch == (B,) and (params.n, params.m, params.r) == (n, m, r)
+    seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
+    x0 = rng.uniform(-1, 1, n)
+    stacked = forward(params, seq, x0)
+    assert stacked.x.shape == (B, N + 1, n) and stacked.N == N
+    for i in range(B):
+        single = forward(member(params, i), seq, x0)
+        for name in ("x", "h", "y", "e"):
+            np.testing.assert_allclose(getattr(stacked, name)[i], getattr(single, name),
+                                       rtol=1e-13, atol=0)
+
+
 def test_linearity_superposition():
     rng = np.random.default_rng(17)
     n, m, N = 3, 2, 15
@@ -130,6 +160,26 @@ def test_overflow_error_names_first_k():
         forward(params, seq, [1.0])
     assert exc.value.k == 2
     assert "k=2" in str(exc.value)
+
+
+def test_stacked_overflow_names_the_first_k_of_any_member():
+    # identity sigma, x0 = 1, A = W = 0: x_k = U^k, so U = 1e200 overflows at
+    # k = 2, U = 1e150 at k = 3 and U = 0.1 never
+    seq = Sequence(s=np.ones((6, 1)), d=np.zeros((6, 1)))
+    ones = np.ones((3, 1, 1))
+    params = BrnnParams(A=[[0.0]], U=np.array([0.1, 1e150, 1e200])[:, None, None],
+                        W=0 * ones, b=np.zeros((3, 1)), V=ones, Dft=0 * ones,
+                        c=np.zeros((3, 1)), sigma="identity")
+    with pytest.raises(StateOverflowError) as single:
+        forward(member(params, 1), seq, [1.0])
+    assert single.value.k == 3
+    pair = dataclasses.replace(params, **{k: getattr(params, k)[:2] for k in TRAINABLE})
+    with pytest.raises(StateOverflowError) as stacked:
+        forward(pair, seq, [1.0])
+    assert stacked.value.k == 3
+    with pytest.raises(StateOverflowError) as stacked:
+        forward(params, seq, [1.0])
+    assert stacked.value.k == 2
 
 
 def test_bibo_rollout_property():
@@ -169,5 +219,10 @@ def test_sequence_validation():
 def test_params_validation():
     params = scalar_params()
     params.U = np.zeros((2, 2))
+    with pytest.raises(ConfigurationError):
+        params.validate()
+    # stacked params: every trainable array carries the same batch axes
+    params = scalar_params()
+    params.U = np.zeros((3, 1, 1))
     with pytest.raises(ConfigurationError):
         params.validate()

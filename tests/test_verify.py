@@ -1,13 +1,44 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from brnn import verify
 from brnn.errors import ConfigurationError
 from brnn.loss import LossWeights
 from brnn.model import BrnnParams, Sequence, forward
 from brnn.trainer import GradSet, aggregate
 from brnn.adjoint import backward_costates, per_step_gradients
-from brnn.verify import (analytic_gradient, compare_gradients, gradcheck,
-                         numeric_gradient, random_instance)
+from brnn.verify import (PARAM_GROUPS, analytic_gradient, compare_gradients,
+                         cost_value, gradcheck, numeric_gradient, random_instance)
+
+
+def numeric_gradient_per_entry(params, seq, x0, w, eps=1e-5):
+    """Reference oracle: two single-model cost_value calls per parameter entry."""
+    work = params.copy()
+    out = {}
+    for gname, pname in PARAM_GROUPS:
+        arr = getattr(work, pname)
+        grad = np.empty_like(arr)
+        for i in range(arr.size):
+            orig = arr.flat[i]
+            arr.flat[i] = orig + eps
+            jp = cost_value(work, seq, x0, w)
+            arr.flat[i] = orig - eps
+            jm = cost_value(work, seq, x0, w)
+            arr.flat[i] = orig
+            grad.flat[i] = (jp - jm) / (2.0 * eps)
+        out[gname] = grad
+    return GradSet(**out)
+
+
+ORACLE_CASES = [
+    dict(),
+    dict(sigma="logistic", state_loss_kind="tanh_approx"),
+    dict(sigma="identity", n=6, m=3, N=15),
+    dict(gamma1=0.01, gamma2=0.01, state_loss_kind="tanh_approx"),
+    dict(n=1, m=1, r=1, N=1),
+]
 
 
 def test_compare_identical_passes():
@@ -86,12 +117,7 @@ def test_pure_regularizer_counts():
     np.testing.assert_allclose(ga.dV, 0.1 * params.V * (N + 1), rtol=1e-12)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(),
-    dict(sigma="logistic", state_loss_kind="tanh_approx"),
-    dict(sigma="identity", n=6, m=3, N=15),
-    dict(gamma1=0.01, gamma2=0.01, state_loss_kind="tanh_approx"),
-])
+@pytest.mark.parametrize("kwargs", ORACLE_CASES[:4])
 def test_gradcheck_passes_on_smooth_instances(kwargs):
     params, seq, x0, w = random_instance(100, **kwargs)
     report = gradcheck(params, seq, x0, w, tol=1e-5)
@@ -125,3 +151,45 @@ def test_eps_range_enforced():
         numeric_gradient(params, seq, x0, w, eps=1e-8)
     with pytest.raises(ConfigurationError):
         numeric_gradient(params, seq, x0, w, eps=1e-2)
+
+
+@pytest.mark.parametrize("kwargs", ORACLE_CASES)
+def test_numeric_gradient_matches_per_entry_loop(kwargs):
+    params, seq, x0, w = random_instance(3, **kwargs)
+    batched = numeric_gradient(params, seq, x0, w)
+    reference = numeric_gradient_per_entry(params, seq, x0, w)
+    for gname, _ in PARAM_GROUPS:
+        np.testing.assert_allclose(getattr(batched, gname), getattr(reference, gname),
+                                   rtol=0, atol=1e-7)
+
+
+def test_chunked_oracle_equals_one_batch(monkeypatch):
+    params, seq, x0, w = random_instance(5, n=5, m=3, N=12,
+                                         state_loss_kind="tanh_approx")
+    calls = []
+    counted = lambda *args: calls.append(1) or cost_value(*args)
+    monkeypatch.setattr(verify, "cost_value", counted)
+    whole = numeric_gradient(params, seq, x0, w)
+    assert len(calls) == 1
+    P = sum(getattr(params, pname).size for _, pname in PARAM_GROUPS)
+    # one entry per chunk; several entries per chunk with a shorter last one
+    for budget in (1, verify.ORACLE_CHUNK_BYTES // 200):
+        monkeypatch.setattr(verify, "ORACLE_CHUNK_BYTES", budget)
+        calls.clear()
+        chunked = numeric_gradient(params, seq, x0, w)
+        assert 1 < len(calls) <= P
+        for gname, _ in PARAM_GROUPS:
+            np.testing.assert_allclose(getattr(chunked, gname), getattr(whole, gname),
+                                       rtol=0, atol=1e-9)
+
+
+def test_one_model_paths_reject_stacked_params():
+    params, seq, x0, w = random_instance(2)
+    stacked = dataclasses.replace(params, **{
+        pname: np.stack([getattr(params, pname)] * 2) for _, pname in PARAM_GROUPS})
+    assert cost_value(stacked, seq, x0, w).shape == (2,)
+    traj = forward(stacked, seq, x0)
+    with pytest.raises(ConfigurationError):
+        backward_costates(stacked, traj, w)
+    with pytest.raises(ConfigurationError):
+        numeric_gradient(stacked, seq, x0, w)
