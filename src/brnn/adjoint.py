@@ -13,6 +13,13 @@ of (A + U diag sigma'_k): this recursion is the exact quantification of
 vanishing/exploding gradients, and a non-finite lambda raises
 CostateExplosionError naming the step.
 
+Each backward step is one product, lambda_{k+1}^T [A | U] = [A^T lambda,
+U^T lambda], followed by in-place elementwise work; everything that does
+not depend on lambda (sigma'_k and the forcing) is computed for all k
+before the loop. Finiteness is checked once after the loop: the largest k
+with a non-finite lambda_k is the step at which the recursion blew up, the
+same k a per-step check would report.
+
 Every per-step gradient contribution is a rank-one term plus a regularizer,
 a_k b_k^T + gamma P (for example lambda_{k+1} h_k^T + gamma1 U). The sum
 over k, which the sum and mean aggregations need, is one matrix product
@@ -86,22 +93,34 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
     if not np.isfinite(lam[N]).all():
         raise CostateExplosionError(f"non-finite multiplier at k={N}", k=N)
 
-    At, Ut = params.A.T, params.U.T
     x, h = traj.x[:N], traj.h[:N]
-    # explosion is detected explicitly, so silence the intermediate warnings
+    # lam[k+1] @ [A | U] is [A^T lam, U^T lam]: one product per step
+    AU = np.concatenate([params.A, params.U], axis=1)
+    t = np.empty(2 * n)
+    t_A, t_U = t[:n], t[n:]
+    # explosion is detected after the loop, so silence the warnings
     with np.errstate(over="ignore", invalid="ignore"):
         sp = nonlinearity_derivative(params.sigma, x)
         # every term that does not depend on lambda, for all k at once
         force = sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
-        for k in range(N - 1, -1, -1):
-            v = At @ lam[k + 1] + sp[k] * (Ut @ lam[k + 1]) + force[k]
-            if not np.isfinite(v).all():
-                raise CostateExplosionError(f"non-finite multiplier at k={k}", k=k)
-            lam[k] = v
+        # rows k = N-1..0 with lam[k+1] beside each; the lam rows are views,
+        # so each step reads the row the previous step wrote
+        for lam_k, lam_next, sp_k, force_k in zip(
+                lam[N - 1::-1], lam[N:0:-1], sp[::-1], force[::-1]):
+            np.dot(lam_next, AU, out=t)
+            np.multiply(sp_k, t_U, out=lam_k)
+            lam_k += t_A
+            lam_k += force_k
+    # the recursion runs downward in k, so the largest non-finite k is the
+    # step at which it first blew up
+    bad = np.flatnonzero(~np.isfinite(lam[:N]).all(axis=1))
+    if bad.size:
+        k = int(bad[-1])
+        raise CostateExplosionError(f"non-finite multiplier at k={k}", k=k)
     return CostateSeq(lam=lam)
 
 
-def _contributions(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
+def contributions(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
                    seq: Sequence, w: LossWeights) -> dict:
     """Per group, the factors (a, b, P, g) of the step-k contribution
     a_k b_k^T + g P; b is None for the bias groups, whose contribution is
@@ -133,11 +152,15 @@ def per_step_gradients(params: BrnnParams, traj: Trajectory,
         dD_k = gamma2 Dft + e_k s_k^T
         dc_k = gamma2 c + e_k
     """
-    out = {}
-    for name, (a, b, P, g) in _contributions(params, traj, costates, seq, w).items():
-        outer = a if b is None else a[:, :, None] * b[:, None, :]
-        out[name] = outer + g * P
-    return GradSeq(**out)
+    return GradSeq(**{name: step_block(*f) for name, f
+                      in contributions(params, traj, costates, seq, w).items()})
+
+
+def step_block(a, b, P, g) -> np.ndarray:
+    """Every step's contribution a_k b_k^T + g P (a_k + g P without b), from
+    the factors of one group as `contributions` returns them."""
+    outer = a if b is None else a[:, :, None] * b[:, None, :]
+    return outer + g * P
 
 
 def summed_gradients(params: BrnnParams, traj: Trajectory,
@@ -151,7 +174,7 @@ def summed_gradients(params: BrnnParams, traj: Trajectory,
     and likewise for W, b, Dft, c. This is the exact gradient of the cost.
     """
     out = {}
-    for name, (a, b, P, g) in _contributions(params, traj, costates, seq, w).items():
+    for name, (a, b, P, g) in contributions(params, traj, costates, seq, w).items():
         rank_one = a.sum(axis=0) if b is None else a.T @ b
         out[name] = rank_one + a.shape[0] * g * P
     return GradSet(**out)
@@ -166,7 +189,7 @@ def max_step_norm(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
     per k, clamped at 0 against cancellation before the square root.
     """
     worst = 0.0
-    for a, b, P, g in _contributions(params, traj, costates, seq, w).values():
+    for a, b, P, g in contributions(params, traj, costates, seq, w).values():
         sq = (a * a).sum(axis=1)
         if b is None:
             cross = a @ P

@@ -10,6 +10,13 @@ A is fixed (never trained) and chosen stable so that bounded inputs keep
 the state inside a bounded region; see :mod:`brnn.stability`. All
 arithmetic is float64. `forward` also runs a stack of models (trainable
 parameters with a leading batch axis) in one recursion.
+
+The state recursion cannot be vectorized over k, so `forward` makes each
+step one matrix product: it keeps the augmented rows z_k = [x_k, h_k, s_k, 1]
+in one time-first buffer and multiplies by M = [A^T; U^T; W^T; b], built
+once, so that x_{k+1} = z_k M. Overflow is not checked per step: the
+finished trajectory is checked once and StateOverflowError names the first
+non-finite k, as a per-step check would.
 """
 
 from dataclasses import dataclass
@@ -22,16 +29,20 @@ from .errors import ConfigurationError, StateOverflowError
 NONLINEARITIES = ("tanh", "logistic", "relu", "identity")
 
 
-def _logistic(x):
-    # tanh form is overflow-free for large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _logistic(x, out=None):
+    # tanh form 0.5 * (1 + tanh(x / 2)) is overflow-free for large |x|
+    p = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    p += 1.0
+    p *= 0.5
+    return p
 
 
+# each takes an optional `out` array, as a NumPy ufunc does
 _SIGMA = {
     "tanh": np.tanh,
     "logistic": _logistic,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "identity": lambda x: np.positive(x),
+    "relu": lambda x, out=None: np.maximum(x, 0.0, out=out),
+    "identity": np.positive,
 }
 
 
@@ -201,9 +212,11 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
     """Run the state recursion from x0 over the whole sequence.
 
     Stacked params (see BrnnParams.batch) run every member from the same x0
-    on the same sequence in one recursion. Raises ConfigurationError on
-    dimension mismatch and StateOverflowError (naming the first offending k
-    over all members) if the state or output turns non-finite.
+    on the same sequence in one recursion. Each step is h_k = sigma(x_k) and
+    x_{k+1} = z_k M over the augmented row z_k = [x_k, h_k, s_k, 1] (see the
+    module docstring). Raises ConfigurationError on dimension mismatch and
+    StateOverflowError (naming the first offending k over all members) if
+    the state or output turns non-finite.
     """
     params.validate()
     if seq.m != params.m or seq.r != params.r:
@@ -216,25 +229,33 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
     if not np.isfinite(x0).all():
         raise ConfigurationError("x0 contains non-finite entries")
 
-    N, n = seq.N, params.n
-    At, U, s = params.A.T, params.U, seq.s
+    N, n, m, batch = seq.N, params.n, params.m, params.batch
+    s = seq.s
     sigma = _SIGMA[params.sigma]
 
-    x = np.empty(params.batch + (N + 1, n))
-    h = np.empty_like(x)
-    # time-first views: xs[k] is step k of every member
-    xs, hs = np.moveaxis(x, -2, 0), np.moveaxis(h, -2, 0)
-    xs[0] = x0
+    # M = [A^T; U^T; W^T; b] maps the augmented row z_k = [x_k, h_k, s_k, 1]
+    # to x_{k+1} = z_k M, so each step is one product. A stacked model's row
+    # is (1, D) and its M is batch + (D, n); a single model's row is (D,).
+    D = 2 * n + m + 1
+    M = np.empty(batch + (D, n))
+    M[..., :n, :] = params.A.T
+    M[..., n:2 * n, :] = np.swapaxes(params.U, -1, -2)
+    M[..., 2 * n:D - 1, :] = np.swapaxes(params.W, -1, -2)
+    M[..., D - 1, :] = params.b
+    lead = batch + (1,) if batch else ()
+    # time-first: Z[k] is row k of every member; X and H are column views
+    Z = np.empty((N + 1,) + lead + (D,))
+    Z[..., 2 * n:D - 1] = s.reshape((N + 1,) + (1,) * len(lead) + (m,))
+    Z[..., D - 1] = 1.0
+    X, H = Z[..., :n], Z[..., n:2 * n]
+    X[0] = x0
     # overflow is detected explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # the input drive W s[k] + b does not depend on the state
-        drive = np.moveaxis(
-            s[:N] @ np.swapaxes(params.W, -1, -2) + params.b[..., None, :], -2, 0)
-        for k in range(N):
-            hk = sigma(xs[k])
-            hs[k] = hk
-            xs[k + 1] = xs[k] @ At + (U @ hk[..., None])[..., 0] + drive[k]
-        hs[N] = sigma(xs[N])
+        for z_k, x_k, h_k, x_next in zip(Z[:N], X[:N], H[:N], X[1:]):
+            sigma(x_k, out=h_k)
+            np.matmul(z_k, M, out=x_next)
+        sigma(X[N], out=H[N])
+        x, h = _batch_first(X, batch), _batch_first(H, batch)
         # x holds every step, so one check after the loop finds the first
         # non-finite k
         _check_finite(x, "state")
@@ -242,6 +263,12 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
              + params.c[..., None, :])
     _check_finite(y, "output")
     return Trajectory(x=x, h=h, y=y, e=y - seq.d)
+
+
+def _batch_first(cols, batch):
+    """Contiguous batch + (N+1, dim) copy of time-first columns of Z."""
+    out = np.ascontiguousarray(np.moveaxis(cols, 0, -2))
+    return out.reshape(batch + out.shape[-2:])
 
 
 def _check_finite(a, what):

@@ -26,25 +26,34 @@ from .model import Sequence
 TASK_KINDS = ("sine_track", "bandpass_filter", "lag_copy")
 
 _MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def splitmix64(seed: int):
     """Infinite stream of 64-bit integers from the splitmix64 generator."""
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        state = (state + _GAMMA) & _MASK64
         z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         yield z ^ (z >> 31)
 
 
 def uniform_noise(seed: int, shape, amp: float) -> np.ndarray:
-    """Array of i.i.d. uniform samples in [-amp, amp)."""
-    gen = splitmix64(seed)
+    """Array of i.i.d. uniform samples in [-amp, amp).
+
+    Sample i is draw i+1 of splitmix64(seed), computed for all i at once:
+    the state after i+1 advances is seed + (i+1)*gamma, and np.uint64
+    array arithmetic wraps modulo 2^64 as the generator masks.
+    """
     n = int(np.prod(shape))
-    u = np.fromiter(((next(gen) >> 11) * 2.0 ** -53 for _ in range(n)),
-                    dtype=float, count=n)
+    u64 = np.uint64
+    z = np.arange(1, n + 1, dtype=u64) * u64(_GAMMA) + u64(seed & _MASK64)
+    z = (z ^ (z >> u64(30))) * u64(_MIX1)
+    z = (z ^ (z >> u64(27))) * u64(_MIX2)
+    z ^= z >> u64(31)
+    u = (z >> u64(11)) * 2.0 ** -53
     return (amp * (2.0 * u - 1.0)).reshape(shape)
 
 
@@ -155,7 +164,7 @@ def read_csv(path) -> Sequence:
         except StopIteration:
             raise DatasetFormatError("empty file", line=1) from None
         m, r = _parse_header(header)
-        s_rows, d_rows = [], []
+        rows, linenos = [], []
         for lineno, fields in enumerate(reader, start=2):
             if not fields:
                 continue
@@ -167,14 +176,15 @@ def read_csv(path) -> Sequence:
                 raise DatasetFormatError(
                     f"expected k={k}, got {fields[0]!r}", line=lineno)
             try:
-                vals = [float(v) for v in fields[1:]]
+                rows.append([float(v) for v in fields[1:]])
             except ValueError as exc:
                 raise DatasetFormatError(str(exc), line=lineno) from None
-            if not all(np.isfinite(vals)):
-                raise DatasetFormatError("non-finite value", line=lineno)
-            s_rows.append(vals[:m])
-            d_rows.append(vals[m:])
-    if len(s_rows) < 2:
+            linenos.append(lineno)
+    data = np.array(rows, dtype=float).reshape(-1, m + r)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError("non-finite value", line=linenos[bad[0]])
+    if len(rows) < 2:
         raise DatasetFormatError(
-            f"need at least 2 rows (N >= 1), got {len(s_rows)}", line=len(s_rows) + 1)
-    return Sequence(s=np.array(s_rows), d=np.array(d_rows))
+            f"need at least 2 rows (N >= 1), got {len(rows)}", line=len(rows) + 1)
+    return Sequence(s=data[:, :m].copy(), d=data[:, m:].copy())

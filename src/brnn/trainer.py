@@ -6,7 +6,8 @@ differs only by a count factor that a rescaled learning rate absorbs;
 median and min_abs are robust alternatives that are deliberately *not*
 gradients of the cost (a near-zero mean can hide large per-step changes).
 Sum and mean take the summed gradients from :mod:`brnn.adjoint` directly;
-only median and min_abs form the per-step contributions and aggregate them.
+only median and min_abs form the per-step contributions, one parameter
+group at a time, and reduce them over k.
 
 Parameters are frozen within an epoch: forward and backward passes of
 epoch i see only params_i, and the update produces params_{i+1}.
@@ -17,12 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import (CostateSeq, GradSeq, GradSet, backward_costates,
-                      max_step_norm, per_step_gradients, summed_gradients)
+                      contributions, max_step_norm, step_block, summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
 from .model import BrnnParams, Dims, NONLINEARITIES, Sequence, Trajectory, forward
 
 AGGREGATIONS = ("sum", "mean", "median", "min_abs")
+
+# train raises DivergenceError once an epoch's total cost exceeds this
+# multiple of the first epoch's (finite but exploding training)
+DIVERGENCE_RATIO = 1e6
 
 
 @dataclass
@@ -117,7 +122,9 @@ def epoch_gradient(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
     state-equation groups and N+1 for the output-equation ones, exactly as
     aggregate divides."""
     if mode not in ("sum", "mean"):
-        return aggregate(per_step_gradients(params, traj, costates, seq, w), mode)
+        # one group's per-step blocks alive at a time
+        return GradSet(**{name: _reduce(step_block(*f), mode) for name, f
+                          in contributions(params, traj, costates, seq, w).items()})
     g = summed_gradients(params, traj, costates, seq, w)
     if mode == "mean":
         N = traj.N
@@ -132,7 +139,9 @@ def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
     config.epochs epochs, stopping early once total cost < stop_tol.
 
     Metrics are recorded with the cost of the parameters *entering* each
-    epoch. Numerical failures re-raise with the epoch index attached.
+    epoch. Numerical failures re-raise with the epoch index attached; a
+    total cost above DIVERGENCE_RATIO times the first epoch's (when that is
+    not 0) raises DivergenceError.
     """
     params = params0
     history: list[EpochMetrics] = []
@@ -140,6 +149,11 @@ def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
         try:
             traj = forward(params, seq, x0)
             cost = total_cost(traj, seq, params, w)
+            limit = DIVERGENCE_RATIO * history[0].cost.total if history else 0.0
+            if limit > 0.0 and cost.total > limit:
+                raise DivergenceError(
+                    f"total cost {cost.total:.6g} exceeds {DIVERGENCE_RATIO:g} "
+                    f"times the first epoch's {history[0].cost.total:.6g}")
             costates = backward_costates(params, traj, w)
             gset = epoch_gradient(params, traj, costates, seq, w,
                                   config.aggregation)

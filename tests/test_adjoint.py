@@ -7,7 +7,7 @@ import pytest
 from brnn.adjoint import (backward_costates, final_costate, max_step_norm,
                           per_step_gradients, summed_gradients)
 from brnn.errors import CostateExplosionError
-from brnn.loss import LossWeights
+from brnn.loss import LossWeights, state_loss_grad
 from brnn.model import (NONLINEARITIES, BrnnParams, Sequence, forward,
                         nonlinearity_derivative)
 from brnn.stability import spectral_norm
@@ -94,6 +94,48 @@ def test_explosion_error_names_k():
     with pytest.raises(CostateExplosionError) as exc:
         backward_costates(params, traj, LossWeights())
     assert exc.value.k == N - 1
+
+
+def backward_reference(params, traj, w):
+    """Per-step loop over the multiplier recursion that raises at the first
+    non-finite lambda as it goes, for one model."""
+    N = traj.N
+    lam = np.empty((N + 1, params.n))
+    lam[N] = final_costate(params, traj.x[N], traj.e[N])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N - 1, -1, -1):
+            sp = nonlinearity_derivative(params.sigma, traj.x[k])
+            lam[k] = (params.A.T @ lam[k + 1] + sp * (params.U.T @ lam[k + 1])
+                      + sp * (params.V.T @ traj.e[k])
+                      + state_loss_grad(w, traj.x[k], traj.h[k], sp))
+            if not np.isfinite(lam[k]).all():
+                raise CostateExplosionError(f"non-finite multiplier at k={k}", k=k)
+    return lam
+
+
+def test_backward_costates_match_the_per_step_reference():
+    for params, traj, cs, seq, w in equivalence_instances(N=50):
+        want = backward_reference(params, traj, w)
+        np.testing.assert_allclose(cs.lam, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+def test_explosion_deep_in_the_sequence_names_the_same_k():
+    # x = h = 0 and sigma' = 1, lam_N = 1: each backward step multiplies lam
+    # by 0.5 + 1e110, so lam_{N-2} ~ 1e220 is the last finite one
+    n, N = 2, 50
+    params = BrnnParams(A=0.5 * np.eye(n), U=1e110 * np.eye(n), W=np.zeros((n, 1)),
+                        b=np.zeros(n), V=np.ones((1, n)), Dft=np.zeros((1, 1)),
+                        c=np.zeros(1))
+    seq = Sequence(s=np.zeros((N + 1, 1)), d=np.zeros((N + 1, 1)))
+    traj = forward(params, seq, np.zeros(n))
+    traj.e[N] = 1.0
+    with pytest.raises(CostateExplosionError) as ref:
+        backward_reference(params, traj, LossWeights())
+    with pytest.raises(CostateExplosionError) as got:
+        backward_costates(params, traj, LossWeights())
+    assert got.value.k == ref.value.k == N - 3
+    assert f"k={N - 3}" in str(got.value)
 
 
 def test_per_step_gradients_zero():
@@ -206,14 +248,15 @@ def materialized_max_step_norm(grads):
                for a in (getattr(grads, name) for name in GROUPS))
 
 
-def equivalence_instances():
+def equivalence_instances(N=None):
     """Every sigma x state loss x (gamma1, gamma2) on/off, n = 1 and n > 1,
-    with (params, traj, costates, seq, w) ready for the gradient builders."""
+    with (params, traj, costates, seq, w) ready for the gradient builders.
+    N defaults to 7..11, varying with the instance."""
     combos = itertools.product(NONLINEARITIES, ("none", "tanh_approx", "l1"),
                                (0.0, 0.05), (0.0, 0.03), (1, 4))
     for i, (sigma, loss, gamma1, gamma2, n) in enumerate(combos):
         params, seq, x0, w = random_instance(
-            900 + i, n=n, m=2, r=2, N=7 + i % 5, sigma=sigma,
+            900 + i, n=n, m=2, r=2, N=N or 7 + i % 5, sigma=sigma,
             state_loss_kind=loss, gamma1=gamma1, gamma2=gamma2)
         traj = forward(params, seq, x0)
         yield params, traj, backward_costates(params, traj, w), seq, w
@@ -240,6 +283,15 @@ def test_mean_is_the_summed_gradient_over_the_step_counts():
         for name in GROUPS:
             count = N if name in ("dU", "dW", "db") else N + 1
             assert (getattr(mean, name) == getattr(fused, name) / count).all(), name
+
+
+def test_median_and_min_abs_equal_aggregated_per_step_blocks():
+    for case in equivalence_instances():
+        for mode in ("median", "min_abs"):
+            want = aggregate(per_step_gradients(*case), mode)
+            got = epoch_gradient(*case, mode)
+            for name in GROUPS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (mode, name)
 
 
 def test_max_step_norm_clamps_cancelling_blocks():

@@ -130,6 +130,15 @@ def test_numerical_explosion_exits_3(tmp_path, capsys):
     assert "epoch" in err
 
 
+def test_finite_but_exploding_training_exits_3(tmp_path, capsys):
+    code = run("train", "--task", "lag", "--eta", "5", "--epochs", "20",
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(tmp_path / "c.txt"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "times the first epoch's" in err and "epoch" in err
+
+
 def test_gradcheck_cli_passes(capsys):
     assert run("gradcheck", "--n", "4", "--m", "2", "--r", "2", "--N", "10",
                "--sigma", "tanh", "--tol", "1e-5") == 0

@@ -124,6 +124,42 @@ def test_stacked_forward_matches_single_models(sigma):
                                        rtol=1e-13, atol=0)
 
 
+def forward_reference(params, seq, x0):
+    """Per-step loop over the defining recursion, for one model: states and
+    hidden units only."""
+    N, n = seq.N, params.n
+    x, h = np.empty((N + 1, n)), np.empty((N + 1, n))
+    x[0] = x0
+    for k in range(N):
+        h[k] = apply_nonlinearity(params.sigma, x[k])
+        x[k + 1] = params.A @ x[k] + params.U @ h[k] + params.W @ seq.s[k] + params.b
+    h[N] = apply_nonlinearity(params.sigma, x[N])
+    return x, h
+
+
+@pytest.mark.parametrize("B", [None, 3])
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_forward_matches_the_per_step_reference(sigma, B):
+    rng = np.random.default_rng(53)
+    n, m, r, N = 5, 3, 2, 60
+    lead = () if B is None else (B,)
+    params = BrnnParams(A=0.5 * np.eye(n), U=rng.uniform(-0.4, 0.4, lead + (n, n)),
+                        W=rng.uniform(-1, 1, lead + (n, m)), b=rng.uniform(-0.2, 0.2, lead + (n,)),
+                        V=rng.uniform(-1, 1, lead + (r, n)), Dft=rng.uniform(-1, 1, lead + (r, m)),
+                        c=rng.uniform(-1, 1, lead + (r,)), sigma=sigma)
+    seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
+    x0 = rng.uniform(-1, 1, n)
+    traj = forward(params, seq, x0)
+    assert traj.x.shape == lead + (N + 1, n)
+    assert traj.x.flags.c_contiguous and traj.h.flags.c_contiguous
+    for i in range(B or 1):
+        one = params if B is None else member(params, i)
+        x, h = forward_reference(one, seq, x0)
+        got_x, got_h = (traj.x, traj.h) if B is None else (traj.x[i], traj.h[i])
+        np.testing.assert_allclose(got_x, x, rtol=1e-13, atol=1e-13 * np.abs(x).max())
+        np.testing.assert_allclose(got_h, h, rtol=1e-13, atol=1e-13 * np.abs(h).max())
+
+
 def test_linearity_superposition():
     rng = np.random.default_rng(17)
     n, m, N = 3, 2, 15

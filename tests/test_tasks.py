@@ -23,6 +23,16 @@ def test_uniform_noise_range_and_determinism():
     assert np.abs(a).max() > 0
 
 
+@pytest.mark.parametrize("seed", [0, 5, -3, 2**63 + 12345, 2**64 - 1])
+def test_uniform_noise_equals_the_splitmix64_generator(seed):
+    gen = splitmix64(seed)
+    n = 1000
+    u = np.array([(next(gen) >> 11) * 2.0 ** -53 for _ in range(n)])
+    with np.errstate(all="raise"):
+        got = uniform_noise(seed, (n // 2, 2), 0.7)
+    assert np.array_equal(got, (0.7 * (2.0 * u - 1.0)).reshape(n // 2, 2))
+
+
 def test_sine_omega_zero_is_all_zero():
     seq = gen_task(TaskSpec(kind="sine_track", N=10, omega=0.0))
     assert (seq.s == 0).all()
@@ -138,6 +148,19 @@ def test_csv_bad_float_names_line(tmp_path):
     with pytest.raises(DatasetFormatError) as exc:
         read_csv(path)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("text, line", [
+    ("k,s1,d1\n0,1.0,2.0\n1,nan,2.0\n2,1.0,2.0\n3,inf,2.0\n", 3),
+    ("k,s1,d1\n0,1.0,2.0\n1,1.0,2.0\n2,1.0,-inf\n", 4),
+])
+def test_csv_non_finite_value_names_line(tmp_path, text, line):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError) as exc:
+        read_csv(path)
+    assert exc.value.line == line
+    assert "non-finite" in str(exc.value)
 
 
 def test_csv_bad_k_index(tmp_path):

@@ -5,8 +5,9 @@ from brnn.adjoint import GradSeq, backward_costates, per_step_gradients
 from brnn.errors import ConfigurationError, DivergenceError
 from brnn.loss import LossWeights, total_cost
 from brnn.model import BrnnParams, Dims, Sequence, forward
-from brnn.trainer import (GradSet, TrainConfig, aggregate, apply_update,
-                          init_params, train)
+from brnn.tasks import TaskSpec, gen_task
+from brnn.trainer import (DIVERGENCE_RATIO, GradSet, TrainConfig, aggregate,
+                          apply_update, init_params, train)
 
 
 def gradseq_with_dU(values, N=None, n=1, m=1, r=1):
@@ -104,6 +105,22 @@ def test_apply_update_divergence():
     g.dW[0, 0] = np.inf
     with pytest.raises(DivergenceError):
         apply_update(params, g, 0.1)
+
+
+def test_exploding_but_finite_cost_raises_divergence():
+    # lag copy with eta = 5: the total grows from 2.9 by orders of magnitude
+    # per epoch while every parameter stays finite
+    seq = gen_task(TaskSpec(kind="lag_copy", N=20, seed=3))
+    params0 = init_params(Dims(n=4, m=1, r=1, N=20), seed=3)
+    cfg = TrainConfig(eta=5.0, epochs=20, seed=3)
+    with pytest.raises(DivergenceError) as exc:
+        train(cfg, seq, params0, np.zeros(4), LossWeights())
+    assert exc.value.epoch is not None and exc.value.epoch > 1
+    _, history = train(TrainConfig(eta=5.0, epochs=exc.value.epoch - 1, seed=3),
+                       seq, params0, np.zeros(4), LossWeights())
+    totals = [h.cost.total for h in history]
+    assert all(np.isfinite(totals))
+    assert max(totals) <= DIVERGENCE_RATIO * totals[0]
 
 
 def test_train_zero_epochs():
