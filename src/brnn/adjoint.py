@@ -25,7 +25,9 @@ a_k b_k^T + gamma P (for example lambda_{k+1} h_k^T + gamma1 U). The sum
 over k, which the sum and mean aggregations need, is one matrix product
 (summed_gradients), and the largest per-step block norm has a closed form
 (max_step_norm); only median and min_abs need the per-step contributions
-themselves (per_step_gradients).
+themselves. step_block forms them with the step axis last, P.shape + (K,),
+so that the reduction over k runs along contiguous memory;
+per_step_gradients presents the same blocks step-first as GradSeq.
 """
 
 from dataclasses import dataclass
@@ -151,16 +153,23 @@ def per_step_gradients(params: BrnnParams, traj: Trajectory,
         dV_k = gamma2 V + e_k h_k^T                   k = 0..N
         dD_k = gamma2 Dft + e_k s_k^T
         dc_k = gamma2 c + e_k
+
+    Each array is a step-first view of the step-last block from step_block.
     """
-    return GradSeq(**{name: step_block(*f) for name, f
+    return GradSeq(**{name: np.moveaxis(step_block(*f), -1, 0) for name, f
                       in contributions(params, traj, costates, seq, w).items()})
 
 
 def step_block(a, b, P, g) -> np.ndarray:
     """Every step's contribution a_k b_k^T + g P (a_k + g P without b), from
-    the factors of one group as `contributions` returns them."""
-    outer = a if b is None else a[:, :, None] * b[:, None, :]
-    return outer + g * P
+    the factors of one group as `contributions` returns them, as a new
+    C-contiguous array of shape P.shape + (K,): the step axis is last."""
+    aT = np.ascontiguousarray(a.T)
+    if b is None:
+        return aT + (g * P)[:, None]
+    block = aT[:, None, :] * np.ascontiguousarray(b.T)[None, :, :]
+    block += (g * P)[..., None]
+    return block
 
 
 def summed_gradients(params: BrnnParams, traj: Trajectory,

@@ -38,9 +38,9 @@ def save_checkpoint(path, params: BrnnParams) -> None:
     whitespace-separated line per matrix row in the order A,U,W,b,V,Dft,c."""
     lines = [f"{CHECKPOINT_MAGIC} {params.n} {params.m} {params.r} {params.sigma}"]
     for name in ("A", "U", "W", "b", "V", "Dft", "c"):
-        block = np.atleast_2d(getattr(params, name))
-        for row in block:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        # row by row: a whole n x n .tolist() raises the peak RSS at n = 256
+        for row in np.atleast_2d(getattr(params, name)):
+            lines.append(" ".join(map(repr, row.tolist())))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -126,14 +126,13 @@ def gen_task(spec: TaskSpec) -> Sequence:
 
 def write_csv(seq: Sequence, path) -> None:
     """Write the dataset with full round-trip float precision."""
-    m, r = seq.m, seq.r
+    lines = [",".join(["k", *(f"s{j + 1}" for j in range(seq.m)),
+                       *(f"d{j + 1}" for j in range(seq.r))])]
+    for k, (s_k, d_k) in enumerate(zip(seq.s.tolist(), seq.d.tolist())):
+        lines.append(",".join([str(k), *map(repr, s_k), *map(repr, d_k)]))
+    # the bytes csv.writer writes: no field needs quoting, rows end in \r\n
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k"] + [f"s{j + 1}" for j in range(m)]
-                        + [f"d{j + 1}" for j in range(r)])
-        for k in range(seq.N + 1):
-            writer.writerow([k] + [repr(float(v)) for v in seq.s[k]]
-                            + [repr(float(v)) for v in seq.d[k]])
+        f.write("\r\n".join(lines) + "\r\n")
 
 
 def _parse_header(fields):
@@ -171,7 +170,7 @@ def read_csv(path) -> Sequence:
             if len(fields) != 1 + m + r:
                 raise DatasetFormatError(
                     f"expected {1 + m + r} columns, got {len(fields)}", line=lineno)
-            k = lineno - 2
+            k = len(rows)     # blank lines are skipped, so not lineno - 2
             if fields[0] != str(k):
                 raise DatasetFormatError(
                     f"expected k={k}, got {fields[0]!r}", line=lineno)

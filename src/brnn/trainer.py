@@ -7,7 +7,11 @@ median and min_abs are robust alternatives that are deliberately *not*
 gradients of the cost (a near-zero mean can hide large per-step changes).
 Sum and mean take the summed gradients from :mod:`brnn.adjoint` directly;
 only median and min_abs form the per-step contributions, one parameter
-group at a time, and reduce them over k.
+group at a time, and reduce them over k. Those blocks keep the step axis
+last, so each reduction runs along contiguous rows of K = N or N+1 values:
+median is one single-kth partition at K//2 (for even K the lower middle
+value is the largest entry below it, and the two are averaged as np.median
+averages them), min_abs one argmin of |block|.
 
 Parameters are frozen within an epoch: forward and backward passes of
 epoch i see only params_i, and the update produces params_{i+1}.
@@ -61,23 +65,40 @@ class EpochMetrics:
     lambda_max: float              # max ||lambda_k||_2 over k = 1..N
 
 
+def _select(block: np.ndarray, mode: str) -> np.ndarray:
+    """median or min_abs over the last (step) axis of `block`; median
+    reorders `block` in place, so pass an array no one else reads."""
+    if mode == "min_abs":
+        # argmin takes the first k of equal magnitudes, keeping its sign
+        k = np.abs(block).argmin(axis=-1)
+        return np.take_along_axis(block, k[..., None], axis=-1)[..., 0]
+    if mode != "median":
+        raise ConfigurationError(f"unknown aggregation {mode!r}")
+    K = block.shape[-1]
+    h = K // 2
+    # afterwards block[..., :h] <= block[..., h] <= block[..., h+1:], NaN last
+    block.partition(h, axis=-1)
+    mid = block[..., h]
+    if K % 2 == 0:
+        mid = (block[..., :h].max(axis=-1) + mid) / 2
+    # as in np.median, any NaN among the K values makes the median NaN
+    return np.where(np.isnan(block[..., h:].max(axis=-1)), np.nan, mid)
+
+
 def _reduce(a: np.ndarray, mode: str) -> np.ndarray:
     if mode == "sum":
         return a.sum(axis=0)
     if mode == "mean":
         # same summation path as "sum", then one division by the count
         return a.sum(axis=0) / a.shape[0]
-    if mode == "median":
-        return np.median(a, axis=0)
-    if mode == "min_abs":
-        idx = np.expand_dims(np.abs(a).argmin(axis=0), axis=0)
-        return np.take_along_axis(a, idx, axis=0)[0]
-    raise ConfigurationError(f"unknown aggregation {mode!r}")
+    # a step-last copy: the caller's array is left as it was
+    return _select(np.moveaxis(a, 0, -1).copy(), mode)
 
 
 def aggregate(grads: GradSeq, mode: str) -> GradSet:
-    """Collapse per-step contributions over k. Counts differ by group:
-    N for the state-equation parameters, N+1 for the output-equation ones."""
+    """Collapse per-step contributions over k (axis 0 of each GradSeq
+    array, which is not modified). Counts differ by group: N for the
+    state-equation parameters, N+1 for the output-equation ones."""
     return GradSet(
         dU=_reduce(grads.dU, mode), dW=_reduce(grads.dW, mode),
         db=_reduce(grads.db, mode), dV=_reduce(grads.dV, mode),
@@ -122,8 +143,9 @@ def epoch_gradient(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
     state-equation groups and N+1 for the output-equation ones, exactly as
     aggregate divides."""
     if mode not in ("sum", "mean"):
-        # one group's per-step blocks alive at a time
-        return GradSet(**{name: _reduce(step_block(*f), mode) for name, f
+        # one group's per-step blocks alive at a time, each a fresh array
+        # that the selection may reorder
+        return GradSet(**{name: _select(step_block(*f), mode) for name, f
                           in contributions(params, traj, costates, seq, w).items()})
     g = summed_gradients(params, traj, costates, seq, w)
     if mode == "mean":

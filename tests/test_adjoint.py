@@ -294,6 +294,22 @@ def test_median_and_min_abs_equal_aggregated_per_step_blocks():
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (mode, name)
 
 
+def test_median_and_min_abs_equal_numpy_over_step_first_blocks():
+    # references independent of the step-last selection: np.median and the
+    # argmin/take_along_axis pick over axis 0 of the per-step blocks; N runs
+    # 7..11, so both step counts take both parities
+    for case in equivalence_instances():
+        ref = per_step_gradients(*case)
+        med = epoch_gradient(*case, "median")
+        low = epoch_gradient(*case, "min_abs")
+        for name in GROUPS:
+            a = np.ascontiguousarray(getattr(ref, name))
+            assert np.array_equal(getattr(med, name), np.median(a, axis=0)), name
+            idx = np.expand_dims(np.abs(a).argmin(axis=0), axis=0)
+            pick = np.take_along_axis(a, idx, axis=0)[0]
+            assert np.array_equal(getattr(low, name), pick), name
+
+
 def test_max_step_norm_clamps_cancelling_blocks():
     # n = 1: lam_1 h_0 = -gamma1 U makes the k = 0 block of dU vanish, and the
     # expanded square can round below zero; it must not reach the square root

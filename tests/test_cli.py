@@ -71,6 +71,31 @@ def test_checkpoint_round_trip_exact(tmp_path):
         assert (getattr(back, name) == getattr(params, name)).all()
 
 
+def checkpoint_reference(path, params):
+    """The per-value formatting loop save_checkpoint must match byte for byte."""
+    lines = [f"brnn-v1 {params.n} {params.m} {params.r} {params.sigma}"]
+    for name in ("A", "U", "W", "b", "V", "Dft", "c"):
+        for row in np.atleast_2d(getattr(params, name)):
+            lines.append(" ".join(repr(float(v)) for v in row))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def test_checkpoint_bytes_equal_the_reference_formatter(tmp_path):
+    rng = np.random.default_rng(17)
+    cases = [(1, 1, 1), (3, 2, 2), (6, 1, 4)]
+    for i, (n, m, r) in enumerate(cases):
+        params = BrnnParams(
+            A=0.5 * np.eye(n), U=rng.uniform(-1, 1, (n, n)) * 1e-300,
+            W=rng.uniform(-1, 1, (n, m)) * 1e300, b=np.full(n, -0.0),
+            V=rng.standard_normal((r, n)), Dft=rng.uniform(-1, 1, (r, m)) / 3.0,
+            c=np.full(r, 5e-324), sigma="relu")
+        got, want = tmp_path / f"got{i}.txt", tmp_path / f"want{i}.txt"
+        save_checkpoint(got, params)
+        checkpoint_reference(want, params)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "ckpt.txt"
     path.write_text("not-a-checkpoint 1 1 1 tanh\n0.0\n")

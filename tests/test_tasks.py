@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,49 @@ def test_multidim_round_trip(tmp_path):
     back = read_csv(path)
     assert back.m == 3 and back.r == 2
     assert (back.s == seq.s).all() and (back.d == seq.d).all()
+
+
+def test_csv_gap_in_k_after_blank_line_names_line(tmp_path):
+    # the blank line is skipped, so the row after it must still be k = 1
+    path = tmp_path / "d.csv"
+    path.write_text("k,s1,d1\n0,1.0,2.0\n\n2,1.5,2.5\n")
+    with pytest.raises(DatasetFormatError) as exc:
+        read_csv(path)
+    assert exc.value.line == 4
+    assert "expected k=1" in str(exc.value)
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("k,s1,d1\n0,1.0,2.0\n\n1,1.5,2.5\n\n")
+    seq = read_csv(path)
+    assert seq.N == 1
+    assert (seq.s[:, 0] == [1.0, 1.5]).all() and (seq.d[:, 0] == [2.0, 2.5]).all()
+
+
+def csv_writer_reference(seq, path):
+    """The csv.writer loop write_csv must match byte for byte."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["k"] + [f"s{j + 1}" for j in range(seq.m)]
+                        + [f"d{j + 1}" for j in range(seq.r)])
+        for k in range(seq.N + 1):
+            writer.writerow([k] + [repr(float(v)) for v in seq.s[k]]
+                            + [repr(float(v)) for v in seq.d[k]])
+
+
+def test_write_csv_bytes_equal_the_csv_writer_reference(tmp_path):
+    rng = np.random.default_rng(21)
+    special = [-0.0, 0.0, 5e-324, -1e-300, 1e300, -1.7976931348623157e308,
+               0.1, 1.0, 1.0 / 3.0, 123456789.0, 1e16, 1e22, -2.5e-7]
+    s = rng.uniform(-1, 1, (len(special), 3))
+    s[:, 1] = special
+    d = rng.standard_normal((len(special), 2)) * 10.0 ** rng.integers(-20, 20, (len(special), 2))
+    d[::-1, 0] = special
+    seqs = [Sequence(s=s, d=d),
+            gen_task(TaskSpec(kind="bandpass_filter", N=300, m=2, r=1, seed=4))]
+    for i, seq in enumerate(seqs):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_csv(seq, got)
+        csv_writer_reference(seq, want)
+        assert got.read_bytes() == want.read_bytes()

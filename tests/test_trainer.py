@@ -7,7 +7,7 @@ from brnn.loss import LossWeights, total_cost
 from brnn.model import BrnnParams, Dims, Sequence, forward
 from brnn.tasks import TaskSpec, gen_task
 from brnn.trainer import (DIVERGENCE_RATIO, GradSet, TrainConfig, aggregate,
-                          apply_update, init_params, train)
+                          apply_update, epoch_gradient, init_params, train)
 
 
 def gradseq_with_dU(values, N=None, n=1, m=1, r=1):
@@ -64,6 +64,99 @@ def test_mean_counts_differ_per_group():
     out = aggregate(g, "mean")
     assert out.dU[0, 0] == pytest.approx(6 / 4)
     assert out.dV[0, 0] == pytest.approx(10 / 5)
+
+
+GROUPS = ("dU", "dW", "db", "dV", "dD", "dc")
+
+
+def min_abs_reference(a):
+    """The argmin/take_along_axis selection over axis 0 that min_abs must match."""
+    idx = np.expand_dims(np.abs(a).argmin(axis=0), axis=0)
+    return np.take_along_axis(a, idx, axis=0)[0]
+
+
+def awkward_gradseq(N, seed, n=3, m=2, r=2):
+    """GradSeq whose columns mix ties (small integers), magnitudes near
+    1e-300, 1e300 and 1e308, all-zero (relu-style) columns and plain
+    normal draws."""
+    rng = np.random.default_rng(seed)
+    shapes = {"dU": (N, n, n), "dW": (N, n, m), "db": (N, n),
+              "dV": (N + 1, r, n), "dD": (N + 1, r, m), "dc": (N + 1, r)}
+    arrays = {}
+    for name, shape in shapes.items():
+        a = rng.integers(-2, 3, shape).astype(float)
+        scale = rng.choice([1.0, 1e-300, 1e300, 0.5e308, 0.0], size=shape[1:])
+        a *= scale
+        plain = rng.random(shape[1:]) < 0.3
+        a[:, plain] = rng.standard_normal((shape[0], int(plain.sum())))
+        arrays[name] = a
+    return GradSeq(**arrays)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 7, 20])
+def test_median_and_min_abs_equal_the_numpy_references(N):
+    # state groups reduce K = N steps, output groups K = N + 1: N = 1 and 2
+    # cover K = 1, 2 and 3; the others odd and even counts on both sides
+    for seed in range(5):
+        g = awkward_gradseq(N, seed)
+        # two middle values near 1e308 of equal sign overflow when averaged:
+        # the same inf as np.median's
+        with np.errstate(over="ignore", invalid="ignore"):
+            med = aggregate(g, "median")
+            want_med = {name: np.median(getattr(g, name), axis=0) for name in GROUPS}
+        low = aggregate(g, "min_abs")
+        for name in GROUPS:
+            assert np.array_equal(getattr(med, name), want_med[name],
+                                  equal_nan=True), (name, seed)
+            assert np.array_equal(getattr(low, name),
+                                  min_abs_reference(getattr(g, name))), (name, seed)
+
+
+def test_median_of_a_column_with_nan_is_nan():
+    g = gradseq_with_dU([1.0, np.nan, 3.0, 4.0, 5.0])
+    g.dW[:, 0, 0] = [5.0, 4.0, 2.0, 1.0, np.nan]
+    want = {name: np.median(getattr(g, name), axis=0) for name in GROUPS}
+    out = aggregate(g, "median")
+    for name in GROUPS:
+        assert np.array_equal(getattr(out, name), want[name], equal_nan=True), name
+    assert np.isnan(out.dU[0, 0]) and np.isnan(out.dW[0, 0])
+
+
+def test_aggregate_leaves_its_input_unchanged():
+    from brnn.verify import random_instance
+    grads = [awkward_gradseq(6, 0), awkward_gradseq(7, 1, n=1, m=1, r=1)]
+    for n, r in ((1, 1), (3, 2)):
+        params, seq, x0, w = random_instance(11, n=n, m=1, r=r, N=9)
+        traj = forward(params, seq, x0)
+        grads.append(per_step_gradients(params, traj,
+                                        backward_costates(params, traj, w), seq, w))
+    for g in grads:
+        before = {name: getattr(g, name).copy() for name in GROUPS}
+        for mode in ("sum", "mean", "median", "min_abs"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                aggregate(g, mode)
+            for name in GROUPS:
+                assert np.array_equal(getattr(g, name), before[name]), (mode, name)
+
+
+def test_epoch_gradient_leaves_its_inputs_unchanged():
+    # n = 1 and r = 1 make the transposed factors views of the trajectory
+    # and the costates rather than copies
+    from brnn.verify import random_instance
+    for n, m, r in ((1, 1, 1), (1, 2, 1), (3, 1, 1), (3, 2, 2)):
+        params, seq, x0, w = random_instance(12, n=n, m=m, r=r, N=10,
+                                             gamma1=0.05, gamma2=0.03)
+        traj = forward(params, seq, x0)
+        cs = backward_costates(params, traj, w)
+        held = {"x": traj.x, "h": traj.h, "y": traj.y, "e": traj.e,
+                "lam": cs.lam, "s": seq.s, "d": seq.d,
+                **{name: getattr(params, name)
+                   for name in ("A", "U", "W", "b", "V", "Dft", "c")}}
+        before = {key: a.copy() for key, a in held.items()}
+        for mode in ("sum", "mean", "median", "min_abs"):
+            epoch_gradient(params, traj, cs, seq, w, mode)
+            for key, a in held.items():
+                assert np.array_equal(a, before[key]), (mode, key)
 
 
 def scalar_params(U=1.0, sigma="tanh"):
