@@ -7,7 +7,8 @@ configuration errors, 3 numerical explosion/divergence or no stability
 certificate, 4 I/O and format errors.
 
 A config file (one "key = value" per line, # comments allowed) can seed
-the train subcommand; explicit command-line flags win over file values.
+the train subcommand; explicit command-line flags win over file values,
+and a key train does not read is a configuration error.
 """
 
 import argparse
@@ -104,8 +105,9 @@ def write_metrics_csv(path, history) -> None:
         f.write("\n".join(rows) + "\n")
 
 
-def load_config_file(path) -> dict:
-    """Flat key = value pairs; blank lines and # comments ignored."""
+def load_config_file(path, keys) -> dict:
+    """Flat key = value pairs; blank lines and # comments ignored. A key
+    not in `keys` (the keys the subcommand reads) is an error."""
     out = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -115,8 +117,11 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigurationError(
                     f"{path}: line {lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in keys:
+                raise ConfigurationError(
+                    f"{path}: line {lineno}: unknown config key {key!r}")
+            out[key] = value
     return out
 
 
@@ -178,8 +183,16 @@ def _loss_weights(args, config) -> LossWeights:
         alpha_ent=_resolve(args, config, "alpha_ent", float, 2.0))
 
 
+# every key cmd_train resolves from a config file
+TRAIN_CONFIG_KEYS = frozenset({
+    "task", "N", "m", "r", "omega", "phase", "coeffs", "lag", "noise", "seed",
+    "data", "n", "sigma", "eta", "epochs", "agg", "stop_tol", "init_scale",
+    "alphaA", "beta", "beta0", "gamma1", "gamma2", "state_loss", "alpha_ent"})
+
+
 def cmd_train(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
+    config = (load_config_file(args.config, TRAIN_CONFIG_KEYS)
+              if args.config else {})
     data = _resolve(args, config, "data", str, None)
     seq = read_csv(data) if data else gen_task(_task_spec(args, config))
 

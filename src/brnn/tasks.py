@@ -16,7 +16,7 @@ printed with full round-trip precision.
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import repeat
 
 import numpy as np
 
@@ -154,10 +154,64 @@ def _parse_header(fields):
 
 
 def read_csv(path) -> Sequence:
-    """Parse a dataset written by write_csv; errors carry the line number."""
-    path = Path(path)
+    """Parse a dataset written by write_csv; errors carry the line number.
+
+    The body is parsed in bulk. A file the bulk parse does not accept
+    (quoting, blank lines, any error) is parsed again row by row, which
+    accepts the same files and names the line of the first error.
+    """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        parsed = _parse_bulk(f.read())
+    m, data = parsed if parsed is not None else _parse_rows(path)
+    return Sequence(s=data[:, :m].copy(), d=data[:, m:].copy())
+
+
+# line breaks str.splitlines honours and csv.reader does not
+_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _parse_bulk(text):
+    """(m, data) of a well-formed file without quoting or blank lines, with
+    the fields read_csv's row-by-row parse would see; else None."""
+    if '"' in text or any(c in text for c in _OTHER_LINE_BREAKS):
+        return None
+    lines = text.splitlines()
+    try:
+        m, r = _parse_header(lines[0].split(","))
+    except (IndexError, DatasetFormatError):
+        return None
+    body = lines[1:]
+    if len(body) < 2 or set(map(str.count, body, repeat(","))) != {m + r}:
+        return None
+    if max(map(len, body)) > csv.field_size_limit():
+        return None         # may hold a field csv.reader refuses
+    fields = ",".join(body).split(",")
+    if fields[::1 + m + r] != list(map(str, range(len(body)))):
+        return None
+    del fields[::1 + m + r]
+    try:
+        data = np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        return None
+    data = data.reshape(len(body), m + r)
+    return (m, data) if np.isfinite(data).all() else None
+
+
+def _csv_rows(f):
+    """csv.reader's rows; its errors (such as a field longer than
+    csv.field_size_limit()) as DatasetFormatError naming the line."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetFormatError(str(exc), line=reader.line_num) from None
+
+
+def _parse_rows(path):
+    """(m, data), one row at a time; raises DatasetFormatError naming the
+    line of the first error."""
+    with open(path, newline="") as f:
+        reader = _csv_rows(f)
         try:
             header = next(reader)
         except StopIteration:
@@ -186,4 +240,4 @@ def read_csv(path) -> Sequence:
     if len(rows) < 2:
         raise DatasetFormatError(
             f"need at least 2 rows (N >= 1), got {len(rows)}", line=len(rows) + 1)
-    return Sequence(s=data[:, :m].copy(), d=data[:, m:].copy())
+    return m, data

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from brnn import adjoint
 from brnn.adjoint import (backward_costates, final_costate, max_step_norm,
                           per_step_gradients, summed_gradients)
 from brnn.errors import CostateExplosionError
@@ -120,13 +121,67 @@ def test_backward_costates_match_the_per_step_reference():
                                    atol=1e-13 * np.abs(want).max())
 
 
-def test_explosion_deep_in_the_sequence_names_the_same_k():
-    # x = h = 0 and sigma' = 1, lam_N = 1: each backward step multiplies lam
-    # by 0.5 + 1e110, so lam_{N-2} ~ 1e220 is the last finite one
-    n, N = 2, 50
-    params = BrnnParams(A=0.5 * np.eye(n), U=1e110 * np.eye(n), W=np.zeros((n, 1)),
-                        b=np.zeros(n), V=np.ones((1, n)), Dft=np.zeros((1, 1)),
+@pytest.mark.parametrize("state_loss", ("none", "tanh_approx"))
+@pytest.mark.parametrize("sigma", NONLINEARITIES)
+@pytest.mark.parametrize("n", (1, 4, 8))
+@pytest.mark.parametrize("N", (500, 1999, 20000))
+def test_blocked_scan_matches_the_per_step_reference(N, n, sigma, state_loss):
+    # blocks of L = round(sqrt(N/2)) steps: 16, 32 and 100, so 500 and
+    # 1999 leave 4 and 15 steps above the last block
+    assert adjoint._scan_pays(N, n)
+    params, seq, x0, w = random_instance(7, n=n, m=2, r=2, N=N, sigma=sigma,
+                                         state_loss_kind=state_loss)
+    traj = forward(params, seq, x0)
+    want = backward_reference(params, traj, w)
+    got = backward_costates(params, traj, w).lam
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+
+
+def loop_costates(monkeypatch, params, traj, w):
+    """backward_costates with the blocked scan switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(adjoint, "_scan_pays", lambda N, n: False)
+        return backward_costates(params, traj, w).lam
+
+
+@pytest.mark.parametrize("N, n", [(200, 256), (1, 1), (8, 4), (15, 8), (15, 1)])
+def test_regime_rule_keeps_the_loop_for_wide_or_short_runs(monkeypatch, N, n):
+    assert not adjoint._scan_pays(N, n)
+    params, seq, x0, w = random_instance(11, n=n, m=2, r=2, N=N,
+                                         state_loss_kind="tanh_approx")
+    traj = forward(params, seq, x0)
+    got = backward_costates(params, traj, w).lam
+    assert np.array_equal(got, loop_costates(monkeypatch, params, traj, w))
+
+
+def test_overflowing_block_products_fall_back_to_the_loop(monkeypatch):
+    # the second state unit has A = 1e200 but no input, coupling or forcing,
+    # so its multiplier stays 0 while every block's transfer matrix
+    # overflows (1e200^L); 0 * inf is NaN in the scan, never in the loop
+    n, N = 2, 500
+    rng = np.random.default_rng(4)
+    params = BrnnParams(A=np.diag([0.5, 1e200]), U=np.diag([0.3, 0.0]),
+                        W=np.array([[0.8], [0.0]]), b=np.array([0.1, 0.0]),
+                        V=np.array([[1.0, 0.0]]), Dft=np.zeros((1, 1)),
                         c=np.zeros(1))
+    seq = Sequence(s=rng.uniform(-1, 1, (N + 1, 1)),
+                   d=rng.uniform(-1, 1, (N + 1, 1)))
+    traj = forward(params, seq, np.zeros(n))
+    w = LossWeights()
+    got = backward_costates(params, traj, w).lam
+    assert np.isfinite(got).all() and (got[:, 1] == 0).all()
+    assert np.array_equal(got, loop_costates(monkeypatch, params, traj, w))
+    np.testing.assert_allclose(got, backward_reference(params, traj, w),
+                               rtol=1e-13, atol=1e-13 * np.abs(got).max())
+
+
+def assert_explosion_names(k, N, A, U, V):
+    """x = h = 0 and sigma' = 1, e_N = 1: each backward step multiplies lam
+    by A + U; both recursions must raise at step k."""
+    n = A.shape[0]
+    params = BrnnParams(A=A, U=U, W=np.zeros((n, 1)), b=np.zeros(n), V=V,
+                        Dft=np.zeros((1, 1)), c=np.zeros(1))
     seq = Sequence(s=np.zeros((N + 1, 1)), d=np.zeros((N + 1, 1)))
     traj = forward(params, seq, np.zeros(n))
     traj.e[N] = 1.0
@@ -134,8 +189,28 @@ def test_explosion_deep_in_the_sequence_names_the_same_k():
         backward_reference(params, traj, LossWeights())
     with pytest.raises(CostateExplosionError) as got:
         backward_costates(params, traj, LossWeights())
-    assert got.value.k == ref.value.k == N - 3
-    assert f"k={N - 3}" in str(got.value)
+    assert got.value.k == ref.value.k == k
+    assert f"k={k}" in str(got.value)
+
+
+def test_explosion_deep_in_the_sequence_names_the_same_k():
+    # lam grows by 1e110 per step: lam_{N-2} ~ 1e220 is the last finite one
+    assert_explosion_names(47, N=50, A=0.5 * np.eye(2), U=1e110 * np.eye(2),
+                           V=np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("A, U, V", [
+    (np.diag([0.5, 0.5]), np.diag([1e10, 1e10]), np.ones((1, 2))),
+    # the second unit's multiplier stays 0, but its A = 1e200 overflows
+    # every block's transfer matrix, far above k = 469
+    (np.diag([0.5, 1e200]), np.diag([1e10, 0.0]), np.array([[1.0, 0.0]])),
+])
+def test_explosion_inside_a_scan_block_names_the_same_k(A, U, V):
+    # N = 500 runs the blocked scan with blocks of 16 steps; lam grows by
+    # 1e10 per step and first overflows at k = 469, 5 steps into the block
+    # 464..479
+    assert adjoint._scan_pays(500, 2)
+    assert_explosion_names(469, N=500, A=A, U=U, V=V)
 
 
 def test_per_step_gradients_zero():

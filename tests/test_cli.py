@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brnn import cli
 from brnn.cli import (load_checkpoint, main, save_checkpoint)
 from brnn.errors import CheckpointFormatError
 from brnn.loss import LossWeights, total_cost
@@ -127,6 +128,47 @@ def test_config_value_that_fails_its_cast_exits_2(tmp_path, capsys):
                "--metrics-out", str(tmp_path / "m.csv"),
                "--checkpoint-out", str(tmp_path / "c.txt")) == 2
     assert "'abc'" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # a misspelled key must not fall back to the default silently
+    config = tmp_path / "train.cfg"
+    config.write_text("N = 20\n# epochs below\nepoch = 3\n")
+    metrics = tmp_path / "m.csv"
+    assert run("train", "--config", str(config),
+               "--metrics-out", str(metrics),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "'epoch'" in err
+    assert not metrics.exists()
+
+
+def test_train_config_keys_are_the_keys_train_resolves(tmp_path, monkeypatch):
+    read = set()
+
+    def recording_resolve(args, config, key, cast, default):
+        read.add(key)
+        return resolve(args, config, key, cast, default)
+
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", recording_resolve)
+    data = tmp_path / "d.csv"
+    assert run("generate", "--N", "5", "--out", str(data)) == 0
+    read.clear()
+    for source in (["--N", "5"], ["--data", str(data)]):
+        assert run("train", *source, "--epochs", "1",
+                   "--metrics-out", str(tmp_path / "m.csv"),
+                   "--checkpoint-out", str(tmp_path / "c.txt")) == 0
+    assert read == cli.TRAIN_CONFIG_KEYS
+
+
+def test_dataset_field_over_the_csv_limit_exits_4(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("k,s1,d1\n0,1.0,2.0\n1,0." + "0" * 200_000 + "1,2.0\n")
+    assert run("train", "--data", str(data), "--epochs", "1",
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 4
+    assert "line 3: field larger than field limit" in capsys.readouterr().err
 
 
 def test_missing_dataset_exits_4(tmp_path, capsys):

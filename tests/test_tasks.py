@@ -5,8 +5,8 @@ import pytest
 
 from brnn.errors import ConfigurationError, DatasetFormatError
 from brnn.model import Sequence
-from brnn.tasks import (TaskSpec, gen_task, read_csv, splitmix64,
-                        uniform_noise, write_csv)
+from brnn.tasks import (TaskSpec, _parse_bulk, _parse_rows, gen_task,
+                        read_csv, splitmix64, uniform_noise, write_csv)
 
 
 def test_splitmix64_reference_vector():
@@ -227,3 +227,61 @@ def test_write_csv_bytes_equal_the_csv_writer_reference(tmp_path):
         write_csv(seq, got)
         csv_writer_reference(seq, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def parse_outcome(parse, path):
+    """(m, s, d) of a parse, or the message and line of its error."""
+    try:
+        m, data = parse(path)
+    except DatasetFormatError as exc:
+        return str(exc), exc.line
+    return m, data[:, :m].tolist(), data[:, m:].tolist()
+
+
+BULK_CASES = {
+    "crlf": "k,s1,s2,d1\r\n0,0.5,-1e-300,2.5\r\n1,0.1,0.2,0.3\r\n",
+    "lf, no final break": "k,s1,d1\n0,1.0,2.0\n1,3.0,4.0",
+    "cr": "k,s1,d1\r0,1.0,2.0\r1,3.0,4.0\r",
+    "quoted": 'k,s1,d1\r\n0,"1.5",2.0\r\n1,1.0,2.0\r\n',
+    "quoted comma": 'k,s1,d1\r\n0,"1,5",2.0\r\n1,1.0,2.0\r\n',
+    "underscore and spaces": "k,s1,d1\n0,1_0, 2.5 \n1,-0.0,1e22\n",
+    "form feed": "k,s1,d1\n0,1.0\f,2.0\n1,1.0,2.0\n",
+    "k written as float": "k,s1,d1\n0.0,1.0,2.0\n1,1.0,2.0\n",
+    "k with space": "k,s1,d1\n0,1.0,2.0\n 1,1.0,2.0\n",
+    # the k column lines up again after the short row: only the per-line
+    # field count sees the shift
+    "fields shifted between rows": "k,s1,d1\n0,1.0,2.0\n1,1.0\n2,2,1.0,2.0\n",
+    "trailing blank lines": "k,s1,d1\n0,1.0,2.0\n1,1.0,2.0\n\n\n",
+    "whitespace line": "k,s1,d1\n0,1.0,2.0\n \n1,1.0,2.0\n",
+    "nan": "k,s1,d1\n0,1.0,2.0\n1,nan,2.0\n",
+    "infinity spelled out": "k,s1,d1\n0,1.0,2.0\n1,1.0,-Infinity\n",
+    "one row": "k,s1,d1\n0,1.0,2.0\n",
+    "header only": "k,s1,d1\r\n",
+    "bad header": "k,s1,e1\n0,1.0,2.0\n1,1.0,2.0\n",
+    "empty": "",
+    # longer than csv.field_size_limit() (131072): csv.reader refuses the
+    # field, so both parses must report it
+    "long field": "k,s1,d1\n0,1.0,2.0\n1,0." + "0" * 200_000 + "1,2.0\n",
+}
+
+
+@pytest.mark.parametrize("name", BULK_CASES)
+def test_read_csv_equals_the_row_by_row_parse(tmp_path, name):
+    path = tmp_path / "d.csv"
+    path.write_bytes(BULK_CASES[name].encode())
+
+    def read(p):
+        seq = read_csv(p)
+        return seq.m, np.hstack([seq.s, seq.d])
+
+    assert parse_outcome(read, path) == parse_outcome(_parse_rows, path)
+
+
+def test_write_csv_output_is_parsed_in_bulk(tmp_path):
+    seq = gen_task(TaskSpec(kind="bandpass_filter", N=300, m=2, r=2, seed=4))
+    path = tmp_path / "d.csv"
+    write_csv(seq, path)
+    with open(path, newline="") as f:
+        m, data = _parse_bulk(f.read())
+    assert m == 2
+    assert np.array_equal(data, np.hstack([seq.s, seq.d]))
