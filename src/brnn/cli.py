@@ -7,8 +7,10 @@ configuration errors, 3 numerical explosion/divergence or no stability
 certificate, 4 I/O and format errors.
 
 A config file (one "key = value" per line, # comments allowed) can seed
-the train subcommand; explicit command-line flags win over file values,
-and a key train does not read is a configuration error.
+the train subcommand; explicit command-line flags win over file values.
+KEYS is the one place where these keys are declared: the flags of
+generate, train and eval, the keys a config file may set (an unknown or
+repeated key is a configuration error) and every default come from it.
 """
 
 import argparse
@@ -19,17 +21,59 @@ import numpy as np
 from . import stability as stab
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DatasetFormatError, NumericalError, UnboundedRegionError)
-from .loss import LossWeights, total_cost
+from .loss import STATE_LOSS_KINDS, LossWeights, total_cost
 from .model import BrnnParams, Dims, NONLINEARITIES, forward
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
 from .trainer import AGGREGATIONS, TrainConfig, init_params, train
-from .verify import format_report, gradcheck, random_instance
+from .verify import (SMOOTH_SIGMAS, SMOOTH_STATE_LOSSES, format_report,
+                     gradcheck, random_instance)
 
 CHECKPOINT_MAGIC = "brnn-v1"
 METRICS_HEADER = "epoch,total,phi_N,output_sum,state_sum,reg,grad_norm,lambda_max"
 
 TASK_ALIASES = {"sine": "sine_track", "bandpass": "bandpass_filter",
                 "lag": "lag_copy"}
+
+
+def _parse_coeffs(text):
+    try:
+        a1, a2, b0 = map(float, text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigurationError(f"coeffs must be 'a1,a2,b0', got {text!r}") from None
+    return a1, a2, b0
+
+
+# Every train key: (cast, default, flag choices, subcommands taking it as a
+# flag "--" + key with "_" as "-"). Defaults that TaskSpec, TrainConfig or
+# LossWeights declare are read from there (seed feeds both, equal defaults).
+KEYS = {
+    "task": (str, "sine", sorted(TASK_ALIASES) + sorted(TASK_ALIASES.values()),
+             ("generate", "train")),
+    "N": (int, 50, None, ("generate", "train")),
+    "m": (int, TaskSpec.m, None, ("generate", "train")),
+    "r": (int, TaskSpec.r, None, ("generate", "train")),
+    "omega": (float, TaskSpec.omega, None, ("generate", "train")),
+    "phase": (float, TaskSpec.phase, None, ("generate", "train")),
+    "coeffs": (_parse_coeffs, TaskSpec.coeffs, None, ("generate", "train")),
+    "lag": (int, TaskSpec.lag, None, ("generate", "train")),
+    "noise": (float, TaskSpec.noise, None, ("generate", "train")),
+    "seed": (int, TaskSpec.seed, None, ("generate", "train")),
+    "data": (str, None, None, ("train",)),
+    "n": (int, 8, None, ("train",)),
+    "sigma": (str, "tanh", NONLINEARITIES, ("train",)),
+    "eta": (float, TrainConfig.eta, None, ("train",)),
+    "epochs": (int, TrainConfig.epochs, None, ("train",)),
+    "agg": (str, TrainConfig.aggregation, AGGREGATIONS, ("train",)),
+    "stop_tol": (float, TrainConfig.stop_tol, None, ("train",)),
+    "init_scale": (float, TrainConfig.init_scale, None, ("train",)),
+    "alphaA": (float, TrainConfig.alpha_A, None, ("train",)),
+    "beta": (float, LossWeights.beta, None, ("eval", "train")),
+    "beta0": (float, LossWeights.beta0, None, ("eval", "train")),
+    "gamma1": (float, LossWeights.gamma1, None, ("eval", "train")),
+    "gamma2": (float, LossWeights.gamma2, None, ("eval", "train")),
+    "state_loss": (str, LossWeights.state_loss_kind, STATE_LOSS_KINDS, ("eval", "train")),
+    "alpha_ent": (float, LossWeights.alpha_ent, None, ("eval", "train")),
+}
 
 
 # ---------------------------------------------------------------- persistence
@@ -105,10 +149,10 @@ def write_metrics_csv(path, history) -> None:
         f.write("\n".join(rows) + "\n")
 
 
-def load_config_file(path, keys) -> dict:
+def load_config_file(path) -> dict:
     """Flat key = value pairs; blank lines and # comments ignored. A key
-    not in `keys` (the keys the subcommand reads) is an error."""
-    out = {}
+    not in KEYS, or one given twice, is an error."""
+    out, lines = {}, {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -118,101 +162,71 @@ def load_config_file(path, keys) -> dict:
                 raise ConfigurationError(
                     f"{path}: line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in keys:
+            if key not in KEYS:
                 raise ConfigurationError(
                     f"{path}: line {lineno}: unknown config key {key!r}")
-            out[key] = value
+            if key in lines:
+                raise ConfigurationError(f"{path}: line {lineno}: config key "
+                                         f"{key!r} is already set on line {lines[key]}")
+            out[key], lines[key] = value, lineno
     return out
 
 
 # --------------------------------------------------------------- subcommands
 
-def _resolve(args, config: dict, key: str, cast, default):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
+def _resolver(args, config: dict):
+    """key -> its flag, else its config-file value, else its default; cast
+    when read, so a key the run never reads (task keys under --data) is not."""
+    def value(key):
+        cast, default, _, _ = KEYS[key]
+        flag = getattr(args, key)
+        raw = flag if flag is not None else config.get(key)
+        if raw is None:
+            return default
         try:
-            return cast(config[key])
+            return cast(raw)
+        except ConfigurationError:
+            raise
         except ValueError:
             raise ConfigurationError(
-                f"config value {key} = {config[key]!r} is not a valid "
+                f"config value {key} = {raw!r} is not a valid "
                 f"{cast.__name__}") from None
-    return default
+    return value
 
 
-def _parse_coeffs(text):
-    parts = [p for p in str(text).replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise ConfigurationError(f"coeffs must be 'a1,a2,b0', got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
-def _task_spec(args, config) -> TaskSpec:
-    kind = _resolve(args, config, "task", str, "sine")
-    kind = TASK_ALIASES.get(kind, kind)
-    coeffs = _resolve(args, config, "coeffs", str, "1.2,-0.72,1.0")
-    return TaskSpec(
-        kind=kind,
-        N=_resolve(args, config, "N", int, 50),
-        m=_resolve(args, config, "m", int, 1),
-        r=_resolve(args, config, "r", int, 1),
-        omega=_resolve(args, config, "omega", float, 0.3),
-        phase=_resolve(args, config, "phase", float, 0.0),
-        coeffs=_parse_coeffs(coeffs),
-        lag=_resolve(args, config, "lag", int, 1),
-        noise=_resolve(args, config, "noise", float, 0.0),
-        seed=_resolve(args, config, "seed", int, 0))
+def _task_spec(value) -> TaskSpec:
+    kind = value("task")
+    return TaskSpec(TASK_ALIASES.get(kind, kind), **{key: value(key) for key in (
+        "N", "m", "r", "omega", "phase", "coeffs", "lag", "noise", "seed")})
 
 
 def cmd_generate(args) -> int:
-    seq = gen_task(_task_spec(args, {}))
+    seq = gen_task(_task_spec(_resolver(args, {})))
     write_csv(seq, args.out)
     print(f"wrote {seq.N + 1} rows (m={seq.m}, r={seq.r}) to {args.out}")
     return 0
 
 
-def _loss_weights(args, config) -> LossWeights:
-    return LossWeights(
-        beta=_resolve(args, config, "beta", float, 0.0),
-        beta0=_resolve(args, config, "beta0", float, 0.0),
-        gamma1=_resolve(args, config, "gamma1", float, 0.0),
-        gamma2=_resolve(args, config, "gamma2", float, 0.0),
-        state_loss_kind=_resolve(args, config, "state_loss", str, "none"),
-        alpha_ent=_resolve(args, config, "alpha_ent", float, 2.0))
-
-
-# every key cmd_train resolves from a config file
-TRAIN_CONFIG_KEYS = frozenset({
-    "task", "N", "m", "r", "omega", "phase", "coeffs", "lag", "noise", "seed",
-    "data", "n", "sigma", "eta", "epochs", "agg", "stop_tol", "init_scale",
-    "alphaA", "beta", "beta0", "gamma1", "gamma2", "state_loss", "alpha_ent"})
+def _loss_weights(value) -> LossWeights:
+    return LossWeights(beta=value("beta"), beta0=value("beta0"), gamma1=value("gamma1"),
+                       gamma2=value("gamma2"), state_loss_kind=value("state_loss"),
+                       alpha_ent=value("alpha_ent"))
 
 
 def cmd_train(args) -> int:
-    config = (load_config_file(args.config, TRAIN_CONFIG_KEYS)
-              if args.config else {})
-    data = _resolve(args, config, "data", str, None)
-    seq = read_csv(data) if data else gen_task(_task_spec(args, config))
+    value = _resolver(args, load_config_file(args.config) if args.config else {})
+    data = value("data")
+    seq = read_csv(data) if data else gen_task(_task_spec(value))
 
-    seed = _resolve(args, config, "seed", int, 0)
-    n = _resolve(args, config, "n", int, 8)
-    sigma = _resolve(args, config, "sigma", str, "tanh")
-    tc = TrainConfig(
-        eta=_resolve(args, config, "eta", float, 0.01),
-        epochs=_resolve(args, config, "epochs", int, 100),
-        aggregation=_resolve(args, config, "agg", str, "sum"),
-        stop_tol=_resolve(args, config, "stop_tol", float, 0.0),
-        seed=seed,
-        init_scale=_resolve(args, config, "init_scale", float, 0.1),
-        alpha_A=_resolve(args, config, "alphaA", float, 0.5))
-    w = _loss_weights(args, config)
+    tc = TrainConfig(eta=value("eta"), epochs=value("epochs"), aggregation=value("agg"),
+                     stop_tol=value("stop_tol"), seed=value("seed"),
+                     init_scale=value("init_scale"), alpha_A=value("alphaA"))
+    w = _loss_weights(value)
 
-    dims = Dims(n=n, m=seq.m, r=seq.r, N=seq.N)
-    params0 = init_params(dims, sigma=sigma, init_scale=tc.init_scale,
+    dims = Dims(n=value("n"), m=seq.m, r=seq.r, N=seq.N)
+    params0 = init_params(dims, sigma=value("sigma"), init_scale=tc.init_scale,
                           alpha_A=tc.alpha_A, seed=tc.seed)
-    params, history = train(tc, seq, params0, np.zeros(n), w)
+    params, history = train(tc, seq, params0, np.zeros(dims.n), w)
 
     write_metrics_csv(args.metrics_out, history)
     save_checkpoint(args.checkpoint_out, params)
@@ -227,7 +241,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     seq = read_csv(args.data)
-    w = _loss_weights(args, {})
+    w = _loss_weights(_resolver(args, {}))
     traj = forward(params, seq, np.zeros(params.n))
     cost = total_cost(traj, seq, params, w)
     for name in ("phi_N", "output_sum", "state_sum", "hidden_sum",
@@ -301,45 +315,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and analyze a stable recurrent state-space network.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_task_flags(p, for_train=False):
-        # train resolves defaults through the config file, so leave None there
-        p.add_argument("--task", choices=sorted(TASK_ALIASES) + sorted(TASK_ALIASES.values()),
-                       default=None if for_train else "sine")
-        p.add_argument("--N", type=int, default=None if for_train else 50)
-        p.add_argument("--m", type=int, default=None if for_train else 1)
-        p.add_argument("--r", type=int, default=None if for_train else 1)
-        p.add_argument("--omega", type=float, default=None if for_train else 0.3)
-        p.add_argument("--phase", type=float, default=None if for_train else 0.0)
-        p.add_argument("--coeffs", default=None if for_train else "1.2,-0.72,1.0",
-                       help="bandpass filter a1,a2,b0")
-        p.add_argument("--lag", type=int, default=None if for_train else 1)
-        p.add_argument("--noise", type=float, default=None if for_train else 0.0)
-        p.add_argument("--seed", type=int, default=None if for_train else 0)
+    def add_key_flags(p, command):
+        # argparse's default None tells the resolver no flag was given;
+        # coeffs stays a string for the resolver to parse (own error message)
+        for key, (cast, _, choices, commands) in KEYS.items():
+            if command in commands:
+                p.add_argument("--" + key.replace("_", "-"), choices=choices,
+                               type=cast if isinstance(cast, type) else None)
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    add_task_flags(p)
+    add_key_flags(p, "generate")
     p.add_argument("--out", default="dataset.csv")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train on a generated task or a dataset CSV")
-    add_task_flags(p, for_train=True)
+    add_key_flags(p, "train")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--data", default=None, help="dataset CSV (overrides --task)")
-    p.add_argument("--n", type=int, default=None, help="state dimension")
-    p.add_argument("--sigma", choices=NONLINEARITIES, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--agg", choices=AGGREGATIONS, default=None)
-    p.add_argument("--stop-tol", dest="stop_tol", type=float, default=None)
-    p.add_argument("--init-scale", dest="init_scale", type=float, default=None)
-    p.add_argument("--alphaA", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--gamma1", type=float, default=None)
-    p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--state-loss", dest="state_loss",
-                   choices=("none", "l1", "tanh_approx"), default=None)
-    p.add_argument("--alpha-ent", dest="alpha_ent", type=float, default=None)
     p.add_argument("--metrics-out", dest="metrics_out", default="metrics.csv")
     p.add_argument("--checkpoint-out", dest="checkpoint_out", default="checkpoint.txt")
     p.set_defaults(func=cmd_train)
@@ -347,13 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="cost breakdown of a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta0", type=float, default=None)
-    p.add_argument("--gamma1", type=float, default=None)
-    p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--state-loss", dest="state_loss",
-                   choices=("none", "l1", "tanh_approx"), default=None)
-    p.add_argument("--alpha-ent", dest="alpha_ent", type=float, default=None)
+    add_key_flags(p, "eval")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck",
@@ -362,10 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--N", type=int, default=10)
-    p.add_argument("--sigma", choices=("tanh", "logistic", "identity"),
-                   default="tanh")
+    p.add_argument("--sigma", choices=SMOOTH_SIGMAS, default="tanh")
     p.add_argument("--state-loss", dest="state_loss",
-                   choices=("none", "tanh_approx"), default="none")
+                   choices=SMOOTH_STATE_LOSSES, default="none")
     p.add_argument("--gamma1", type=float, default=0.0)
     p.add_argument("--gamma2", type=float, default=0.0)
     p.add_argument("--eps", type=float, default=1e-5)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import BrnnParams, Sequence, Trajectory
 
-STATE_LOSS_KINDS = ("l1", "tanh_approx", "none")
+STATE_LOSS_KINDS = ("none", "l1", "tanh_approx")
 
 
 @dataclass

@@ -79,8 +79,16 @@ def hidden_sup(params: BrnnParams, s_sup: float, probe_steps: int = 2000,
     return float(np.linalg.norm(traj.h, axis=1).max())
 
 
+def _check_bound(name: str, value: float) -> None:
+    """A sup-norm bound given as input must be a finite number >= 0; a
+    negative, nan or infinite one yields no bound at all."""
+    if not 0.0 <= value < np.inf:
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def m_sup_bound(params: BrnnParams, s_sup: float) -> float:
     """Worst-case forcing norm ||U||2*h_sup + ||W||2*s_sup + ||b||2."""
+    _check_bound("s_sup", s_sup)
     return (spectral_norm(params.U) * hidden_sup(params, s_sup)
             + spectral_norm(params.W) * s_sup
             + float(np.linalg.norm(params.b)))
@@ -114,8 +122,7 @@ class LyapunovRegion:
 def lyapunov_region(A, M_sup: float) -> LyapunovRegion:
     """Factor I - A^T A and build the certified region for ||M|| <= M_sup."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if M_sup < 0.0:
-        raise ConfigurationError("M_sup must be >= 0")
+    _check_bound("M_sup", M_sup)
     S = np.eye(A.shape[0]) - A.T @ A
     S = 0.5 * (S + S.T)
     evals, vecs = np.linalg.eigh(S)
@@ -167,6 +174,7 @@ class StabilityReport:
 
 def stability_report(A, M_sup: float) -> StabilityReport:
     """Diagnostics for a fixed A under forcing bounded by M_sup."""
+    _check_bound("M_sup", M_sup)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     norm = spectral_norm(A)
     if norm >= 1.0:

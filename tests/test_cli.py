@@ -143,23 +143,90 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not metrics.exists()
 
 
-def test_train_config_keys_are_the_keys_train_resolves(tmp_path, monkeypatch):
-    read = set()
+# every key train takes -> a value other than its default, and the flags
+# that make that value change the run (coeffs only shapes the bandpass task)
+KEY_VALUES = {
+    "task": ("bandpass", []), "N": ("9", []), "m": ("2", []), "r": ("2", []),
+    "omega": ("0.7", []), "phase": ("0.4", []),
+    "coeffs": ("0.5,-0.1,2.0", ["--task", "bandpass"]),
+    "lag": ("3", ["--task", "lag"]), "noise": ("0.2", []), "seed": ("5", []),
+    "data": ("d.csv", []), "n": ("5", []), "sigma": ("logistic", []),
+    "eta": ("0.05", []), "epochs": ("3", []), "agg": ("median", []),
+    "stop_tol": ("1e9", []), "init_scale": ("0.3", []), "alphaA": ("0.8", []),
+    "beta": ("0.1", ["--state-loss", "l1"]), "beta0": ("0.1", ["--state-loss", "l1"]),
+    "gamma1": ("0.1", []), "gamma2": ("0.1", []),
+    "state_loss": ("l1", ["--beta", "0.1"]),
+    "alpha_ent": ("2.5", ["--state-loss", "tanh_approx", "--beta", "0.1"]),
+}
 
-    def recording_resolve(args, config, key, cast, default):
-        read.add(key)
-        return resolve(args, config, key, cast, default)
 
-    resolve = cli._resolve
-    monkeypatch.setattr(cli, "_resolve", recording_resolve)
-    data = tmp_path / "d.csv"
-    assert run("generate", "--N", "5", "--out", str(data)) == 0
-    read.clear()
-    for source in (["--N", "5"], ["--data", str(data)]):
-        assert run("train", *source, "--epochs", "1",
-                   "--metrics-out", str(tmp_path / "m.csv"),
-                   "--checkpoint-out", str(tmp_path / "c.txt")) == 0
-    assert read == cli.TRAIN_CONFIG_KEYS
+def test_key_values_cover_every_config_key():
+    assert set(KEY_VALUES) == set(cli.KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+def test_config_file_key_equals_its_flag(key, tmp_path, capsys):
+    value, extra = KEY_VALUES[key]
+    if key == "data":
+        value = str(tmp_path / value)
+        assert run("generate", "--task", "lag", "--N", "12", "--seed", "3",
+                   "--out", value) == 0
+    base = [f for k, v in (("N", "12"), ("n", "3"), ("epochs", "2")) if k != key
+            for f in (f"--{k}", v)] + extra
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+
+    def outputs(tag, *argv):
+        metrics, ckpt = tmp_path / f"m_{tag}.csv", tmp_path / f"c_{tag}.txt"
+        assert run("train", *base, *argv, "--metrics-out", str(metrics),
+                   "--checkpoint-out", str(ckpt)) == 0
+        return metrics.read_bytes(), ckpt.read_bytes()
+
+    by_flag = outputs("flag", "--" + key.replace("_", "-"), value)
+    assert outputs("file", "--config", str(config)) == by_flag
+    assert outputs("default") != by_flag  # the value is not the default
+
+
+def test_non_number_coeffs_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("coeffs = a,b,c\n")
+    outs = ["--metrics-out", str(tmp_path / "m.csv"),
+            "--checkpoint-out", str(tmp_path / "c.txt")]
+    for argv in (["generate", "--coeffs", "a,b,c", "--out", str(tmp_path / "d.csv")],
+                 ["train", "--coeffs", "a,b,c", *outs],
+                 ["train", "--config", str(config), *outs]):
+        assert run(*argv) == 2
+        assert "coeffs must be 'a1,a2,b0', got 'a,b,c'" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists() and not (tmp_path / "m.csv").exists()
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("N = 20\nepochs = 1\nN = 5\n")
+    metrics = tmp_path / "m.csv"
+    assert run("train", "--config", str(config), "--metrics-out", str(metrics),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "line 1" in err and "'N'" in err
+    assert not metrics.exists()
+
+
+def test_eval_loss_flags_set_the_weights(tmp_path, capsys):
+    data, ckpt = tmp_path / "d.csv", tmp_path / "c.txt"
+    assert run("generate", "--N", "15", "--out", str(data)) == 0
+    assert run("train", "--data", str(data), "--n", "3", "--epochs", "1",
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(ckpt)) == 0
+    params, seq = load_checkpoint(ckpt), read_csv(data)
+    w = LossWeights(beta=0.1, beta0=0.2, gamma1=0.3, gamma2=0.4,
+                    state_loss_kind="tanh_approx", alpha_ent=2.5)
+    expect = total_cost(forward(params, seq, np.zeros(params.n)), seq, params, w).total
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", str(ckpt), "--data", str(data),
+               "--beta", "0.1", "--beta0", "0.2", "--gamma1", "0.3", "--gamma2", "0.4",
+               "--state-loss", "tanh_approx", "--alpha-ent", "2.5") == 0
+    out = capsys.readouterr().out
+    assert f"total = {expect!r}" in out.splitlines()
 
 
 def test_dataset_field_over_the_csv_limit_exits_4(tmp_path, capsys):
@@ -268,6 +335,19 @@ def test_stability_cli_from_checkpoint(tmp_path, capsys):
     out = capsys.readouterr().out
     line = [ln for ln in out.splitlines() if ln.startswith("bibo_bound")][0]
     assert float(line.split("=")[1]) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--s-sup", "-0.1"], ["--s-sup", "nan"],
+                                   ["--Msup", "nan"], ["--Msup", "inf"],
+                                   ["--Msup", "-1"]], ids=" ".join)
+def test_stability_invalid_input_bound_exits_2(flags, tmp_path, capsys):
+    params = BrnnParams(A=[[0.5]], U=[[0.3]], W=[[1.0]], b=[0.0], V=[[1.0]],
+                        Dft=[[0.0]], c=[0.0], sigma="tanh")
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(ckpt, params)
+    assert run("stability", "--checkpoint", str(ckpt), *flags) == 2
+    captured = capsys.readouterr()
+    assert "must be finite and >= 0" in captured.err and "bibo_bound" not in captured.out
 
 
 def test_config_file_flags_win(tmp_path):

@@ -65,6 +65,18 @@ def test_bibo_bound_unstable_raises():
         bibo_bound(params, 1.0)
 
 
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
+def test_invalid_input_bounds_raise(bad):
+    params = forcing_params(0.5 * np.eye(2), U=0.3)
+    with pytest.raises(ConfigurationError, match="s_sup must be finite and >= 0"):
+        m_sup_bound(params, bad)
+    with pytest.raises(ConfigurationError, match="s_sup must be finite and >= 0"):
+        bibo_bound(params, bad)
+    for check in (stability_report, lyapunov_region):
+        with pytest.raises(ConfigurationError, match="M_sup must be finite and >= 0"):
+            check(params.A, bad)
+
+
 def test_m_sup_bound_composition():
     n = 3
     params = forcing_params(0.5 * np.eye(n), U=0.2, W=0.4, b=0.1)
