@@ -19,7 +19,9 @@ lambda_k = T_k lambda_{k+1} + f_k, and it is solved in one of two regimes,
 chosen from (N, n) alone:
 
   loop  one product per step, lambda_{k+1}^T [A | U] = [A^T lambda,
-        U^T lambda], followed by in-place elementwise work: N Python steps.
+        U^T lambda], followed by in-place elementwise work: N Python steps
+        of four NumPy calls each, every output array passed positionally
+        (at small n a step costs the calls, not the arithmetic).
   scan  a blocked two-level scan: k = 0..N-1 is cut into B blocks of
         L ~ sqrt(N/2) steps (the N - B*L steps above them run as the loop).
         Pass 1 carries every block's transfer matrix Phi and zero-boundary
@@ -30,21 +32,22 @@ chosen from (N, n) alone:
         boundaries. About 2L + B Python steps, but pass 1 costs O(N n^3)
         flops.
 
-The scan runs when N >= 100 and n <= 16. Measured medians, one BLAS thread
+The scan runs when N >= 100 and n <= 16. Measured medians of 21
+interleaved runs (5 at n = 256), one BLAS thread on a 2-vCPU VM
 (random_instance(3, scale=0.3), m = r = 1):
 
     N, n        loop      scan      rule
-    20000, 4    91.8 ms   14.6 ms   scan
-    20000, 8    98.8 ms   23.4 ms   scan
-    20000, 12   85.5 ms   29.8 ms   scan
-    20000, 16   95.1 ms   58.4 ms   scan
-    20000, 24   122 ms    157 ms    loop
-    1000, 8     4.98 ms   1.95 ms   scan
-    1000, 16    5.13 ms   3.48 ms   scan
-    100, 8      0.29 ms   0.233 ms  scan
-    50, 8       0.318 ms  0.302 ms  loop
-    15, 8       0.133 ms  0.196 ms  loop
-    200, 256    5.54 ms   477 ms    loop
+    20000, 4    98.7 ms   14.2 ms   scan
+    20000, 8    99.3 ms   26.6 ms   scan
+    20000, 12   85.1 ms   35.2 ms   scan
+    20000, 16   101 ms    64.0 ms   scan
+    20000, 24   118 ms    173 ms    loop
+    1000, 8     4.71 ms   1.92 ms   scan
+    1000, 16    4.80 ms   2.72 ms   scan
+    100, 8      0.511 ms  0.378 ms  scan
+    50, 8       0.197 ms  0.204 ms  loop
+    15, 8       0.108 ms  0.163 ms  loop
+    200, 256    6.98 ms   574 ms    loop
 
 The scan agrees with the loop to rounding (last bits); the loop's results
 are the reference. Finiteness is checked once, after the recursion: the
@@ -173,8 +176,8 @@ def _recur(lam, top, AU, sp, force) -> None:
     lam_next = top
     # each step reads the row the previous step wrote
     for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
-        np.dot(lam_next, AU, out=t)
-        np.multiply(sp_k, t_U, out=lam_k)
+        np.dot(lam_next, AU, t)
+        np.multiply(sp_k, t_U, lam_k)
         lam_k += t_A
         lam_k += force_k
         lam_next = lam_k
@@ -205,15 +208,16 @@ def _blocked_scan(lam, AU, sp, force) -> None:
     S3[:, :n] = np.eye(n)
     T = np.empty((B * (n + 1), 2 * n))
     T3 = T.reshape(B, n + 1, 2 * n)
-    for sp_i, force_i in zip(sp3[::-1], force3[::-1]):
-        np.dot(S, AU, out=T)
-        np.multiply(sp_i[:, None, :], T3[..., n:], out=S3)
-        S3 += T3[..., :n]
-        S3[:, n] += force_i
+    T_A, T_U, u = T3[..., :n], T3[..., n:], S3[:, n]
+    for sp_i, force_i in zip(sp3[::-1, :, None], force3[::-1]):
+        np.dot(S, AU, T)
+        np.multiply(sp_i, T_U, S3)
+        S3 += T_A
+        u += force_i
 
     # pass 2: lam_lo of block j is lam_hi of block j - 1
     for j in range(B - 1, 0, -1):
-        np.dot(lam[(j + 1) * L], S3[j, :n], out=lam[j * L])
+        np.dot(lam[(j + 1) * L], S3[j, :n], lam[j * L])
         lam[j * L] += S3[j, n]
 
     # pass 3: every block from its lam_hi, lam[L], lam[2L], ..., lam[top]
@@ -296,13 +300,14 @@ def max_step_norm(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
     per k, clamped at 0 against cancellation before the square root.
     """
     worst = 0.0
+    # einsum's row dots beat a multiply and a sum over a short trailing axis
     for a, b, P, g in contributions(params, traj, costates, seq, w).values():
-        sq = (a * a).sum(axis=1)
+        sq = np.einsum("ij,ij->i", a, a)
         if b is None:
             cross = a @ P
         else:
-            sq *= (b * b).sum(axis=1)
-            cross = ((a @ P) * b).sum(axis=1)
+            sq *= np.einsum("ij,ij->i", b, b)
+            cross = np.einsum("ij,ij->i", a @ P, b)
         sq += 2.0 * g * cross + g * g * (P * P).sum()
         worst = max(worst, float(np.sqrt(np.maximum(sq, 0.0)).max()))
     return worst

@@ -81,13 +81,13 @@ KEYS = {
 def save_checkpoint(path, params: BrnnParams) -> None:
     """Plain-text checkpoint: header "brnn-v1 n m r sigma", then one
     whitespace-separated line per matrix row in the order A,U,W,b,V,Dft,c."""
-    lines = [f"{CHECKPOINT_MAGIC} {params.n} {params.m} {params.r} {params.sigma}"]
-    for name in ("A", "U", "W", "b", "V", "Dft", "c"):
-        # row by row: a whole n x n .tolist() raises the peak RSS at n = 256
-        for row in np.atleast_2d(getattr(params, name)):
-            lines.append(" ".join(map(repr, row.tolist())))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"{CHECKPOINT_MAGIC} {params.n} {params.m} {params.r} {params.sigma}\n")
+        for name in ("A", "U", "W", "b", "V", "Dft", "c"):
+            # row by row, each written as it is formatted: the whole text, or
+            # a whole n x n .tolist(), raises the peak RSS at n = 256
+            for row in np.atleast_2d(getattr(params, name)):
+                f.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_checkpoint(path) -> BrnnParams:
@@ -175,22 +175,26 @@ def load_config_file(path) -> dict:
 # --------------------------------------------------------------- subcommands
 
 def _resolver(args, config: dict):
-    """key -> its flag, else its config-file value, else its default; cast
-    when read, so a key the run never reads (task keys under --data) is not."""
+    """key -> its flag, else its config-file value (cast, and checked
+    against the key's choices), else its default."""
     def value(key):
-        cast, default, _, _ = KEYS[key]
+        cast, default, choices, _ = KEYS[key]
         flag = getattr(args, key)
         raw = flag if flag is not None else config.get(key)
         if raw is None:
             return default
         try:
-            return cast(raw)
+            out = cast(raw)
         except ConfigurationError:
             raise
         except ValueError:
             raise ConfigurationError(
                 f"config value {key} = {raw!r} is not a valid "
                 f"{cast.__name__}") from None
+        if choices is not None and out not in choices:
+            raise ConfigurationError(
+                f"config value {key} = {raw!r} is not one of {', '.join(choices)}")
+        return out
     return value
 
 
@@ -216,6 +220,11 @@ def _loss_weights(value) -> LossWeights:
 def cmd_train(args) -> int:
     value = _resolver(args, load_config_file(args.config) if args.config else {})
     data = value("data")
+    if data:
+        # the task keys go unused, but one given malformed is still an error
+        for key, (_, _, _, commands) in KEYS.items():
+            if "generate" in commands:
+                value(key)
     seq = read_csv(data) if data else gen_task(_task_spec(value))
 
     tc = TrainConfig(eta=value("eta"), epochs=value("epochs"), aggregation=value("agg"),
@@ -284,15 +293,27 @@ def _format_stability(report: stab.StabilityReport) -> list[tuple[str, float]]:
     ]
 
 
+# stability's flags that design A, with their defaults; a checkpoint brings
+# its own A, so they cannot go with --checkpoint
+_DESIGN_FLAGS = {"n": 1, "scheme": "scaled_identity", "alphaA": 0.5, "seed": 0}
+
+
 def cmd_stability(args) -> int:
+    stab._check_bound("s_sup", args.s_sup)
     if args.checkpoint:
+        given = [f"--{key}" for key in _DESIGN_FLAGS if getattr(args, key) is not None]
+        if given:
+            raise ConfigurationError(f"{', '.join(given)} cannot go with "
+                                     "--checkpoint, which gives A")
         params = load_checkpoint(args.checkpoint)
         A = params.A
         m_sup = args.Msup if args.Msup is not None else stab.m_sup_bound(
             params, args.s_sup)
     else:
-        A = stab.make_stable_A(args.n, scheme=args.scheme,
-                               alpha_A=args.alphaA, seed=args.seed)
+        design = {key: default if getattr(args, key) is None else getattr(args, key)
+                  for key, default in _DESIGN_FLAGS.items()}
+        A = stab.make_stable_A(design["n"], scheme=design["scheme"],
+                               alpha_A=design["alphaA"], seed=design["seed"])
         m_sup = args.Msup if args.Msup is not None else 1.0
     report = stab.stability_report(A, m_sup)
     fields = _format_stability(report)
@@ -312,7 +333,8 @@ def cmd_stability(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brnn",
-        description="Train and analyze a stable recurrent state-space network.")
+        description="Train and analyze a stable recurrent state-space network.",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_key_flags(p, command):
@@ -323,26 +345,30 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--" + key.replace("_", "-"), choices=choices,
                                type=cast if isinstance(cast, type) else None)
 
-    p = sub.add_parser("generate", help="write a synthetic dataset CSV")
+    p = sub.add_parser("generate", help="write a synthetic dataset CSV",
+                       allow_abbrev=False)
     add_key_flags(p, "generate")
     p.add_argument("--out", default="dataset.csv")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train on a generated task or a dataset CSV")
+    p = sub.add_parser("train", help="train on a generated task or a dataset CSV",
+                       allow_abbrev=False)
     add_key_flags(p, "train")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--metrics-out", dest="metrics_out", default="metrics.csv")
     p.add_argument("--checkpoint-out", dest="checkpoint_out", default="checkpoint.txt")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="cost breakdown of a checkpoint on a dataset")
+    p = sub.add_parser("eval", help="cost breakdown of a checkpoint on a dataset",
+                       allow_abbrev=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     add_key_flags(p, "eval")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck",
-                       help="compare multiplier gradients to finite differences")
+                       help="compare multiplier gradients to finite differences",
+                       allow_abbrev=False)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--r", type=int, default=2)
@@ -359,14 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("stability",
-                       help="BIBO bound and Liapunov region for A")
+                       help="BIBO bound and Liapunov region for A",
+                       allow_abbrev=False)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--scheme", choices=stab.A_SCHEMES, default="scaled_identity")
-    p.add_argument("--alphaA", type=float, default=0.5)
+    # default None: cmd_stability tells a given flag from _DESIGN_FLAGS' default
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--scheme", choices=stab.A_SCHEMES, default=None)
+    p.add_argument("--alphaA", type=float, default=None)
     p.add_argument("--Msup", type=float, default=None)
     p.add_argument("--s-sup", dest="s_sup", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv-out", dest="csv_out", default=None)
     p.set_defaults(func=cmd_stability)
     return parser

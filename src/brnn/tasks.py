@@ -185,15 +185,19 @@ def _parse_bulk(text):
         return None
     if max(map(len, body)) > csv.field_size_limit():
         return None         # may hold a field csv.reader refuses
-    fields = ",".join(body).split(",")
-    if fields[::1 + m + r] != list(map(str, range(len(body)))):
-        return None
-    del fields[::1 + m + r]
-    try:
-        data = np.fromiter(map(float, fields), float, len(fields))
-    except ValueError:
-        return None
-    data = data.reshape(len(body), m + r)
+    data = np.empty((len(body), m + r))
+    # a chunk of lines at a time: only one chunk's field strings are alive
+    for lo in range(0, len(body), 2048):
+        chunk = body[lo:lo + 2048]
+        fields = ",".join(chunk).split(",")
+        if fields[::1 + m + r] != list(map(str, range(lo, lo + len(chunk)))):
+            return None
+        del fields[::1 + m + r]
+        try:
+            values = np.fromiter(map(float, fields), float, len(fields))
+        except ValueError:
+            return None
+        data[lo:lo + len(chunk)] = values.reshape(len(chunk), m + r)
     return (m, data) if np.isfinite(data).all() else None
 
 

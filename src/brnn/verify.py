@@ -8,7 +8,9 @@ of bounded memory). Valid only for smooth configurations: sigma in
 {tanh, logistic, identity} and state loss in {none, tanh_approx}.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,7 +66,9 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
         raise ConfigurationError("the oracle takes one model, not stacked params")
 
     shapes = [getattr(params, pname).shape for _, pname in PARAM_GROUPS]
-    sizes = [int(np.prod(shape)) for shape in shapes]
+    # each group's [start, stop) slice of theta
+    ends = list(accumulate(map(math.prod, shapes), initial=0))
+    spans = list(zip(ends, ends[1:]))
     theta = np.concatenate([getattr(params, pname).ravel() for _, pname in PARAM_GROUPS])
     P = theta.size
     # floats one perturbed member holds: its parameters, and its x, h, y, e
@@ -72,7 +76,6 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
     member_bytes = 8 * (P + 4 * (seq.N + 1) * (params.n + params.r))
     chunk = max(1, ORACLE_CHUNK_BYTES // (2 * member_bytes))
 
-    bounds = np.cumsum(sizes)[:-1]
     grad = np.empty(P)
     for lo in range(0, P, chunk):
         idx = np.arange(lo, min(lo + chunk, P))
@@ -81,12 +84,12 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
         rows[plus, idx] += eps
         rows[plus + 1, idx] -= eps
         stacked = BrnnParams(A=params.A, sigma=params.sigma, **{
-            pname: g.reshape((rows.shape[0],) + shape) for (_, pname), g, shape
-            in zip(PARAM_GROUPS, np.split(rows, bounds, axis=1), shapes)})
+            pname: rows[:, start:stop].reshape((rows.shape[0],) + shape)
+            for (_, pname), (start, stop), shape in zip(PARAM_GROUPS, spans, shapes)})
         J = cost_value(stacked, seq, x0, w)
         grad[idx] = (J[0::2] - J[1::2]) / (2.0 * eps)
-    return GradSet(**{gname: g.reshape(shape) for (gname, _), g, shape
-                      in zip(PARAM_GROUPS, np.split(grad, bounds), shapes)})
+    return GradSet(**{gname: grad[start:stop].reshape(shape) for (gname, _), (start, stop),
+                      shape in zip(PARAM_GROUPS, spans, shapes)})
 
 
 @dataclass

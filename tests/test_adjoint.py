@@ -176,6 +176,63 @@ def test_overflowing_block_products_fall_back_to_the_loop(monkeypatch):
                                rtol=1e-13, atol=1e-13 * np.abs(got).max())
 
 
+def kept_recur(lam, top, AU, sp, force):
+    """The per-step co-state loop with keyword `out` forms, kept to pin
+    adjoint._recur's bits."""
+    n = AU.shape[0]
+    t = np.empty(top.shape[:-1] + (2 * n,))
+    lam_next = top
+    for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
+        np.dot(lam_next, AU, out=t)
+        np.multiply(sp_k, t[..., n:], out=lam_k)
+        lam_k += t[..., :n]
+        lam_k += force_k
+        lam_next = lam_k
+
+
+def kept_blocked_scan(lam, AU, sp, force):
+    """adjoint._blocked_scan's three passes with keyword `out` forms and
+    per-step views, kept to pin its bits."""
+    N, n = sp.shape
+    L = round(np.sqrt(N / 2))
+    B = N // L
+    top = B * L
+    kept_recur(lam[top:N], lam[N], AU, sp[top:], force[top:])
+    sp3, force3, lam3 = (a[:top].reshape(B, L, n).swapaxes(0, 1)
+                         for a in (sp, force, lam))
+    S = np.zeros((B * (n + 1), n))
+    S3 = S.reshape(B, n + 1, n)
+    S3[:, :n] = np.eye(n)
+    T = np.empty((B * (n + 1), 2 * n))
+    T3 = T.reshape(B, n + 1, 2 * n)
+    for sp_i, force_i in zip(sp3[::-1], force3[::-1]):
+        np.dot(S, AU, out=T)
+        np.multiply(sp_i[:, None, :], T3[..., n:], out=S3)
+        S3 += T3[..., :n]
+        S3[:, n] += force_i
+    for j in range(B - 1, 0, -1):
+        np.dot(lam[(j + 1) * L], S3[j, :n], out=lam[j * L])
+        lam[j * L] += S3[j, n]
+    kept_recur(lam3, lam[L:top + 1:L], AU, sp3, force3)
+
+
+@pytest.mark.parametrize("N, n", [(50, 8), (200, 24), (2000, 8), (1999, 3)])
+def test_costates_equal_the_kept_step_forms_bit_for_bit(N, n):
+    params, seq, x0, w = random_instance(29, n=n, m=2, r=2, N=N, scale=0.3,
+                                         state_loss_kind="tanh_approx")
+    traj = forward(params, seq, x0)
+    want = np.empty((N + 1, n))
+    want[N] = final_costate(params, traj.x[N], traj.e[N])
+    sp = nonlinearity_derivative(params.sigma, traj.x[:N])
+    force = sp * (traj.e[:N] @ params.V) + state_loss_grad(w, traj.x[:N], traj.h[:N], sp)
+    AU = np.concatenate([params.A, params.U], axis=1)
+    if adjoint._scan_pays(N, n):
+        kept_blocked_scan(want, AU, sp, force)
+    else:
+        kept_recur(want[:N], want[N], AU, sp, force)
+    assert np.array_equal(backward_costates(params, traj, w).lam, want)
+
+
 def assert_explosion_names(k, N, A, U, V):
     """x = h = 0 and sigma' = 1, e_N = 1: each backward step multiplies lam
     by A + U; both recursions must raise at step k."""

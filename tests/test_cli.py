@@ -200,6 +200,32 @@ def test_non_number_coeffs_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists() and not (tmp_path / "m.csv").exists()
 
 
+def test_malformed_task_values_under_data_exit_2(tmp_path, capsys):
+    # under --data the task keys go unused, but a malformed one is an error
+    data = tmp_path / "d.csv"
+    assert run("generate", "--task", "lag", "--N", "12", "--out", str(data)) == 0
+    metrics = tmp_path / "m.csv"
+    outs = ["--data", str(data), "--epochs", "1", "--metrics-out", str(metrics),
+            "--checkpoint-out", str(tmp_path / "c.txt")]
+    config = tmp_path / "run.cfg"
+    for text, argv, msg in (
+            (None, ["--coeffs", "a,b,c"], "got 'a,b,c'"),
+            ("N = abc\n", [], "N = 'abc'"),
+            ("coeffs = a,b,c\n", [], "got 'a,b,c'"),
+            ("task = foo\n", [], "task = 'foo'")):
+        if text is not None:
+            config.write_text(text)
+            argv = ["--config", str(config)]
+        capsys.readouterr()
+        assert run("train", *argv, *outs) == 2
+        assert msg in capsys.readouterr().err
+    assert not metrics.exists()
+    # well-formed task keys that go unused stay accepted, so a config file
+    # shared with generate still works
+    config.write_text("task = bandpass\nN = 40\ncoeffs = 0.5,-0.1,2.0\nomega = 0.2\n")
+    assert run("train", "--config", str(config), *outs) == 0
+
+
 def test_repeated_config_key_exits_2(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("N = 20\nepochs = 1\nN = 5\n")
@@ -348,6 +374,44 @@ def test_stability_invalid_input_bound_exits_2(flags, tmp_path, capsys):
     assert run("stability", "--checkpoint", str(ckpt), *flags) == 2
     captured = capsys.readouterr()
     assert "must be finite and >= 0" in captured.err and "bibo_bound" not in captured.out
+
+
+def test_stability_checks_s_sup_without_a_checkpoint(capsys):
+    assert run("stability", "--s-sup", "-5", "--n", "2") == 2
+    captured = capsys.readouterr()
+    assert "s_sup must be finite and >= 0" in captured.err
+    assert "bibo_bound" not in captured.out
+
+
+def test_stability_design_defaults(capsys):
+    assert run("stability") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "n = 1" and "bibo_bound = 2.0" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "2"), ("--scheme", "random_diagonal"),
+                                         ("--alphaA", "5"), ("--seed", "0")])
+def test_stability_design_flags_with_a_checkpoint_exit_2(flag, value, tmp_path, capsys):
+    # the checkpoint gives A, so a flag that designs A would be ignored
+    params = BrnnParams(A=[[0.5]], U=[[0.0]], W=[[1.0]], b=[0.0], V=[[1.0]],
+                        Dft=[[0.0]], c=[0.0], sigma="tanh")
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(ckpt, params)
+    assert run("stability", "--checkpoint", str(ckpt), flag, value) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "bibo_bound" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [["train", "--epoch", "2"],
+                                  ["generate", "--ou", "d.csv"],
+                                  ["gradcheck", "--inst", "2"],
+                                  ["stability", "--alpha", "0.5"]], ids=" ".join)
+def test_abbreviated_flags_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # as in a config file, where `epoch = 2` is an unknown key
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_file_flags_win(tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from brnn import model
 from brnn.errors import ConfigurationError, StateOverflowError
 from brnn.model import (BrnnParams, Dims, Sequence, apply_nonlinearity,
                         forward, nonlinearity_derivative)
@@ -158,6 +159,42 @@ def test_forward_matches_the_per_step_reference(sigma, B):
         got_x, got_h = (traj.x, traj.h) if B is None else (traj.x[i], traj.h[i])
         np.testing.assert_allclose(got_x, x, rtol=1e-13, atol=1e-13 * np.abs(x).max())
         np.testing.assert_allclose(got_h, h, rtol=1e-13, atol=1e-13 * np.abs(h).max())
+
+
+def matmul_step_rollout(params, seq, x0):
+    """x and h of one model by one np.matmul(z_k, M) per step over the
+    augmented rows z_k = [x_k, h_k, s_k, 1], with the keyword `out` forms."""
+    N, n, m = seq.N, params.n, params.m
+    sigma = model._SIGMA[params.sigma]
+    # C order, as forward builds it: an F-ordered M sums in another order
+    M = np.ascontiguousarray(np.vstack([params.A.T, params.U.T, params.W.T, params.b]))
+    Z = np.empty((N + 1, 2 * n + m + 1))
+    Z[:, 2 * n:-1], Z[:, -1] = seq.s, 1.0
+    X, H = Z[:, :n], Z[:, n:2 * n]
+    X[0] = x0
+    for k in range(N):
+        sigma(X[k], out=H[k])
+        np.matmul(Z[k], M, out=X[k + 1])
+    sigma(X[N], out=H[N])
+    return X, H
+
+
+@pytest.mark.parametrize("n", [1, 8, 24, 256])
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_single_model_rollout_equals_the_matmul_step_form(sigma, n):
+    # forward's single-model step is np.dot with a positional out; it must
+    # give the np.matmul step's bits, not merely values close to them
+    rng = np.random.default_rng(n)
+    m, r, N = 3, 2, 40
+    params = BrnnParams(A=0.5 * np.eye(n), U=rng.uniform(-1, 1, (n, n)) / np.sqrt(n),
+                        W=rng.uniform(-1, 1, (n, m)), b=rng.uniform(-0.2, 0.2, n),
+                        V=rng.uniform(-1, 1, (r, n)), Dft=rng.uniform(-1, 1, (r, m)),
+                        c=rng.uniform(-1, 1, r), sigma=sigma)
+    seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
+    x0 = rng.uniform(-1, 1, n)
+    traj = forward(params, seq, x0)
+    x, h = matmul_step_rollout(params, seq, x0)
+    assert np.array_equal(traj.x, x) and np.array_equal(traj.h, h)
 
 
 def test_linearity_superposition():

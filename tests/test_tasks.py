@@ -285,3 +285,35 @@ def test_write_csv_output_is_parsed_in_bulk(tmp_path):
         m, data = _parse_bulk(f.read())
     assert m == 2
     assert np.array_equal(data, np.hstack([seq.s, seq.d]))
+
+
+@pytest.mark.parametrize("fault", ["none", "bad k", "bad float", "nan", "short row"])
+def test_read_csv_of_several_bulk_chunks_equals_the_row_by_row_parse(tmp_path, fault):
+    # 5001 rows span three chunks of the bulk parse; each fault sits in the
+    # last one, so the earlier chunks parse before the fallback
+    seq = gen_task(TaskSpec(kind="bandpass_filter", N=5000, m=2, r=1, seed=9))
+    path = tmp_path / "d.csv"
+    write_csv(seq, path)
+    lines = path.read_bytes().split(b"\r\n")
+    row = lines[4500 + 1].split(b",")
+    if fault == "bad k":
+        row[0] = b"4499"
+    elif fault == "bad float":
+        row[2] = b"0.5x"
+    elif fault == "nan":
+        row[3] = b"nan"
+    elif fault == "short row":
+        del row[3]
+    lines[4500 + 1] = b",".join(row)
+    path.write_bytes(b"\r\n".join(lines))
+    with open(path, newline="") as f:
+        bulk = _parse_bulk(f.read())
+    assert (bulk is None) == (fault != "none")
+    if bulk is not None:
+        assert np.array_equal(bulk[1], np.hstack([seq.s, seq.d]))
+
+    def read(p):
+        got = read_csv(p)
+        return got.m, np.hstack([got.s, got.d])
+
+    assert parse_outcome(read, path) == parse_outcome(_parse_rows, path)
