@@ -64,7 +64,7 @@ over k, which the sum and mean aggregations need, is one matrix product
 (max_step_norm); only median and min_abs need the per-step contributions
 themselves. step_block forms them with the step axis last, P.shape + (K,),
 so that the reduction over k runs along contiguous memory;
-per_step_gradients presents the same blocks step-first as GradSeq.
+per_step_gradients presents the same blocks step-first, as a GradSet.
 """
 
 import math
@@ -90,30 +90,18 @@ class CostateSeq:
 
 
 @dataclass
-class GradSeq:
-    """Per-step gradient contributions before aggregation.
-
-    State-equation entries run k = 0..N-1, output-equation entries k = 0..N.
-    """
-
-    dU: np.ndarray   # (N, n, n)
-    dW: np.ndarray   # (N, n, m)
-    db: np.ndarray   # (N, n)
-    dV: np.ndarray   # (N+1, r, n)
-    dD: np.ndarray   # (N+1, r, m)
-    dc: np.ndarray   # (N+1, r)
-
-
-@dataclass
 class GradSet:
-    """One epoch-level gradient per parameter group."""
+    """One gradient array per parameter group: each of a parameter's shape,
+    or, from per_step_gradients, every step's contribution stacked along a
+    leading step axis, k = 0..N-1 for the state-equation groups (N, ...) and
+    k = 0..N for the output-equation ones (N+1, ...)."""
 
-    dU: np.ndarray
-    dW: np.ndarray
-    db: np.ndarray
-    dV: np.ndarray
-    dD: np.ndarray
-    dc: np.ndarray
+    dU: np.ndarray   # (n, n)
+    dW: np.ndarray   # (n, m)
+    db: np.ndarray   # (n,)
+    dV: np.ndarray   # (r, n)
+    dD: np.ndarray   # (r, m)
+    dc: np.ndarray   # (r,)
 
 
 def final_costate(params: BrnnParams, x_N, e_N) -> np.ndarray:
@@ -246,7 +234,7 @@ def contributions(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
 
 def per_step_gradients(params: BrnnParams, traj: Trajectory,
                        costates: CostateSeq, seq: Sequence,
-                       w: LossWeights) -> GradSeq:
+                       w: LossWeights) -> GradSet:
     """Unscaled gradient contributions at each step:
 
         dU_k = gamma1 U + lambda_{k+1} h_k^T          k = 0..N-1
@@ -258,7 +246,7 @@ def per_step_gradients(params: BrnnParams, traj: Trajectory,
 
     Each array is a step-first view of the step-last block from step_block.
     """
-    return GradSeq(**{name: np.moveaxis(step_block(*f), -1, 0) for name, f
+    return GradSet(**{name: np.moveaxis(step_block(*f), -1, 0) for name, f
                       in contributions(params, traj, costates, seq, w).items()})
 
 

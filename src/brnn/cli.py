@@ -44,8 +44,9 @@ def _parse_coeffs(text):
 
 
 # Every train key: (cast, default, flag choices, subcommands taking it as a
-# flag "--" + key with "_" as "-"). Defaults that TaskSpec, TrainConfig or
-# LossWeights declare are read from there (seed feeds both, equal defaults).
+# flag "--" + key with "_" as "-"). Defaults that TaskSpec, init_params,
+# TrainConfig or LossWeights declare are read from there (seed feeds both
+# TaskSpec and init_params, equal defaults).
 KEYS = {
     "task": (str, "sine", sorted(TASK_ALIASES) + sorted(TASK_ALIASES.values()),
              ("generate", "train")),
@@ -60,13 +61,13 @@ KEYS = {
     "seed": (int, TaskSpec.seed, None, ("generate", "train")),
     "data": (str, None, None, ("train",)),
     "n": (int, 8, None, ("train",)),
-    "sigma": (str, "tanh", NONLINEARITIES, ("train",)),
+    "sigma": (str, init_params.__kwdefaults__["sigma"], NONLINEARITIES, ("train",)),
     "eta": (float, TrainConfig.eta, None, ("train",)),
     "epochs": (int, TrainConfig.epochs, None, ("train",)),
     "agg": (str, TrainConfig.aggregation, AGGREGATIONS, ("train",)),
     "stop_tol": (float, TrainConfig.stop_tol, None, ("train",)),
-    "init_scale": (float, TrainConfig.init_scale, None, ("train",)),
-    "alphaA": (float, TrainConfig.alpha_A, None, ("train",)),
+    "init_scale": (float, init_params.__kwdefaults__["init_scale"], None, ("train",)),
+    "alphaA": (float, init_params.__kwdefaults__["alpha_A"], None, ("train",)),
     "beta": (float, LossWeights.beta, None, ("eval", "train")),
     "beta0": (float, LossWeights.beta0, None, ("eval", "train")),
     "gamma1": (float, LossWeights.gamma1, None, ("eval", "train")),
@@ -228,13 +229,12 @@ def cmd_train(args) -> int:
     seq = read_csv(data) if data else gen_task(_task_spec(value))
 
     tc = TrainConfig(eta=value("eta"), epochs=value("epochs"), aggregation=value("agg"),
-                     stop_tol=value("stop_tol"), seed=value("seed"),
-                     init_scale=value("init_scale"), alpha_A=value("alphaA"))
+                     stop_tol=value("stop_tol"))
     w = _loss_weights(value)
 
     dims = Dims(n=value("n"), m=seq.m, r=seq.r, N=seq.N)
-    params0 = init_params(dims, sigma=value("sigma"), init_scale=tc.init_scale,
-                          alpha_A=tc.alpha_A, seed=tc.seed)
+    params0 = init_params(dims, sigma=value("sigma"), init_scale=value("init_scale"),
+                          alpha_A=value("alphaA"), seed=value("seed"))
     params, history = train(tc, seq, params0, np.zeros(dims.n), w)
 
     write_metrics_csv(args.metrics_out, history)

@@ -14,18 +14,22 @@ value is the largest entry below it, and the two are averaged as np.median
 averages them), min_abs one argmin of |block|.
 
 Parameters are frozen within an epoch: forward and backward passes of
-epoch i see only params_i, and the update produces params_{i+1}.
+epoch i see only params_i, and the update produces params_{i+1}. params_0
+comes from the caller (init_params draws it); TrainConfig holds only what
+the loop reads.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (CostateSeq, GradSeq, GradSet, backward_costates,
-                      contributions, max_step_norm, step_block, summed_gradients)
+from .adjoint import (CostateSeq, GradSet, backward_costates, contributions,
+                      max_step_norm, step_block, summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
 from .model import BrnnParams, Dims, NONLINEARITIES, Sequence, Trajectory, forward
+from .stability import make_stable_A
 
 AGGREGATIONS = ("sum", "mean", "median", "min_abs")
 
@@ -40,21 +44,16 @@ class TrainConfig:
     epochs: int = 100
     aggregation: str = "sum"
     stop_tol: float = 0.0      # stop once total cost drops below this
-    seed: int = 0
-    init_scale: float = 0.1    # uniform init half-width for U, W, V, Dft
-    alpha_A: float = 0.5       # A = alpha_A * I
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ConfigurationError("eta must be > 0")
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigurationError("eta must be finite and > 0")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigurationError(f"unknown aggregation {self.aggregation!r}")
-        if not 0.0 < self.alpha_A <= 1.0:
-            raise ConfigurationError("alpha_A must be in (0, 1]")
-        if self.init_scale <= 0.0:
-            raise ConfigurationError("init_scale must be > 0")
+        if math.isnan(self.stop_tol):
+            raise ConfigurationError("stop_tol must not be NaN")
 
 
 @dataclass
@@ -95,14 +94,12 @@ def _reduce(a: np.ndarray, mode: str) -> np.ndarray:
     return _select(np.moveaxis(a, 0, -1).copy(), mode)
 
 
-def aggregate(grads: GradSeq, mode: str) -> GradSet:
-    """Collapse per-step contributions over k (axis 0 of each GradSeq
-    array, which is not modified). Counts differ by group: N for the
-    state-equation parameters, N+1 for the output-equation ones."""
-    return GradSet(
-        dU=_reduce(grads.dU, mode), dW=_reduce(grads.dW, mode),
-        db=_reduce(grads.db, mode), dV=_reduce(grads.dV, mode),
-        dD=_reduce(grads.dD, mode), dc=_reduce(grads.dc, mode))
+def aggregate(grads: GradSet, mode: str) -> GradSet:
+    """Collapse per-step contributions, as per_step_gradients returns them,
+    over k (the leading axis of each array, which is not modified). Counts
+    differ by group: N for the state-equation parameters, N+1 for the
+    output-equation ones."""
+    return GradSet(**{name: _reduce(a, mode) for name, a in vars(grads).items()})
 
 
 def apply_update(params: BrnnParams, g: GradSet, eta: float) -> BrnnParams:
@@ -120,19 +117,20 @@ def apply_update(params: BrnnParams, g: GradSet, eta: float) -> BrnnParams:
     return out
 
 
-def init_params(dims: Dims, sigma: str = "tanh", init_scale: float = 0.1,
+def init_params(dims: Dims, *, sigma: str = "tanh", init_scale: float = 0.1,
                 alpha_A: float = 0.5, seed: int = 0) -> BrnnParams:
     """Randomly small init: U, W, V, Dft uniform in [-init_scale, init_scale],
     zero biases, A = alpha_A * I."""
     if sigma not in NONLINEARITIES:
         raise ConfigurationError(f"unknown nonlinearity {sigma!r}")
-    if not 0.0 < alpha_A <= 1.0:
-        raise ConfigurationError("alpha_A must be in (0, 1]")
+    if not 0.0 < init_scale < math.inf:
+        raise ConfigurationError("init_scale must be finite and > 0")
+    A = make_stable_A(dims.n, "scaled_identity", alpha_A)
     rng = np.random.default_rng(seed)
     n, m, r = dims.n, dims.m, dims.r
     u = lambda *shape: rng.uniform(-init_scale, init_scale, shape)
     return BrnnParams(
-        A=alpha_A * np.eye(n), U=u(n, n), W=u(n, m), b=np.zeros(n),
+        A=A, U=u(n, n), W=u(n, m), b=np.zeros(n),
         V=u(r, n), Dft=u(r, m), c=np.zeros(r), sigma=sigma)
 
 

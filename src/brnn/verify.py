@@ -113,7 +113,10 @@ class GradCheckReport:
 def compare_gradients(analytic: GradSet, numeric: GradSet,
                       tol: float) -> GradCheckReport:
     """Entrywise comparison; relative error uses max(|a|, |b|, 1e-8) as
-    denominator, and the report passes iff every group stays below tol."""
+    denominator, and the report passes iff every group stays below tol,
+    which must be finite and > 0."""
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"tol={tol} must be finite and > 0")
     groups = {}
     for gname, _ in PARAM_GROUPS:
         a = getattr(analytic, gname)

@@ -253,7 +253,7 @@ def test_ac7_determinism_and_formats(tmp_path):
     seq2 = read_csv(sine)
     params0 = init_params(Dims(n=4, m=1, r=1, N=30), sigma="tanh",
                           init_scale=0.1, alpha_A=0.5, seed=2)
-    in_memory, _ = train(TrainConfig(eta=0.01, epochs=1, seed=2), seq2, params0,
+    in_memory, _ = train(TrainConfig(eta=0.01, epochs=1), seq2, params0,
                          np.zeros(4), LossWeights())
     loaded = load_checkpoint(ckpt)
     ckpt_exact = all((getattr(loaded, nm) == getattr(in_memory, nm)).all()

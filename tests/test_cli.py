@@ -121,6 +121,48 @@ def test_bad_configuration_exits_2(tmp_path):
                "--checkpoint-out", str(tmp_path / "c.txt")) == 2
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--init-scale", "nan", "init_scale"), ("--init-scale", "inf", "init_scale"),
+    ("--eta", "nan", "eta"), ("--eta", "inf", "eta"),
+    ("--stop-tol", "nan", "stop_tol")])
+def test_non_finite_train_values_exit_2(flag, value, key, tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    assert run("train", "--N", "10", "--n", "3", "--epochs", "2", flag, value,
+               "--metrics-out", str(metrics),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 2
+    assert key in capsys.readouterr().err
+    assert not metrics.exists()
+
+
+def test_train_initialises_through_init_params(tmp_path):
+    from brnn.model import Dims
+    from brnn.tasks import TaskSpec, gen_task
+    from brnn.trainer import TrainConfig, init_params, train
+    ckpt = tmp_path / "c.txt"
+    assert run("train", "--N", "20", "--n", "3", "--epochs", "3",
+               "--init-scale", "0.3", "--alphaA", "0.8", "--seed", "5",
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(ckpt)) == 0
+    seq = gen_task(TaskSpec(kind="sine_track", N=20, seed=5))
+    params0 = init_params(Dims(n=3, m=1, r=1, N=20), init_scale=0.3,
+                          alpha_A=0.8, seed=5)
+    params, _ = train(TrainConfig(epochs=3), seq, params0, np.zeros(3),
+                      LossWeights())
+    save_checkpoint(tmp_path / "lib.txt", params)
+    assert ckpt.read_bytes() == (tmp_path / "lib.txt").read_bytes()
+
+
+def test_init_defaults_are_read_from_init_params():
+    from brnn.tasks import TaskSpec
+    from brnn.trainer import init_params
+    defaults = init_params.__kwdefaults__
+    assert cli.KEYS["init_scale"][1] == defaults["init_scale"]
+    assert cli.KEYS["alphaA"][1] == defaults["alpha_A"]
+    assert cli.KEYS["sigma"][1] == defaults["sigma"]
+    # one seed key feeds both the task and the initialisation
+    assert cli.KEYS["seed"][1] == TaskSpec.seed == defaults["seed"]
+
+
 def test_config_value_that_fails_its_cast_exits_2(tmp_path, capsys):
     config = tmp_path / "train.cfg"
     config.write_text("N = abc\n")
@@ -309,6 +351,12 @@ def test_gradcheck_cli_fails_at_impossible_tolerance(capsys):
     assert run("gradcheck", "--n", "4", "--m", "2", "--r", "2", "--N", "10",
                "--sigma", "tanh", "--tol", "1e-15") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_gradcheck_tolerance_outside_its_range_exits_2(tol, capsys):
+    assert run("gradcheck", "--tol", tol) == 2
+    assert "tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--n", "--m", "--instances"])

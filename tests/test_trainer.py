@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from brnn.adjoint import GradSeq, backward_costates, per_step_gradients
+from brnn.adjoint import backward_costates, per_step_gradients
 from brnn.errors import ConfigurationError, DivergenceError
 from brnn.loss import LossWeights, total_cost
 from brnn.model import BrnnParams, Dims, Sequence, forward
@@ -11,10 +13,10 @@ from brnn.trainer import (DIVERGENCE_RATIO, GradSet, TrainConfig, aggregate,
 
 
 def gradseq_with_dU(values, N=None, n=1, m=1, r=1):
-    """GradSeq whose dU carries the given scalar sequence, rest zeros."""
+    """Per-step GradSet whose dU carries the given scalar sequence, rest zeros."""
     values = np.asarray(values, dtype=float)
     N = len(values) if N is None else N
-    g = GradSeq(dU=np.zeros((N, n, n)), dW=np.zeros((N, n, m)), db=np.zeros((N, n)),
+    g = GradSet(dU=np.zeros((N, n, n)), dW=np.zeros((N, n, m)), db=np.zeros((N, n)),
                 dV=np.zeros((N + 1, r, n)), dD=np.zeros((N + 1, r, m)),
                 dc=np.zeros((N + 1, r)))
     g.dU[:, 0, 0] = values
@@ -76,7 +78,7 @@ def min_abs_reference(a):
 
 
 def awkward_gradseq(N, seed, n=3, m=2, r=2):
-    """GradSeq whose columns mix ties (small integers), magnitudes near
+    """Per-step GradSet whose columns mix ties (small integers), magnitudes near
     1e-300, 1e300 and 1e308, all-zero (relu-style) columns and plain
     normal draws."""
     rng = np.random.default_rng(seed)
@@ -90,7 +92,7 @@ def awkward_gradseq(N, seed, n=3, m=2, r=2):
         plain = rng.random(shape[1:]) < 0.3
         a[:, plain] = rng.standard_normal((shape[0], int(plain.sum())))
         arrays[name] = a
-    return GradSeq(**arrays)
+    return GradSet(**arrays)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 6, 7, 20])
@@ -205,11 +207,11 @@ def test_exploding_but_finite_cost_raises_divergence():
     # per epoch while every parameter stays finite
     seq = gen_task(TaskSpec(kind="lag_copy", N=20, seed=3))
     params0 = init_params(Dims(n=4, m=1, r=1, N=20), seed=3)
-    cfg = TrainConfig(eta=5.0, epochs=20, seed=3)
+    cfg = TrainConfig(eta=5.0, epochs=20)
     with pytest.raises(DivergenceError) as exc:
         train(cfg, seq, params0, np.zeros(4), LossWeights())
     assert exc.value.epoch is not None and exc.value.epoch > 1
-    _, history = train(TrainConfig(eta=5.0, epochs=exc.value.epoch - 1, seed=3),
+    _, history = train(TrainConfig(eta=5.0, epochs=exc.value.epoch - 1),
                        seq, params0, np.zeros(4), LossWeights())
     totals = [h.cost.total for h in history]
     assert all(np.isfinite(totals))
@@ -330,7 +332,23 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigurationError):
         TrainConfig(aggregation="max")
-    with pytest.raises(ConfigurationError):
-        TrainConfig(alpha_A=0.0)
-    with pytest.raises(ConfigurationError):
-        TrainConfig(alpha_A=1.5)
+    for eta in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="eta"):
+            TrainConfig(eta=eta)
+    with pytest.raises(ConfigurationError, match="stop_tol"):
+        TrainConfig(stop_tol=np.nan)
+
+
+def test_train_config_holds_only_what_train_reads():
+    assert [f.name for f in fields(TrainConfig)] == [
+        "eta", "epochs", "aggregation", "stop_tol"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"alpha_A": 0.0}, {"alpha_A": 1.5}, {"alpha_A": np.nan},
+    {"init_scale": 0.0}, {"init_scale": -0.1}, {"init_scale": np.nan},
+    {"init_scale": np.inf}])
+def test_init_params_validation(kwargs):
+    key = next(iter(kwargs))
+    with pytest.raises(ConfigurationError, match=key):
+        init_params(Dims(n=3, m=1, r=1, N=5), **kwargs)
