@@ -6,6 +6,16 @@ rollout obeys
 
     ||x_k||_2 <= ||A||_2^k ||x0||_2 + M_sup / (1 - ||A||_2).
 
+Every bound is a closed form; none comes from running the model. M_sup
+needs a bound on ||h_k||: sqrt(n) for tanh/logistic; for relu/identity,
+where ||h|| <= ||x||, the small-gain bound (Miller & Hardt, "Stable
+recurrent models", arXiv:1805.10369): with a = ||A||_2, u = ||U||_2 and
+a + u < 1,
+
+    ||x_k||_2 <= (a + u)^k ||x0||_2 + (||W||_2 s_sup + ||b||_2) / (1 - a - u),
+
+so there the transient decays at the rate a + u, not ||A||_2.
+
 For the quadratic Liapunov candidate V(x) = x^T x the difference along
 trajectories completes the square as
 
@@ -20,6 +30,9 @@ region certified for *every* ||M|| <= M_sup is the conservative exterior
 
 where x*_2 is the worst-case center over the M-ball and
 radius = sqrt(M_sup^2 + ||x*_2||^2) = sqrt(D_lyap).
+
+A certificate whose numbers overflow float64 is no certificate: it raises
+UnboundedRegionError, as a missing one does.
 """
 
 from dataclasses import dataclass
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnboundedRegionError
-from .model import BrnnParams, forward, Sequence
+from .model import BrnnParams
 
 A_SCHEMES = ("scaled_identity", "random_diagonal", "random_orthogonal_scaled")
 
@@ -64,21 +77,6 @@ def make_stable_A(n: int, scheme: str = "scaled_identity",
     raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
-def hidden_sup(params: BrnnParams, s_sup: float, probe_steps: int = 2000,
-               probe_seed: int = 0) -> float:
-    """Bound on ||h_k||_2. sqrt(n) for saturating nonlinearities; for
-    relu/identity the sup is measured on a seeded probe rollout with
-    inputs of norm s_sup."""
-    if params.sigma in ("tanh", "logistic"):
-        return float(np.sqrt(params.n))
-    rng = np.random.default_rng(probe_seed)
-    dirs = rng.standard_normal((probe_steps + 1, params.m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    seq = Sequence(s=s_sup * dirs, d=np.zeros((probe_steps + 1, params.r)))
-    traj = forward(params, seq, np.zeros(params.n))
-    return float(np.linalg.norm(traj.h, axis=1).max())
-
-
 def _check_bound(name: str, value: float) -> None:
     """A sup-norm bound given as input must be a finite number >= 0; a
     negative, nan or infinite one yields no bound at all."""
@@ -86,21 +84,49 @@ def _check_bound(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def hidden_sup(params: BrnnParams, s_sup: float) -> float:
+    """Bound on ||h_k||_2 over rollouts from x0 = 0 with ||s_k||_2 <= s_sup.
+
+    tanh/logistic: sqrt(n), and the state transient decays at ||A||_2.
+    relu/identity: ||h|| <= ||x||, and ||x_{k+1}|| <= (a + u) ||x_k||
+    + ||W||_2 s_sup + ||b||_2 with a = ||A||_2, u = ||U||_2, so the bound
+    is (||W||_2 s_sup + ||b||_2) / (1 - a - u) and the transient decays at
+    a + u. Raises UnboundedRegionError when a + u >= 1.
+    """
+    _check_bound("s_sup", s_sup)
+    if params.sigma in ("tanh", "logistic"):
+        return float(np.sqrt(params.n))
+    rate = spectral_norm(params.A) + spectral_norm(params.U)
+    if rate >= 1.0:
+        raise UnboundedRegionError(f"||A||_2 + ||U||_2 is {rate} >= 1, so a "
+                                   f"{params.sigma} state has no small-gain bound")
+    return ((spectral_norm(params.W) * s_sup + float(np.linalg.norm(params.b)))
+            / (1.0 - rate))
+
+
 def m_sup_bound(params: BrnnParams, s_sup: float) -> float:
     """Worst-case forcing norm ||U||2*h_sup + ||W||2*s_sup + ||b||2."""
-    _check_bound("s_sup", s_sup)
-    return (spectral_norm(params.U) * hidden_sup(params, s_sup)
-            + spectral_norm(params.W) * s_sup
-            + float(np.linalg.norm(params.b)))
+    m_sup = (spectral_norm(params.U) * hidden_sup(params, s_sup)
+             + spectral_norm(params.W) * s_sup
+             + float(np.linalg.norm(params.b)))
+    if not m_sup < np.inf:  # also catches 0 * inf
+        raise UnboundedRegionError(f"M_sup overflows float64 at s_sup = {s_sup!r}")
+    return m_sup
 
 
 def bibo_bound(params: BrnnParams, s_sup: float) -> float:
-    """Asymptotic state bound M_sup / (1 - ||A||_2); add ||A||^k ||x0||
-    for the transient. Requires ||A||_2 < 1."""
+    """Asymptotic state bound M_sup / (1 - ||A||_2). Requires ||A||_2 < 1.
+
+    For the transient from x0, add rate^k ||x0||: rate = ||A||_2 for
+    tanh/logistic, ||A||_2 + ||U||_2 for relu/identity (see hidden_sup).
+    """
     a = spectral_norm(params.A)
     if a >= 1.0:
         raise UnboundedRegionError(f"spectral norm of A is {a} >= 1")
-    return m_sup_bound(params, s_sup) / (1.0 - a)
+    bound = m_sup_bound(params, s_sup) / (1.0 - a)
+    if not bound < np.inf:
+        raise UnboundedRegionError(f"bibo_bound overflows float64 at s_sup = {s_sup!r}")
+    return bound
 
 
 @dataclass
@@ -134,11 +160,16 @@ def lyapunov_region(A, M_sup: float) -> LyapunovRegion:
 
     K = np.linalg.solve(G @ G.T, G @ A.T)  # maps M to its ellipsoid center
     u, svals, _ = np.linalg.svd(K)
-    x_star2 = M_sup * svals[0] * u[:, 0]
+    # an overflow becomes inf, checked below; np.float64's ** is the C pow
+    # that float's ** calls, but returns inf where float's raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_star2 = M_sup * svals[0] * u[:, 0]
+        D_lyap = float(np.float64(M_sup) ** 2 + x_star2 @ x_star2)
+    if not D_lyap < np.inf:
+        raise UnboundedRegionError(f"D_lyap overflows float64 at M_sup = {M_sup!r}")
     j = int(np.abs(x_star2).argmax())
     if x_star2[j] < 0.0:
         x_star2 = -x_star2
-    D_lyap = M_sup ** 2 + float(x_star2 @ x_star2)
     return LyapunovRegion(G=G, x_star2=x_star2, D_lyap=D_lyap,
                           radius=float(np.sqrt(D_lyap)), M_sup=M_sup)
 

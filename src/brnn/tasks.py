@@ -81,7 +81,12 @@ class TaskSpec:
             raise ConfigurationError(f"lag must satisfy 0 <= lag < N, got {self.lag}")
         if self.kind in ("lag_copy", "bandpass_filter") and self.r > self.m:
             raise ConfigurationError(f"{self.kind} requires r <= m")
+        if not 0.0 <= self.noise < np.inf:
+            raise ConfigurationError(f"noise must be finite and >= 0, got {self.noise!r}")
         if self.kind == "bandpass_filter":
+            if len(self.coeffs) != 3 or not np.isfinite(self.coeffs).all():
+                raise ConfigurationError(
+                    f"coeffs must be three finite numbers, got {self.coeffs!r}")
             a1, a2, _ = self.coeffs
             roots = np.roots([1.0, -a1, -a2])
             if roots.size and np.abs(roots).max() >= 1.0:

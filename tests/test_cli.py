@@ -242,6 +242,34 @@ def test_non_number_coeffs_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists() and not (tmp_path / "m.csv").exists()
 
 
+def task_argv(command, tmp_path, *flags):
+    """generate or train (N = 12) with the given task flags, outputs in tmp_path."""
+    if command == "generate":
+        return ["generate", "--N", "12", *flags, "--out", str(tmp_path / "d.csv")]
+    return ["train", "--N", "12", "--epochs", "1", *flags,
+            "--metrics-out", str(tmp_path / "m.csv"),
+            "--checkpoint-out", str(tmp_path / "c.txt")]
+
+
+@pytest.mark.parametrize("coeffs", ["nan,0,1", "inf,0,1", "1,0,-inf"])
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_non_finite_coeffs_exits_2(command, coeffs, tmp_path, capsys):
+    argv = task_argv(command, tmp_path, "--task", "bandpass", "--coeffs", coeffs)
+    assert run(*argv) == 2
+    assert "coeffs must be three finite numbers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("noise", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("task", ["lag", "sine"])
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_bad_noise_exits_2(command, task, noise, tmp_path, capsys):
+    argv = task_argv(command, tmp_path, "--task", task, "--noise", noise)
+    assert run(*argv) == 2
+    assert "noise must be finite and >= 0" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_malformed_task_values_under_data_exit_2(tmp_path, capsys):
     # under --data the task keys go unused, but a malformed one is an error
     data = tmp_path / "d.csv"
@@ -422,6 +450,58 @@ def test_stability_invalid_input_bound_exits_2(flags, tmp_path, capsys):
     assert run("stability", "--checkpoint", str(ckpt), *flags) == 2
     captured = capsys.readouterr()
     assert "must be finite and >= 0" in captured.err and "bibo_bound" not in captured.out
+
+
+@pytest.mark.parametrize("flag, value, checkpoint", [("--Msup", "1e160", False),
+                                                     ("--s-sup", "1e200", True)])
+def test_stability_overflowing_certificate_exits_3(flag, value, checkpoint,
+                                                   tmp_path, capsys):
+    # a finite input bound whose D_lyap overflows float64 certifies nothing
+    argv = [flag, value]
+    if checkpoint:
+        params = BrnnParams(A=[[0.5]], U=[[0.3]], W=[[1.0]], b=[0.0], V=[[1.0]],
+                            Dft=[[0.0]], c=[0.0], sigma="tanh")
+        save_checkpoint(tmp_path / "ckpt.txt", params)
+        argv += ["--checkpoint", str(tmp_path / "ckpt.txt")]
+    assert run("stability", *argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: D_lyap overflows float64")
+    assert len(captured.err.splitlines()) == 1 and "bibo_bound" not in captured.out
+
+
+def relu_checkpoint(tmp_path, u):
+    """n = m = 2 relu network with A = 0.5I, U = u*I, W = I, b = 0."""
+    eye = np.eye(2)
+    params = BrnnParams(A=0.5 * eye, U=u * eye, W=eye, b=np.zeros(2), V=eye,
+                        Dft=np.zeros((2, 2)), c=np.zeros(2), sigma="relu")
+    ckpt = tmp_path / "relu.txt"
+    save_checkpoint(ckpt, params)
+    return str(ckpt)
+
+
+def printed(out):
+    return {key: float(value) for key, _, value in
+            (line.partition(" = ") for line in out.splitlines()) if key != "n"}
+
+
+def test_stability_relu_checkpoint_small_gain_bound(tmp_path, capsys):
+    # h_sup = 1 / (1 - 0.5 - 0.4) = 10, M_sup = 0.4*10 + 1 = 5, bibo = 5/0.5:
+    # a constant unit input drives ||x_k|| to 10, so the bound is tight
+    assert run("stability", "--checkpoint", relu_checkpoint(tmp_path, 0.4)) == 0
+    values = printed(capsys.readouterr().out)
+    assert values["M_sup"] == pytest.approx(5.0, rel=1e-12)
+    assert values["bibo_bound"] == pytest.approx(10.0, rel=1e-12)
+
+
+def test_stability_relu_checkpoint_without_small_gain_exits_3(tmp_path, capsys):
+    ckpt = relu_checkpoint(tmp_path, 0.6)
+    assert run("stability", "--checkpoint", ckpt) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ||A||_2 + ||U||_2 is")
+    assert "bibo_bound" not in captured.out
+    # a given M_sup needs only ||A||_2 < 1
+    assert run("stability", "--checkpoint", ckpt, "--Msup", "1") == 0
+    assert printed(capsys.readouterr().out)["bibo_bound"] == 2.0
 
 
 def test_stability_checks_s_sup_without_a_checkpoint(capsys):

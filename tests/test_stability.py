@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,10 +88,101 @@ def test_m_sup_bound_composition():
 
 
 def test_hidden_sup_measured_for_identity():
-    # identity: h = x, sup measured on a probe rollout
+    # identity: h = x
     params = forcing_params(0.5 * np.eye(2), U=0.0, W=0.3, sigma="identity")
-    h_sup = hidden_sup(params, 1.0, probe_steps=500)
+    h_sup = hidden_sup(params, 1.0)
     assert 0.0 < h_sup <= spectral_norm(params.W) / (1 - 0.5) + 1e-9
+
+
+@pytest.mark.parametrize("sigma", ["tanh", "relu"])
+def test_hidden_sup_rejects_invalid_input_bounds(sigma):
+    params = forcing_params(0.5 * np.eye(2), U=0.2, sigma=sigma)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="s_sup must be finite and >= 0"):
+            hidden_sup(params, bad)
+
+
+def small_gain_network(rng, sigma):
+    """Random network with n <= 8 and ||A||_2 + ||U||_2 = rate < 1."""
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    rate, share = rng.uniform(0.3, 0.97), rng.uniform(0.1, 0.9)
+    return BrnnParams(A=random_stable(rng, n, share * rate),
+                      U=random_stable(rng, n, (1.0 - share) * rate),
+                      W=rng.uniform(-1, 1, (n, m)), b=rng.uniform(-0.5, 0.5, n),
+                      V=np.ones((1, n)), Dft=np.zeros((1, m)), c=np.zeros(1),
+                      sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", ["relu", "identity"])
+def test_small_gain_bounds_contain_rollouts(sigma):
+    """20 random networks with a + u < 1 and ||s_k|| <= 1, 10^4 steps: from
+    x0 = 0 every ||h_k|| is within hidden_sup, and from a random x0 every
+    ||x_k|| within bibo_bound + (a + u)^k ||x0||."""
+    rng = np.random.default_rng(31 if sigma == "relu" else 32)
+    steps = 10_000
+    for _ in range(20):
+        params = small_gain_network(rng, sigma)
+        rate = spectral_norm(params.A) + spectral_norm(params.U)
+        dirs = rng.standard_normal((steps + 1, params.m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        seq = Sequence(s=dirs * rng.uniform(0, 1, (steps + 1, 1)),
+                       d=np.zeros((steps + 1, 1)))
+        traj = forward(params, seq, np.zeros(params.n))
+        assert np.linalg.norm(traj.h, axis=1).max() <= hidden_sup(params, 1.0) + 1e-9
+
+        x0 = rng.uniform(-5, 5, params.n)
+        traj = forward(params, seq, x0)
+        allowed = (bibo_bound(params, 1.0)
+                   + rate ** np.arange(steps + 1) * np.linalg.norm(x0) + 1e-9)
+        assert (np.linalg.norm(traj.x, axis=1) <= allowed).all()
+
+
+@pytest.mark.parametrize("sigma", ["relu", "identity"])
+def test_small_gain_bound_is_reached_by_a_constant_input(sigma):
+    # A = 0.5I, U = 0.4I, W = I, b = 0: h_sup = 1/(1 - 0.9) = 10, M_sup = 5,
+    # bibo = 10, and the constant unit input e1 drives x_k to 10 e1
+    eye, steps = np.eye(2), 10_000
+    params = BrnnParams(A=0.5 * eye, U=0.4 * eye, W=eye, b=np.zeros(2), V=eye,
+                        Dft=np.zeros((2, 2)), c=np.zeros(2), sigma=sigma)
+    assert hidden_sup(params, 1.0) == pytest.approx(10.0, rel=1e-12)
+    assert m_sup_bound(params, 1.0) == pytest.approx(5.0, rel=1e-12)
+    bound = bibo_bound(params, 1.0)
+    assert bound == pytest.approx(10.0, rel=1e-12)
+    s = np.zeros((steps + 1, 2))
+    s[:, 0] = 1.0
+    traj = forward(params, Sequence(s=s, d=np.zeros((steps + 1, 2))), np.zeros(2))
+    norms = np.linalg.norm(traj.x, axis=1)
+    assert norms.max() <= bound + 1e-9 and norms[-1] == pytest.approx(bound, rel=1e-12)
+    assert np.linalg.norm(traj.h, axis=1).max() <= hidden_sup(params, 1.0) + 1e-9
+
+
+@pytest.mark.parametrize("sigma", ["relu", "identity"])
+def test_small_gain_fails_without_a_certificate(sigma):
+    # ||A||_2 = 0.5 < 1, but ||A||_2 + ||U||_2 = 0.5 + 0.6: A + U has eigenvalue 1.1
+    params = forcing_params(0.5 * np.eye(2), U=0.3, sigma=sigma)
+    for bound in (hidden_sup, m_sup_bound, bibo_bound):
+        with pytest.raises(UnboundedRegionError, match=r"\|\|A\|\|_2 \+ \|\|U\|\|_2 is"):
+            bound(params, 1.0)
+    # a given M_sup needs only ||A||_2 < 1
+    assert stability_report(params.A, 1.0).bibo == pytest.approx(2.0)
+
+
+def test_overflowing_certificates_raise():
+    # finite input bounds whose certificate is not a finite float64
+    tanh = forcing_params(0.5 * np.eye(2), U=0.3, W=1.0)        # ||W||_2 = sqrt(2)
+    relu = forcing_params(0.5 * np.eye(2), U=0.2, W=1.0, sigma="relu")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, s_sup in ((tanh, 1.7e308), (relu, 1e308)):
+            with pytest.raises(UnboundedRegionError, match="M_sup overflows float64"):
+                m_sup_bound(params, s_sup)
+        with pytest.raises(UnboundedRegionError, match="bibo_bound overflows float64"):
+            bibo_bound(tanh, 1e308)
+        for M_sup in (1e160, 1e300, 1.7e308):
+            for check in (lyapunov_region, stability_report):
+                with pytest.raises(UnboundedRegionError, match="D_lyap overflows float64"):
+                    check(tanh.A, M_sup)
+        assert np.isfinite(lyapunov_region(tanh.A, 1e153).D_lyap)
 
 
 def test_lyapunov_scalar_oracle():
