@@ -14,6 +14,7 @@ repeated key is a configuration error) and every default come from it.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -35,12 +36,27 @@ TASK_ALIASES = {"sine": "sine_track", "bandpass": "bandpass_filter",
                 "lag": "lag_copy"}
 
 
+# The task keys' values are checked here, as they are resolved, for every
+# task kind and under --data too, where no TaskSpec is built.
 def _parse_coeffs(text):
     try:
         a1, a2, b0 = map(float, text.replace(",", " ").split())
     except ValueError:
         raise ConfigurationError(f"coeffs must be 'a1,a2,b0', got {text!r}") from None
+    if not all(map(math.isfinite, (a1, a2, b0))):
+        raise ConfigurationError(f"coeffs must be three finite numbers, got {text!r}")
     return a1, a2, b0
+
+
+def _parse_noise(text):
+    error = ConfigurationError(f"noise must be finite and >= 0, got {text!r}")
+    try:
+        noise = float(text)
+    except ValueError:
+        raise error from None
+    if not 0.0 <= noise < math.inf:
+        raise error
+    return noise
 
 
 # Every train key: (cast, default, flag choices, subcommands taking it as a
@@ -57,7 +73,7 @@ KEYS = {
     "phase": (float, TaskSpec.phase, None, ("generate", "train")),
     "coeffs": (_parse_coeffs, TaskSpec.coeffs, None, ("generate", "train")),
     "lag": (int, TaskSpec.lag, None, ("generate", "train")),
-    "noise": (float, TaskSpec.noise, None, ("generate", "train")),
+    "noise": (_parse_noise, TaskSpec.noise, None, ("generate", "train")),
     "seed": (int, TaskSpec.seed, None, ("generate", "train")),
     "data": (str, None, None, ("train",)),
     "n": (int, 8, None, ("train",)),
@@ -339,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_key_flags(p, command):
         # argparse's default None tells the resolver no flag was given;
-        # coeffs stays a string for the resolver to parse (own error message)
+        # coeffs and noise stay strings for the resolver to parse and check
+        # (own error messages)
         for key, (cast, _, choices, commands) in KEYS.items():
             if command in commands:
                 p.add_argument("--" + key.replace("_", "-"), choices=choices,

@@ -15,11 +15,12 @@ The state recursion cannot be vectorized over k, so `forward` makes each
 step one matrix product: it keeps the augmented rows z_k = [x_k, h_k, s_k, 1]
 in one time-first buffer and multiplies by M = [A^T; U^T; W^T; b], built
 once, so that x_{k+1} = z_k M. A step of one model is two NumPy calls,
-sigma(x_k) into h_k and then one np.dot into x_{k+1}, each with its output
-array passed positionally. At small n a step costs the calls, not the
-arithmetic: on a (19,) row and a (19, 8) M, np.dot's vector-matrix path
-takes about 1.1 us per call where the np.matmul gufunc takes 1.6 us (one
-BLAS thread, 2-vCPU VM).
+sigma(x_k) into h_k and then one ndarray.dot into x_{k+1}, each with its
+output array passed positionally. At small n a step costs the calls, not
+the arithmetic: on a (19,) row and a (19, 8) M, ndarray.dot's
+vector-matrix path takes about 0.78 us per call, np.dot (the same C
+routine behind a Python-level dispatch) 1.1 us and the np.matmul gufunc
+1.7 us (medians of 3 timings, one BLAS thread, 2-vCPU VM).
 Stacked params keep np.matmul, which is the batched product on a 3-D M.
 Overflow is not checked per step: the finished trajectory is checked once
 and StateOverflowError names the first non-finite k, as a per-step check
@@ -258,9 +259,10 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
     X[0] = x0
     # overflow is detected explicitly, so silence the intermediate warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # np.dot's vector-matrix path costs less per call than the np.matmul
-        # gufunc, but on a stacked (3-D) M it is not a batched product
-        product = np.matmul if batch else np.dot
+        # ndarray.dot's vector-matrix path costs less per call than the
+        # np.matmul gufunc (and than np.dot, which adds a Python-level
+        # dispatch), but on a stacked (3-D) M it is not a batched product
+        product = np.matmul if batch else np.ndarray.dot
         x_k = X[0]
         for z_k, h_k, x_next in zip(Z[:N], H[:N], X[1:]):
             sigma(x_k, h_k)

@@ -95,15 +95,20 @@ class TaskSpec:
 
 
 def _filter(coeffs, s: np.ndarray) -> np.ndarray:
+    """d_k = b0 s_k + a1 d_{k-1} + a2 d_{k-2}, added in that order, with the
+    terms before k = 0 left out rather than added as zeros."""
     a1, a2, b0 = coeffs
-    d = np.zeros_like(s)
-    for k in range(s.shape[0]):
-        d[k] = b0 * s[k]
+    # on Python floats: the same double arithmetic as on NumPy scalars, at a
+    # fraction of the cost per operation
+    d = []
+    for k, s_k in enumerate(s.tolist()):
+        d_k = b0 * s_k
         if k >= 1:
-            d[k] += a1 * d[k - 1]
+            d_k += a1 * d[-1]
         if k >= 2:
-            d[k] += a2 * d[k - 2]
-    return d
+            d_k += a2 * d[-2]
+        d.append(d_k)
+    return np.array(d)
 
 
 def gen_task(spec: TaskSpec) -> Sequence:

@@ -192,7 +192,8 @@ def kept_recur(lam, top, AU, sp, force):
 
 def kept_blocked_scan(lam, AU, sp, force):
     """adjoint._blocked_scan's three passes with keyword `out` forms and
-    per-step views, kept to pin its bits."""
+    per-step views, kept to pin its bits. Its products are the same BLAS
+    calls, so the pin holds whichever kernels BLAS picks."""
     N, n = sp.shape
     L = round(np.sqrt(N / 2))
     B = N // L
@@ -200,23 +201,35 @@ def kept_blocked_scan(lam, AU, sp, force):
     kept_recur(lam[top:N], lam[N], AU, sp[top:], force[top:])
     sp3, force3, lam3 = (a[:top].reshape(B, L, n).swapaxes(0, 1)
                          for a in (sp, force, lam))
-    S = np.zeros((B * (n + 1), n))
-    S3 = S.reshape(B, n + 1, n)
-    S3[:, :n] = np.eye(n)
-    T = np.empty((B * (n + 1), 2 * n))
-    T3 = T.reshape(B, n + 1, 2 * n)
-    for sp_i, force_i in zip(sp3[::-1], force3[::-1]):
-        np.dot(S, AU, out=T)
-        np.multiply(sp_i[:, None, :], T3[..., n:], out=S3)
-        S3 += T3[..., :n]
-        S3[:, n] += force_i
+    # passes 1 and 3 with the block axis last
+    spT = np.ascontiguousarray(sp3.transpose(0, 2, 1))
+    forceT = np.ascontiguousarray(force3.transpose(0, 2, 1))
+    St = np.zeros((n, n + 1, B))
+    St[:, :n] = np.eye(n)[..., None]
+    TT = np.empty((2 * n, n + 1, B))
+    for sp_i, force_i in zip(spT[::-1], forceT[::-1]):
+        np.dot(AU.T, St.reshape(n, (n + 1) * B), out=TT.reshape(2 * n, (n + 1) * B))
+        np.multiply(sp_i[:, None, :], TT[n:], out=St)
+        St += TT[:n]
+        St[:, n] += force_i
+    S3 = np.ascontiguousarray(St.transpose(2, 1, 0))
     for j in range(B - 1, 0, -1):
         np.dot(lam[(j + 1) * L], S3[j, :n], out=lam[j * L])
         lam[j * L] += S3[j, n]
-    kept_recur(lam3, lam[L:top + 1:L], AU, sp3, force3)
+    lamT = np.empty((L, n, B))
+    t = np.empty((2 * n, B))
+    lam_next = np.ascontiguousarray(lam[L:top + 1:L].T)
+    for i in range(L - 1, -1, -1):
+        np.dot(AU.T, lam_next, out=t)
+        np.multiply(spT[i], t[n:], out=lamT[i])
+        lamT[i] += t[:n]
+        lamT[i] += forceT[i]
+        lam_next = lamT[i]
+    lam3[...] = lamT.transpose(0, 2, 1)
 
 
-@pytest.mark.parametrize("N, n", [(50, 8), (200, 24), (2000, 8), (1999, 3)])
+@pytest.mark.parametrize("N, n", [(50, 8), (200, 24), (2000, 8), (1999, 3),
+                                  (100, 16), (500, 8), (1999, 1)])
 def test_costates_equal_the_kept_step_forms_bit_for_bit(N, n):
     params, seq, x0, w = random_instance(29, n=n, m=2, r=2, N=N, scale=0.3,
                                          state_loss_kind="tanh_approx")
@@ -440,6 +453,16 @@ def test_median_and_min_abs_equal_numpy_over_step_first_blocks():
             idx = np.expand_dims(np.abs(a).argmin(axis=0), axis=0)
             pick = np.take_along_axis(a, idx, axis=0)[0]
             assert np.array_equal(getattr(low, name), pick), name
+
+
+def test_no_two_groups_share_memory():
+    # reduce_step_blocks builds every row block in one buffer: what the
+    # median, min_abs and per-step results keep must not be views of it
+    for case in equivalence_instances():
+        for gset in (epoch_gradient(*case, "median"), epoch_gradient(*case, "min_abs"),
+                     per_step_gradients(*case)):
+            for a, b in itertools.combinations(GROUPS, 2):
+                assert not np.shares_memory(getattr(gset, a), getattr(gset, b)), (a, b)
 
 
 def test_max_step_norm_clamps_cancelling_blocks():

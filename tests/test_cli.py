@@ -270,6 +270,31 @@ def test_bad_noise_exits_2(command, task, noise, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--data", "s.csv", "--noise", "nan", "--coeffs", "nan,0,1",
+      "--epochs", "1"], "coeffs"),
+    (["train", "--data", "s.csv", "--noise", "-1", "--epochs", "1"], "noise"),
+    (["train", "--task", "sine", "--coeffs", "nan,0,1", "--epochs", "1"], "coeffs"),
+    (["generate", "--task", "sine", "--coeffs", "nan,0,1"], "coeffs"),
+    (["generate", "--task", "lag", "--coeffs", "inf,0,1"], "coeffs"),
+])
+def test_bad_task_values_exit_2_for_every_kind_and_under_data(argv, key, tmp_path,
+                                                              capsys):
+    # coeffs and noise are checked as they are resolved, whether or not the
+    # task kind reads them and whether or not a task is generated at all
+    data = tmp_path / "s.csv"
+    assert run("generate", "--task", "lag", "--N", "12", "--out", str(data)) == 0
+    outs = {"generate": ["--out", str(tmp_path / "d.csv")],
+            "train": ["--metrics-out", str(tmp_path / "m.csv"),
+                      "--checkpoint-out", str(tmp_path / "c.txt")]}[argv[0]]
+    argv = [str(data) if a == "s.csv" else a for a in argv]
+    capsys.readouterr()
+    assert run(*argv, *outs) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
 def test_malformed_task_values_under_data_exit_2(tmp_path, capsys):
     # under --data the task keys go unused, but a malformed one is an error
     data = tmp_path / "d.csv"

@@ -5,7 +5,7 @@ import pytest
 
 from brnn.errors import ConfigurationError, DatasetFormatError
 from brnn.model import Sequence
-from brnn.tasks import (TaskSpec, _parse_bulk, _parse_rows, gen_task,
+from brnn.tasks import (TaskSpec, _filter, _parse_bulk, _parse_rows, gen_task,
                         read_csv, splitmix64, uniform_noise, write_csv)
 
 
@@ -68,6 +68,37 @@ def test_identity_filter():
     spec = TaskSpec(kind="bandpass_filter", N=30, coeffs=(0.0, 0.0, 1.0), seed=5)
     seq = gen_task(spec)
     np.testing.assert_array_equal(seq.d, seq.s)
+
+
+def kept_filter(coeffs, s):
+    """The bandpass loop on NumPy scalars, kept to pin tasks._filter's bits."""
+    a1, a2, b0 = coeffs
+    d = np.zeros_like(s)
+    for k in range(s.shape[0]):
+        d[k] = b0 * s[k]
+        if k >= 1:
+            d[k] += a1 * d[k - 1]
+        if k >= 2:
+            d[k] += a2 * d[k - 2]
+    return d
+
+
+def test_filter_equals_the_kept_numpy_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for case in range(200):
+        # every fifth case spans magnitudes up to 1e+-300, so products
+        # overflow to inf and underflow to 0, and inf - inf gives NaN
+        spread = 300.0 if case % 5 == 0 else 1.0
+        scale = lambda size: 10.0 ** rng.uniform(-spread, spread, size)
+        coeffs = tuple(float(c) for c in rng.uniform(-2.0, 2.0, 3) * scale(3))
+        s = rng.uniform(-1.0, 1.0, int(rng.integers(1, 501)))
+        s *= scale(s.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = kept_filter(coeffs, s)
+        got = _filter(coeffs, s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # the same bits: NaN and signed zeros included
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_filter_stability_validated():
