@@ -16,8 +16,8 @@ from .errors import (CheckpointFormatError, ConfigurationError,
                      UnboundedRegionError)
 from .loss import CostBreakdown, LossWeights, state_loss_grad, total_cost
 from .model import (BrnnParams, Dims, NONLINEARITIES, Sequence, Trajectory,
-                    apply_nonlinearity, forward, nonlinearity_derivative)
-from .stability import (LyapunovRegion, StabilityReport, bibo_bound, delta_v,
+                    forward, nonlinearity_derivative)
+from .stability import (LyapunovRegion, StabilityReport, bibo_bound,
                         lyapunov_region, make_stable_A, stability_report)
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
 from .trainer import (AGGREGATIONS, EpochMetrics, TrainConfig, aggregate,

@@ -14,6 +14,7 @@ repeated key is a configuration error) and every default come from it.
 """
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -57,6 +58,12 @@ def _parse_noise(text):
     if not 0.0 <= noise < math.inf:
         raise error
     return noise
+
+
+def _defaults(func) -> dict:
+    """func's parameter defaults by name: the CLI reads a default from the
+    function that owns it, and writes no second copy."""
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
 
 
 # Every train key: (cast, default, flag choices, subcommands taking it as a
@@ -108,15 +115,20 @@ def save_checkpoint(path, params: BrnnParams) -> None:
 
 
 def load_checkpoint(path) -> BrnnParams:
-    with open(path) as f:
-        lines = [ln for ln in (raw.strip() for raw in f) if ln]
+    try:
+        with open(path) as f:
+            lines = [ln for ln in (raw.strip() for raw in f) if ln]
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a text file ({exc})") from None
     if not lines:
         raise CheckpointFormatError("empty checkpoint file")
     head = lines[0].split()
     if len(head) != 5 or head[0] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad header {lines[0]!r}")
     try:
-        n, m, r = int(head[1]), int(head[2]), int(head[3])
+        n, m, r = map(int, head[1:4])
+        if min(n, m, r) < 1:
+            raise ValueError
     except ValueError:
         raise CheckpointFormatError(f"bad dimensions in header {lines[0]!r}") from None
     sigma = head[4]
@@ -169,23 +181,27 @@ def write_metrics_csv(path, history) -> None:
 def load_config_file(path) -> dict:
     """Flat key = value pairs; blank lines and # comments ignored. A key
     not in KEYS, or one given twice, is an error."""
+    try:
+        with open(path) as f:
+            raws = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not a text file ({exc})") from None
     out, lines = {}, {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}: line {lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KEYS:
-                raise ConfigurationError(
-                    f"{path}: line {lineno}: unknown config key {key!r}")
-            if key in lines:
-                raise ConfigurationError(f"{path}: line {lineno}: config key "
-                                         f"{key!r} is already set on line {lines[key]}")
-            out[key], lines[key] = value, lineno
+    for lineno, raw in enumerate(raws, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}: line {lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in KEYS:
+            raise ConfigurationError(
+                f"{path}: line {lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigurationError(f"{path}: line {lineno}: config key "
+                                     f"{key!r} is already set on line {lines[key]}")
+        out[key], lines[key] = value, lineno
     return out
 
 
@@ -269,6 +285,8 @@ def cmd_eval(args) -> int:
     w = _loss_weights(_resolver(args, {}))
     traj = forward(params, seq, np.zeros(params.n))
     cost = total_cost(traj, seq, params, w)
+    if not math.isfinite(cost.total):
+        raise NumericalError(f"total cost is {cost.total!r}")
     for name in ("phi_N", "output_sum", "state_sum", "hidden_sum",
                  "reg_theta", "reg_nu", "total"):
         print(f"{name} = {getattr(cost, name)!r}")
@@ -309,27 +327,27 @@ def _format_stability(report: stab.StabilityReport) -> list[tuple[str, float]]:
     ]
 
 
-# stability's flags that design A, with their defaults; a checkpoint brings
-# its own A, so they cannot go with --checkpoint
-_DESIGN_FLAGS = {"n": 1, "scheme": "scaled_identity", "alphaA": 0.5, "seed": 0}
-
-
 def cmd_stability(args) -> int:
     stab._check_bound("s_sup", args.s_sup)
+    # the flags that design A, by make_stable_A's argument names; a flag
+    # not given is None
+    design = {"n": args.n, "scheme": args.scheme, "alpha_A": args.alphaA,
+              "seed": args.seed}
+    given = {name: value for name, value in design.items() if value is not None}
     if args.checkpoint:
-        given = [f"--{key}" for key in _DESIGN_FLAGS if getattr(args, key) is not None]
+        # a checkpoint brings its own A
         if given:
-            raise ConfigurationError(f"{', '.join(given)} cannot go with "
+            flags = ("--alphaA" if name == "alpha_A" else "--" + name for name in given)
+            raise ConfigurationError(f"{', '.join(flags)} cannot go with "
                                      "--checkpoint, which gives A")
         params = load_checkpoint(args.checkpoint)
         A = params.A
         m_sup = args.Msup if args.Msup is not None else stab.m_sup_bound(
             params, args.s_sup)
     else:
-        design = {key: default if getattr(args, key) is None else getattr(args, key)
-                  for key, default in _DESIGN_FLAGS.items()}
-        A = stab.make_stable_A(design["n"], scheme=design["scheme"],
-                               alpha_A=design["alphaA"], seed=design["seed"])
+        # a flag not given takes make_stable_A's default; --n's default 1 is
+        # the CLI's own
+        A = stab.make_stable_A(given.pop("n", 1), **given)
         m_sup = args.Msup if args.Msup is not None else 1.0
     report = stab.stability_report(A, m_sup)
     fields = _format_stability(report)
@@ -386,17 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="compare multiplier gradients to finite differences",
                        allow_abbrev=False)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--sigma", choices=SMOOTH_SIGMAS, default="tanh")
-    p.add_argument("--state-loss", dest="state_loss",
-                   choices=SMOOTH_STATE_LOSSES, default="none")
-    p.add_argument("--gamma1", type=float, default=0.0)
-    p.add_argument("--gamma2", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-5)
+    # the instance's and the check's defaults are random_instance's and
+    # gradcheck's; --seed and --instances are the CLI's own
+    instance, check = _defaults(random_instance), _defaults(gradcheck)
+    for key in ("n", "m", "r", "N"):
+        p.add_argument("--" + key, type=int, default=instance[key])
+    p.add_argument("--sigma", choices=SMOOTH_SIGMAS, default=instance["sigma"])
+    p.add_argument("--state-loss", dest="state_loss", choices=SMOOTH_STATE_LOSSES,
+                   default=instance["state_loss_kind"])
+    for key in ("gamma1", "gamma2"):
+        p.add_argument("--" + key, type=float, default=instance[key])
+    for key in ("eps", "tol"):
+        p.add_argument("--" + key, type=float, default=check[key])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=1)
     p.set_defaults(func=cmd_gradcheck)
@@ -405,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="BIBO bound and Liapunov region for A",
                        allow_abbrev=False)
     p.add_argument("--checkpoint", default=None)
-    # default None: cmd_stability tells a given flag from _DESIGN_FLAGS' default
+    # default None: cmd_stability tells a given flag from one not given,
+    # which takes make_stable_A's default
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scheme", choices=stab.A_SCHEMES, default=None)
     p.add_argument("--alphaA", type=float, default=None)

@@ -27,7 +27,8 @@ class CostateExplosionError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """A parameter update produced non-finite entries."""
+    """Training diverged: a total cost that is not finite or grows past the
+    divergence limit, or a parameter update with non-finite entries."""
 
 
 class UnboundedRegionError(ValueError):

@@ -96,6 +96,9 @@ def state_loss_grad(w: LossWeights, x_k, h_k, sigma_prime_k) -> np.ndarray:
     return out
 
 
+# a cost that overflows is the caller's to check (train and eval do), so the
+# intermediate warnings are silenced, as forward silences its own
+@np.errstate(over="ignore", invalid="ignore")
 def total_cost(traj: Trajectory, seq: Sequence, params: BrnnParams,
                w: LossWeights) -> CostBreakdown:
     """Evaluate the full cost of a trajectory, per member for stacked params."""

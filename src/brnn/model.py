@@ -54,15 +54,6 @@ _SIGMA = {
 }
 
 
-def apply_nonlinearity(kind: str, x) -> np.ndarray:
-    """Elementwise sigma(x)."""
-    try:
-        f = _SIGMA[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown nonlinearity {kind!r}") from None
-    return f(np.asarray(x, dtype=float))
-
-
 def nonlinearity_derivative(kind: str, x) -> np.ndarray:
     """Diagonal of sigma'(x), stored as a vector for Hadamard application.
 

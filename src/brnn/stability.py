@@ -65,6 +65,8 @@ def make_stable_A(n: int, scheme: str = "scaled_identity",
         raise ConfigurationError("alpha_A must be in (0, 1]")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if scheme == "scaled_identity":
         return alpha_A * np.eye(n)
     rng = np.random.default_rng(seed)
@@ -139,11 +141,6 @@ class LyapunovRegion:
     radius: float          # sqrt(D_lyap)
     M_sup: float
 
-    def is_certified_exterior(self, x) -> bool:
-        """True when Delta V < 0 is guaranteed at x for every ||M|| <= M_sup."""
-        gx = float(np.linalg.norm(self.G @ np.asarray(x, dtype=float)))
-        return gx > float(np.linalg.norm(self.x_star2)) + self.radius
-
 
 def lyapunov_region(A, M_sup: float) -> LyapunovRegion:
     """Factor I - A^T A and build the certified region for ||M|| <= M_sup."""
@@ -172,27 +169,6 @@ def lyapunov_region(A, M_sup: float) -> LyapunovRegion:
         x_star2 = -x_star2
     return LyapunovRegion(G=G, x_star2=x_star2, D_lyap=D_lyap,
                           radius=float(np.sqrt(D_lyap)), M_sup=M_sup)
-
-
-def ellipsoid_center(G: np.ndarray, A, M) -> np.ndarray:
-    """Per-forcing center x2(M) = (G G^T)^{-1} G A^T M."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    return np.linalg.solve(G @ G.T, G @ (A.T @ np.asarray(M, dtype=float)))
-
-
-def ellipsoid_threshold(G: np.ndarray, A, M) -> float:
-    """Per-forcing offset D(M) = ||M||^2 + ||x2(M)||^2."""
-    M = np.asarray(M, dtype=float)
-    x2 = ellipsoid_center(G, A, M)
-    return float(M @ M + x2 @ x2)
-
-
-def delta_v(A, x, M) -> float:
-    """Liapunov difference ||A x + M||^2 - ||x||^2 along one step."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    x = np.asarray(x, dtype=float)
-    step = A @ x + np.asarray(M, dtype=float)
-    return float(step @ step - x @ x)
 
 
 @dataclass

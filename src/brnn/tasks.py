@@ -5,10 +5,12 @@ Three generators:
   bandpass_filter s_k = uniform noise, d_k = second-order stable filter of s
   lag_copy        s_k = uniform noise, d_k = s_{k-lag} (zeros before the lag)
 
-Noise comes from a splitmix64 stream so datasets are reproducible across
-implementations: state advances by the golden-gamma constant, the output
-is finalized by two xor-multiply rounds, and the top 53 bits are mapped to
-[0, 1). Uniform noise in [-amp, amp) is amp*(2u - 1).
+Noise comes from the SplitMix 64-bit generator (Steele, Lea and Flood,
+2014) so datasets are reproducible across implementations: state advances
+by the golden-gamma constant, the output is finalized by two xor-multiply
+rounds, and the top 53 bits are mapped to [0, 1). Uniform noise in
+[-amp, amp) is amp*(2u - 1). The seed is taken modulo 2^64, so any integer
+is a valid seed.
 
 CSV schema: header "k,s1..sm,d1..dr", one row per step k = 0..N, floats
 printed with full round-trip precision.
@@ -29,23 +31,13 @@ _MASK64 = (1 << 64) - 1
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def splitmix64(seed: int):
-    """Infinite stream of 64-bit integers from the splitmix64 generator."""
-    state = seed & _MASK64
-    while True:
-        state = (state + _GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        yield z ^ (z >> 31)
-
-
 def uniform_noise(seed: int, shape, amp: float) -> np.ndarray:
     """Array of i.i.d. uniform samples in [-amp, amp).
 
-    Sample i is draw i+1 of splitmix64(seed), computed for all i at once:
-    the state after i+1 advances is seed + (i+1)*gamma, and np.uint64
-    array arithmetic wraps modulo 2^64 as the generator masks.
+    Sample i is draw i+1 of the generator seeded with `seed`, computed for
+    all i at once: the state after i+1 advances is seed + (i+1)*gamma, and
+    np.uint64 array arithmetic wraps modulo 2^64 as a one-draw-at-a-time
+    generator masks (tests/test_tasks.py keeps one as the reference).
     """
     n = int(np.prod(shape))
     u64 = np.uint64
@@ -129,8 +121,7 @@ def gen_task(spec: TaskSpec) -> Sequence:
         d = np.column_stack([_filter(spec.coeffs, s[:, j]) for j in range(spec.r)])
     else:  # lag_copy
         d = np.zeros((rows, spec.r))
-        if spec.lag < rows:
-            d[spec.lag:] = s[:rows - spec.lag, :spec.r]
+        d[spec.lag:] = s[:rows - spec.lag, :spec.r]
     return Sequence(s=s, d=d)
 
 
@@ -170,8 +161,11 @@ def read_csv(path) -> Sequence:
     (quoting, blank lines, any error) is parsed again row by row, which
     accepts the same files and names the line of the first error.
     """
-    with open(path, newline="") as f:
-        parsed = _parse_bulk(f.read())
+    try:
+        with open(path, newline="") as f:
+            parsed = _parse_bulk(f.read())
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not a text file ({exc})") from None
     m, data = parsed if parsed is not None else _parse_rows(path)
     return Sequence(s=data[:, :m].copy(), d=data[:, m:].copy())
 

@@ -130,6 +130,8 @@ def init_params(dims: Dims, *, sigma: str = "tanh", init_scale: float = 0.1,
         raise ConfigurationError(f"unknown nonlinearity {sigma!r}")
     if not 0.0 < init_scale < math.inf:
         raise ConfigurationError("init_scale must be finite and > 0")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     A = make_stable_A(dims.n, "scaled_identity", alpha_A)
     rng = np.random.default_rng(seed)
     n, m, r = dims.n, dims.m, dims.r
@@ -164,8 +166,8 @@ def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
 
     Metrics are recorded with the cost of the parameters *entering* each
     epoch. Numerical failures re-raise with the epoch index attached; a
-    total cost above DIVERGENCE_RATIO times the first epoch's (when that is
-    not 0) raises DivergenceError.
+    total cost that is not finite, or above DIVERGENCE_RATIO times the
+    first epoch's (when that is not 0), raises DivergenceError.
     """
     params = params0
     history: list[EpochMetrics] = []
@@ -173,6 +175,8 @@ def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
         try:
             traj = forward(params, seq, x0)
             cost = total_cost(traj, seq, params, w)
+            if not math.isfinite(cost.total):
+                raise DivergenceError(f"total cost is {cost.total!r}")
             limit = DIVERGENCE_RATIO * history[0].cost.total if history else 0.0
             if limit > 0.0 and cost.total > limit:
                 raise DivergenceError(

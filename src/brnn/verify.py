@@ -142,6 +142,8 @@ def random_instance(seed: int, n: int = 4, m: int = 2, r: int = 2, N: int = 10,
                     scale: float = 0.5):
     """Seeded random (params, seq, x0, weights) tuple for gradient checks."""
     Dims(n=n, m=m, r=r, N=N)  # raises ConfigurationError on sizes below 1
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-scale, scale, shape)
     params = BrnnParams(

@@ -1,3 +1,6 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,32 @@ def test_init_defaults_are_read_from_init_params():
     assert cli.KEYS["sigma"][1] == defaults["sigma"]
     # one seed key feeds both the task and the initialisation
     assert cli.KEYS["seed"][1] == TaskSpec.seed == defaults["seed"]
+
+
+def test_gradcheck_and_stability_defaults_are_read_from_their_owners(monkeypatch,
+                                                                      capsys):
+    from brnn import stability, verify
+
+    def defaults(func):
+        return {k: p.default for k, p in inspect.signature(func).parameters.items()}
+
+    args = cli.build_parser().parse_args(["gradcheck"])
+    instance, check = defaults(verify.random_instance), defaults(verify.gradcheck)
+    for key in ("n", "m", "r", "N", "sigma", "gamma1", "gamma2"):
+        assert getattr(args, key) == instance[key]
+    assert args.state_loss == instance["state_loss_kind"]
+    assert (args.eps, args.tol) == (check["eps"], check["tol"])
+    assert (args.seed, args.instances) == (0, 1)       # the CLI's own
+
+    # stability hands make_stable_A only the design flags given, so the
+    # others take its defaults; --n defaults to 1, the CLI's own
+    calls = []
+    make_stable_A = stability.make_stable_A
+    monkeypatch.setattr(stability, "make_stable_A",
+                        lambda *a, **kw: calls.append((a, kw)) or make_stable_A(*a, **kw))
+    assert run("stability") == 0
+    assert run("stability", "--scheme", "random_diagonal", "--seed", "3") == 0
+    assert calls == [((1,), {}), ((1,), {"scheme": "random_diagonal", "seed": 3})]
 
 
 def test_config_value_that_fails_its_cast_exits_2(tmp_path, capsys):
@@ -372,6 +401,97 @@ def test_malformed_dataset_exits_4(tmp_path, capsys):
                "--checkpoint-out", str(tmp_path / "c.txt")) == 4
     err = capsys.readouterr().err
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--data", "{bin}"], 4),
+    (["eval", "--checkpoint", "{bin}", "--data", "{data}"], 4),
+    (["eval", "--checkpoint", "{ckpt}", "--data", "{bin}"], 4),
+    (["stability", "--checkpoint", "{bin}"], 4),
+    (["train", "--config", "{bin}"], 2)],
+    ids=["train --data", "eval --checkpoint", "eval --data", "stability --checkpoint",
+         "train --config"])
+def test_non_text_files_exit_with_their_code(argv, code, tmp_path, monkeypatch, capsys):
+    # a dataset or checkpoint that is not text is a format error (4), a
+    # config file that is not text a configuration error (2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bin.dat").write_bytes(bytes.fromhex("fffe00626164"))
+    assert run("generate", "--N", "10", "--out", "data.csv") == 0
+    save_checkpoint(tmp_path / "ckpt.txt", BrnnParams(
+        A=[[0.5]], U=[[0.0]], W=[[1.0]], b=[0.0], V=[[1.0]], Dft=[[0.0]], c=[0.0]))
+    capsys.readouterr()
+    paths = {"bin": "bin.dat", "data": "data.csv", "ckpt": "ckpt.txt"}
+    assert run(*(arg.format(**paths) for arg in argv)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: bin.dat: not a text file") and len(err.splitlines()) == 1
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("dims", ["-1 1 1", "1 0 1", "1 1 -2"])
+def test_checkpoint_dimensions_below_1_exit_4(dims, tmp_path, capsys):
+    ckpt = tmp_path / "c.txt"
+    ckpt.write_text(f"brnn-v1 {dims} tanh\n1\n")
+    assert run("stability", "--checkpoint", str(ckpt)) == 4
+    assert f"bad dimensions in header 'brnn-v1 {dims} tanh'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1", "--epochs", "1"],
+    ["train", "--data", "data.csv", "--seed", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["stability", "--seed", "-1", "--scheme", "random_diagonal"]], ids=" ".join)
+def test_negative_seeds_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # the dataset seed is taken modulo 2^64, so generate accepts any integer
+    assert run("generate", "--task", "lag", "--N", "10", "--seed", "-1",
+               "--out", "data.csv") == 0
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def huge_target_dataset(path):
+    """31 rows with s = sin(0.3 k) and targets of 1e200, whose squares
+    overflow."""
+    path.write_text("k,s1,d1\n" + "".join(
+        f"{k},{math.sin(0.3 * k)!r},1e200\n" for k in range(31)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_total_cost_in_train_exits_3(tmp_path, capsys):
+    data, metrics = tmp_path / "huge.csv", tmp_path / "m.csv"
+    huge_target_dataset(data)
+    assert run("train", "--data", str(data), "--n", "4", "--epochs", "1",
+               "--metrics-out", str(metrics),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 3
+    assert capsys.readouterr().err == "numerical failure: total cost is inf (epoch 1)\n"
+    assert not metrics.exists()
+    # a cost that overflows during training ends the same way, and no
+    # overflow warning leaks out
+    assert run("train", "--task", "sine", "--sigma", "relu", "--eta", "3",
+               "--epochs", "50", "--metrics-out", str(metrics),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 3
+    assert "numerical failure: total cost is" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("W, huge, total", [(1.0, True, "inf"), (1e200, False, "nan")])
+def test_non_finite_total_cost_in_eval_exits_3(W, huge, total, tmp_path, capsys):
+    # inf: the targets' squares overflow; nan: gamma1 = 0 times the
+    # overflowing ||W||^2 in reg_theta
+    data, ckpt = tmp_path / "d.csv", tmp_path / "c.txt"
+    if huge:
+        huge_target_dataset(data)
+    else:
+        assert run("generate", "--N", "30", "--out", str(data)) == 0
+        capsys.readouterr()
+    save_checkpoint(ckpt, BrnnParams(A=[[0.5]], U=[[0.0]], W=[[W]], b=[0.0],
+                                     V=[[1.0]], Dft=[[0.0]], c=[0.0]))
+    assert run("eval", "--checkpoint", str(ckpt), "--data", str(data)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: total cost is {total}\n"
+    assert captured.out == ""
 
 
 def test_numerical_explosion_exits_3(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from brnn import model
 from brnn.errors import ConfigurationError, StateOverflowError
-from brnn.model import (BrnnParams, Dims, Sequence, apply_nonlinearity,
-                        forward, nonlinearity_derivative)
+from brnn.model import (BrnnParams, Dims, Sequence, forward,
+                        nonlinearity_derivative)
 from brnn.stability import bibo_bound
 
 
@@ -16,6 +16,20 @@ TRAINABLE = ("U", "W", "b", "V", "Dft", "c")
 def member(params, i):
     """Model i of stacked params."""
     return dataclasses.replace(params, **{k: getattr(params, k)[i] for k in TRAINABLE})
+
+
+def apply_nonlinearity(kind, x):
+    """sigma(x) written from its definition: the oracle for forward's h,
+    which it equals bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if kind == "tanh":
+        return np.tanh(x)
+    if kind == "logistic":
+        return 0.5 * (1.0 + np.tanh(x / 2))
+    if kind == "relu":
+        return np.maximum(x, 0.0)
+    assert kind == "identity"
+    return x
 
 
 def scalar_params(A=0.5, U=0.1, W=1.0, b=0.0, V=1.0, Dft=0.0, c=0.0, sigma="tanh"):
@@ -59,14 +73,21 @@ def test_forward_linear_convolution_oracle():
         np.testing.assert_allclose(traj.x[k], expect, rtol=1e-10, atol=1e-12)
 
 
-def test_apply_nonlinearity_values():
+def test_hidden_values():
+    def h0(sigma, x0):
+        """forward's h[0], which is sigma(x0)."""
+        n = len(x0)
+        params = BrnnParams(A=0.5 * np.eye(n), U=np.zeros((n, n)), W=np.zeros((n, 1)),
+                            b=np.zeros(n), V=np.zeros((1, n)), Dft=np.zeros((1, 1)),
+                            c=np.zeros(1), sigma=sigma)
+        return forward(params, Sequence(s=np.zeros((2, 1)), d=np.zeros((2, 1))), x0).h[0]
+
     z = np.zeros(4)
-    assert (apply_nonlinearity("tanh", z) == 0).all()
-    assert (apply_nonlinearity("logistic", z) == 0.5).all()
-    np.testing.assert_array_equal(
-        apply_nonlinearity("relu", np.array([-1.0, 2.0])), [0.0, 2.0])
+    assert (h0("tanh", z) == 0).all()
+    assert (h0("logistic", z) == 0.5).all()
+    np.testing.assert_array_equal(h0("relu", np.array([-1.0, 2.0])), [0.0, 2.0])
     x = np.array([-0.3, 1.7])
-    np.testing.assert_array_equal(apply_nonlinearity("identity", x), x)
+    np.testing.assert_array_equal(h0("identity", x), x)
 
 
 def test_nonlinearity_derivative_values():
@@ -83,7 +104,7 @@ def test_nonlinearity_derivative_values():
 
 def test_unknown_nonlinearity_raises():
     with pytest.raises(ConfigurationError):
-        apply_nonlinearity("softsign", np.zeros(2))
+        scalar_params(sigma="softsign").validate()
     with pytest.raises(ConfigurationError):
         nonlinearity_derivative("softsign", np.zeros(2))
 

@@ -5,8 +5,20 @@ import pytest
 
 from brnn.errors import ConfigurationError, DatasetFormatError
 from brnn.model import Sequence
-from brnn.tasks import (TaskSpec, _filter, _parse_bulk, _parse_rows, gen_task,
-                        read_csv, splitmix64, uniform_noise, write_csv)
+from brnn.tasks import (_GAMMA, _MASK64, _MIX1, _MIX2, TaskSpec, _filter,
+                        _parse_bulk, _parse_rows, gen_task, read_csv,
+                        uniform_noise, write_csv)
+
+
+def splitmix64(seed: int):
+    """Infinite stream of 64-bit integers from the splitmix64 generator."""
+    state = seed & _MASK64
+    while True:
+        state = (state + _GAMMA) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        yield z ^ (z >> 31)
 
 
 def test_splitmix64_reference_vector():

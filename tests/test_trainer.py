@@ -347,7 +347,7 @@ def test_train_config_holds_only_what_train_reads():
 @pytest.mark.parametrize("kwargs", [
     {"alpha_A": 0.0}, {"alpha_A": 1.5}, {"alpha_A": np.nan},
     {"init_scale": 0.0}, {"init_scale": -0.1}, {"init_scale": np.nan},
-    {"init_scale": np.inf}])
+    {"init_scale": np.inf}, {"seed": -1}])
 def test_init_params_validation(kwargs):
     key = next(iter(kwargs))
     with pytest.raises(ConfigurationError, match=key):
