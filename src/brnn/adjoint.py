@@ -121,6 +121,11 @@ class GradSet:
     dc: np.ndarray   # (r,)
 
 
+# grad field of GradSet -> parameter attribute of BrnnParams
+PARAM_GROUPS = (("dU", "U"), ("dW", "W"), ("db", "b"),
+                ("dV", "V"), ("dD", "Dft"), ("dc", "c"))
+
+
 def final_costate(params: BrnnParams, x_N, e_N) -> np.ndarray:
     """Boundary condition lambda_N = sigma'(x_N) (.) (V^T e_N)."""
     sp = nonlinearity_derivative(params.sigma, x_N)
@@ -141,8 +146,6 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
     N, n = traj.N, params.n
     lam = np.empty((N + 1, n))
     lam[N] = final_costate(params, traj.x[N], traj.e[N])
-    if not np.isfinite(lam[N]).all():
-        raise CostateExplosionError(f"non-finite multiplier at k={N}", k=N)
 
     # lam[k+1] @ [A | U] is [A^T lam, U^T lam]: one product per step
     AU = np.concatenate([params.A, params.U], axis=1)
@@ -154,8 +157,8 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
         if not blocked or not np.isfinite(lam[:N]).all():
             _recur(lam[:N], lam[N], AU, *_forcing(params, traj, w))
     # the recursion runs downward in k, so the largest non-finite k is the
-    # step at which it first blew up
-    bad = np.flatnonzero(~np.isfinite(lam[:N]).all(axis=1))
+    # step at which it first blew up (N for a non-finite lam[N])
+    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
     if bad.size:
         k = int(bad[-1])
         raise CostateExplosionError(f"non-finite multiplier at k={k}", k=k)

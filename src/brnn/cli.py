@@ -3,8 +3,8 @@ and report stability diagnostics.
 
 Subcommands: generate | train | eval | gradcheck | stability.
 Exit codes: 0 success (gradcheck: pass), 1 gradcheck failure, 2 usage or
-configuration errors, 3 numerical explosion/divergence or no stability
-certificate, 4 I/O and format errors.
+configuration errors and sizes too large for memory, 3 numerical
+explosion/divergence or no stability certificate, 4 I/O and format errors.
 
 A config file (one "key = value" per line, # comments allowed) can seed
 the train subcommand; explicit command-line flags win over file values.
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import stability as stab
 from .errors import (CheckpointFormatError, ConfigurationError,
-                     DatasetFormatError, NumericalError, UnboundedRegionError)
+                     DatasetFormatError, NumericalError)
 from .loss import STATE_LOSS_KINDS, LossWeights, total_cost
 from .model import BrnnParams, Dims, NONLINEARITIES, forward
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
@@ -67,9 +67,9 @@ def _defaults(func) -> dict:
 
 
 # Every train key: (cast, default, flag choices, subcommands taking it as a
-# flag "--" + key with "_" as "-"). Defaults that TaskSpec, init_params,
-# TrainConfig or LossWeights declare are read from there (seed feeds both
-# TaskSpec and init_params, equal defaults).
+# flag "--" + key with "_" as "-"): generate takes the task keys, eval the
+# loss keys. Defaults that TaskSpec, init_params, TrainConfig or LossWeights
+# declare are read from there (seed feeds both, equal defaults).
 KEYS = {
     "task": (str, "sine", sorted(TASK_ALIASES) + sorted(TASK_ALIASES.values()),
              ("generate", "train")),
@@ -84,13 +84,13 @@ KEYS = {
     "seed": (int, TaskSpec.seed, None, ("generate", "train")),
     "data": (str, None, None, ("train",)),
     "n": (int, 8, None, ("train",)),
-    "sigma": (str, init_params.__kwdefaults__["sigma"], NONLINEARITIES, ("train",)),
+    "sigma": (str, _defaults(init_params)["sigma"], NONLINEARITIES, ("train",)),
     "eta": (float, TrainConfig.eta, None, ("train",)),
     "epochs": (int, TrainConfig.epochs, None, ("train",)),
     "agg": (str, TrainConfig.aggregation, AGGREGATIONS, ("train",)),
     "stop_tol": (float, TrainConfig.stop_tol, None, ("train",)),
-    "init_scale": (float, init_params.__kwdefaults__["init_scale"], None, ("train",)),
-    "alphaA": (float, init_params.__kwdefaults__["alpha_A"], None, ("train",)),
+    "init_scale": (float, _defaults(init_params)["init_scale"], None, ("train",)),
+    "alphaA": (float, _defaults(init_params)["alpha_A"], None, ("train",)),
     "beta": (float, LossWeights.beta, None, ("eval", "train")),
     "beta0": (float, LossWeights.beta0, None, ("eval", "train")),
     "gamma1": (float, LossWeights.gamma1, None, ("eval", "train")),
@@ -102,12 +102,19 @@ KEYS = {
 
 # ---------------------------------------------------------------- persistence
 
+def _checkpoint_shapes(n, m, r) -> list:
+    """The checkpoint's matrices in file order, each with its (rows, cols)."""
+    return [("A", (n, n)), ("U", (n, n)), ("W", (n, m)), ("b", (1, n)),
+            ("V", (r, n)), ("Dft", (r, m)), ("c", (1, r))]
+
+
 def save_checkpoint(path, params: BrnnParams) -> None:
     """Plain-text checkpoint: header "brnn-v1 n m r sigma", then one
-    whitespace-separated line per matrix row in the order A,U,W,b,V,Dft,c."""
+    whitespace-separated line per matrix row, the matrices in
+    _checkpoint_shapes' order."""
     with open(path, "w") as f:
         f.write(f"{CHECKPOINT_MAGIC} {params.n} {params.m} {params.r} {params.sigma}\n")
-        for name in ("A", "U", "W", "b", "V", "Dft", "c"):
+        for name, _ in _checkpoint_shapes(params.n, params.m, params.r):
             # row by row, each written as it is formatted: the whole text, or
             # a whole n x n .tolist(), raises the peak RSS at n = 256
             for row in np.atleast_2d(getattr(params, name)):
@@ -131,12 +138,8 @@ def load_checkpoint(path) -> BrnnParams:
             raise ValueError
     except ValueError:
         raise CheckpointFormatError(f"bad dimensions in header {lines[0]!r}") from None
-    sigma = head[4]
-    if sigma not in NONLINEARITIES:
-        raise CheckpointFormatError(f"unknown nonlinearity {sigma!r}")
 
-    shapes = [("A", (n, n)), ("U", (n, n)), ("W", (n, m)), ("b", (1, n)),
-              ("V", (r, n)), ("Dft", (r, m)), ("c", (1, r))]
+    shapes = _checkpoint_shapes(n, m, r)
     need = sum(rows for _, (rows, _) in shapes)
     if len(lines) - 1 != need:
         raise CheckpointFormatError(
@@ -158,7 +161,7 @@ def load_checkpoint(path) -> BrnnParams:
         blocks[name] = np.array(block)
     params = BrnnParams(A=blocks["A"], U=blocks["U"], W=blocks["W"],
                         b=blocks["b"][0], V=blocks["V"], Dft=blocks["Dft"],
-                        c=blocks["c"][0], sigma=sigma)
+                        c=blocks["c"][0], sigma=head[4])
     try:
         params.validate()
     except ConfigurationError as exc:
@@ -231,10 +234,16 @@ def _resolver(args, config: dict):
     return value
 
 
+def _command_keys(value, command) -> dict:
+    """The keys `command` takes as flags, each resolved and checked."""
+    return {key: value(key) for key, (*_, commands) in KEYS.items()
+            if command in commands}
+
+
 def _task_spec(value) -> TaskSpec:
-    kind = value("task")
-    return TaskSpec(TASK_ALIASES.get(kind, kind), **{key: value(key) for key in (
-        "N", "m", "r", "omega", "phase", "coeffs", "lag", "noise", "seed")})
+    keys = _command_keys(value, "generate")
+    kind = keys.pop("task")
+    return TaskSpec(TASK_ALIASES.get(kind, kind), **keys)
 
 
 def cmd_generate(args) -> int:
@@ -245,9 +254,9 @@ def cmd_generate(args) -> int:
 
 
 def _loss_weights(value) -> LossWeights:
-    return LossWeights(beta=value("beta"), beta0=value("beta0"), gamma1=value("gamma1"),
-                       gamma2=value("gamma2"), state_loss_kind=value("state_loss"),
-                       alpha_ent=value("alpha_ent"))
+    keys = _command_keys(value, "eval")
+    keys["state_loss_kind"] = keys.pop("state_loss")
+    return LossWeights(**keys)
 
 
 def cmd_train(args) -> int:
@@ -255,9 +264,7 @@ def cmd_train(args) -> int:
     data = value("data")
     if data:
         # the task keys go unused, but one given malformed is still an error
-        for key, (_, _, _, commands) in KEYS.items():
-            if "generate" in commands:
-                value(key)
+        _command_keys(value, "generate")
     seq = read_csv(data) if data else gen_task(_task_spec(value))
 
     tc = TrainConfig(eta=value("eta"), epochs=value("epochs"), aggregation=value("agg"),
@@ -287,9 +294,8 @@ def cmd_eval(args) -> int:
     cost = total_cost(traj, seq, params, w)
     if not math.isfinite(cost.total):
         raise NumericalError(f"total cost is {cost.total!r}")
-    for name in ("phi_N", "output_sum", "state_sum", "hidden_sum",
-                 "reg_theta", "reg_nu", "total"):
-        print(f"{name} = {getattr(cost, name)!r}")
+    for name, v in vars(cost).items():
+        print(f"{name} = {v!r}")
     return 0
 
 
@@ -380,30 +386,29 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--" + key.replace("_", "-"), choices=choices,
                                type=cast if isinstance(cast, type) else None)
 
-    p = sub.add_parser("generate", help="write a synthetic dataset CSV",
-                       allow_abbrev=False)
+    def add_command(name, func, text):
+        # a subcommand's flags, like the program's, are spelled in full
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = add_command("generate", cmd_generate, "write a synthetic dataset CSV")
     add_key_flags(p, "generate")
     p.add_argument("--out", default="dataset.csv")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train on a generated task or a dataset CSV",
-                       allow_abbrev=False)
+    p = add_command("train", cmd_train, "train on a generated task or a dataset CSV")
     add_key_flags(p, "train")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--metrics-out", dest="metrics_out", default="metrics.csv")
     p.add_argument("--checkpoint-out", dest="checkpoint_out", default="checkpoint.txt")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="cost breakdown of a checkpoint on a dataset",
-                       allow_abbrev=False)
+    p = add_command("eval", cmd_eval, "cost breakdown of a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     add_key_flags(p, "eval")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck",
-                       help="compare multiplier gradients to finite differences",
-                       allow_abbrev=False)
+    p = add_command("gradcheck", cmd_gradcheck,
+                    "compare multiplier gradients to finite differences")
     # the instance's and the check's defaults are random_instance's and
     # gradcheck's; --seed and --instances are the CLI's own
     instance, check = _defaults(random_instance), _defaults(gradcheck)
@@ -418,11 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + key, type=float, default=check[key])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=1)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("stability",
-                       help="BIBO bound and Liapunov region for A",
-                       allow_abbrev=False)
+    p = add_command("stability", cmd_stability, "BIBO bound and Liapunov region for A")
     p.add_argument("--checkpoint", default=None)
     # default None: cmd_stability tells a given flag from one not given,
     # which takes make_stable_A's default
@@ -433,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-sup", dest="s_sup", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv-out", dest="csv_out", default=None)
-    p.set_defaults(func=cmd_stability)
     return parser
 
 
@@ -457,12 +458,18 @@ def main(argv=None) -> int:
         suffix = f" ({', '.join(where)})" if where else ""
         print(f"numerical failure: {exc}{suffix}", file=sys.stderr)
         return 3
-    except UnboundedRegionError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (DatasetFormatError, CheckpointFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except (MemoryError, ValueError) as exc:
+        # NumPy refuses a shape too large to address with a ValueError of
+        # its own; any other ValueError is a fault and surfaces
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+                ("array is too big", "Maximum allowed")):
+            raise
+        print(f"error: sizes too large for memory: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -31,8 +31,11 @@ class DivergenceError(NumericalError):
     divergence limit, or a parameter update with non-finite entries."""
 
 
-class UnboundedRegionError(ValueError):
-    """Spectral norm of A is >= 1: no bounded invariant region exists."""
+class UnboundedRegionError(NumericalError):
+    """No stability certificate: ||A||_2 >= 1, so no bounded invariant
+    region exists; a relu/identity state with ||A||_2 + ||U||_2 >= 1, which
+    has no small-gain bound; or a certificate that overflows float64. k and
+    epoch stay None."""
 
 
 class DatasetFormatError(ValueError):

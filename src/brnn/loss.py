@@ -64,30 +64,27 @@ class CostBreakdown:
 
 
 def _penalty(kind: str, alpha: float, z: np.ndarray) -> np.ndarray:
-    """P summed over the last two (step, unit) axes."""
+    """P summed over the last two (step, unit) axes. kind is l1 or
+    tanh_approx: the callers return before calling it for none."""
     if kind == "l1":
         return np.abs(z).sum(axis=(-2, -1))
-    if kind == "tanh_approx":
-        return (z * np.tanh(alpha * z)).sum(axis=(-2, -1))
-    return np.zeros(z.shape[:-2])
+    return (z * np.tanh(alpha * z)).sum(axis=(-2, -1))
 
 
 def _penalty_grad(kind: str, alpha: float, z: np.ndarray) -> np.ndarray:
     if kind == "l1":
         return np.sign(z)  # sign(0) = 0
-    if kind == "tanh_approx":
-        t = np.tanh(alpha * z)
-        return t + alpha * z * (1.0 - t * t)
-    return np.zeros_like(z)
+    t = np.tanh(alpha * z)
+    return t + alpha * z * (1.0 - t * t)
 
 
 def state_loss_grad(w: LossWeights, x_k, h_k, sigma_prime_k) -> np.ndarray:
     """Forcing term beta*g(x_k) + beta0*sigma'_k (.) g(h_k) for the backward
     multiplier recursion, where g is the derivative of the state penalty."""
     x_k = np.asarray(x_k, dtype=float)
-    if w.state_loss_kind == "none" or (w.beta == 0.0 and w.beta0 == 0.0):
-        return np.zeros_like(x_k)
     out = np.zeros_like(x_k)
+    if w.state_loss_kind == "none":
+        return out
     if w.beta != 0.0:
         out += w.beta * _penalty_grad(w.state_loss_kind, w.alpha_ent, x_k)
     if w.beta0 != 0.0:

@@ -34,8 +34,6 @@ import numpy as np
 
 from .errors import ConfigurationError, StateOverflowError
 
-NONLINEARITIES = ("tanh", "logistic", "relu", "identity")
-
 
 def _logistic(x, out=None):
     # tanh form 0.5 * (1 + tanh(x / 2)) is overflow-free for large |x|
@@ -52,6 +50,7 @@ _SIGMA = {
     "relu": lambda x, out=None: np.maximum(x, 0.0, out=out),
     "identity": np.positive,
 }
+NONLINEARITIES = tuple(_SIGMA)
 
 
 def nonlinearity_derivative(kind: str, x) -> np.ndarray:
@@ -86,11 +85,9 @@ class Dims:
     N: int
 
     def __post_init__(self):
-        for name in ("n", "m", "r"):
+        for name in ("n", "m", "r", "N"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        if self.N < 1:
-            raise ConfigurationError("N must be >= 1")
 
 
 @dataclass

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (CostateSeq, GradSet, backward_costates, max_step_norm,
-                      reduce_step_blocks, summed_gradients)
+from .adjoint import (PARAM_GROUPS, CostateSeq, GradSet, backward_costates,
+                      max_step_norm, reduce_step_blocks, summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
-from .model import BrnnParams, Dims, NONLINEARITIES, Sequence, Trajectory, forward
+from .model import BrnnParams, Dims, Sequence, Trajectory, forward
 from .stability import make_stable_A
 
 AGGREGATIONS = ("sum", "mean", "median", "min_abs")
@@ -111,12 +111,10 @@ def apply_update(params: BrnnParams, g: GradSet, eta: float) -> BrnnParams:
     """Gradient step p <- p - eta*dp for every trainable group; A unchanged."""
     if eta <= 0.0:
         raise ConfigurationError("eta must be > 0")
-    out = BrnnParams(
-        A=params.A, U=params.U - eta * g.dU, W=params.W - eta * g.dW,
-        b=params.b - eta * g.db, V=params.V - eta * g.dV,
-        Dft=params.Dft - eta * g.dD, c=params.c - eta * g.dc,
-        sigma=params.sigma)
-    for name in ("U", "W", "b", "V", "Dft", "c"):
+    out = BrnnParams(A=params.A, sigma=params.sigma, **{
+        pname: getattr(params, pname) - eta * getattr(g, gname)
+        for gname, pname in PARAM_GROUPS})
+    for _, name in PARAM_GROUPS:
         if not np.isfinite(getattr(out, name)).all():
             raise DivergenceError(f"non-finite {name} after update")
     return out
@@ -126,8 +124,6 @@ def init_params(dims: Dims, *, sigma: str = "tanh", init_scale: float = 0.1,
                 alpha_A: float = 0.5, seed: int = 0) -> BrnnParams:
     """Randomly small init: U, W, V, Dft uniform in [-init_scale, init_scale],
     zero biases, A = alpha_A * I."""
-    if sigma not in NONLINEARITIES:
-        raise ConfigurationError(f"unknown nonlinearity {sigma!r}")
     if not 0.0 < init_scale < math.inf:
         raise ConfigurationError("init_scale must be finite and > 0")
     if seed < 0:

@@ -14,14 +14,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .adjoint import GradSet, backward_costates, summed_gradients
+from .adjoint import PARAM_GROUPS, GradSet, backward_costates, summed_gradients
 from .errors import ConfigurationError
 from .loss import LossWeights, total_cost
 from .model import BrnnParams, Dims, Sequence, forward
-
-# grad field of GradSet -> parameter attribute of BrnnParams
-PARAM_GROUPS = (("dU", "U"), ("dW", "W"), ("db", "b"),
-                ("dV", "V"), ("dD", "Dft"), ("dc", "c"))
 
 SMOOTH_SIGMAS = ("tanh", "logistic", "identity")
 SMOOTH_STATE_LOSSES = ("none", "tanh_approx")
@@ -138,7 +134,6 @@ def compare_gradients(analytic: GradSet, numeric: GradSet,
 def random_instance(seed: int, n: int = 4, m: int = 2, r: int = 2, N: int = 10,
                     sigma: str = "tanh", state_loss_kind: str = "none",
                     gamma1: float = 0.0, gamma2: float = 0.0,
-                    beta: float = 0.3, beta0: float = 0.2,
                     scale: float = 0.5):
     """Seeded random (params, seq, x0, weights) tuple for gradient checks."""
     Dims(n=n, m=m, r=r, N=N)  # raises ConfigurationError on sizes below 1
@@ -152,10 +147,10 @@ def random_instance(seed: int, n: int = 4, m: int = 2, r: int = 2, N: int = 10,
     seq = Sequence(s=rng.uniform(-1.0, 1.0, (N + 1, m)),
                    d=rng.uniform(-1.0, 1.0, (N + 1, r)))
     x0 = rng.uniform(-0.5, 0.5, n)
-    if state_loss_kind == "none":
-        beta = beta0 = 0.0
+    # the state-loss weights, where there is a state loss
+    beta, beta0 = (0.0, 0.0) if state_loss_kind == "none" else (0.3, 0.2)
     w = LossWeights(beta=beta, beta0=beta0, gamma1=gamma1, gamma2=gamma2,
-                    state_loss_kind=state_loss_kind, alpha_ent=2.0)
+                    state_loss_kind=state_loss_kind)
     return params, seq, x0, w
 
 

@@ -97,6 +97,21 @@ def test_explosion_error_names_k():
     assert exc.value.k == N - 1
 
 
+@pytest.mark.parametrize("N", [10, 500])
+def test_non_finite_final_costate_names_k_N(N):
+    # x stays 0 under tanh, so sigma' = 1 and lam_N = V^T e_N is inf with no
+    # invalid operation; N = 10 runs the loop, N = 500 the blocked scan
+    assert adjoint._scan_pays(N, 1) == (N == 500)
+    params = scalar_params()
+    seq = Sequence(s=np.zeros((N + 1, 1)), d=np.zeros((N + 1, 1)))
+    traj = forward(params, seq, [0.0])
+    traj.e[N] = np.inf
+    with pytest.raises(CostateExplosionError) as exc:
+        backward_costates(params, traj, LossWeights())
+    assert exc.value.k == N
+    assert f"k={N}" in str(exc.value)
+
+
 def backward_reference(params, traj, w):
     """Per-step loop over the multiplier recursion that raises at the first
     non-finite lambda as it goes, for one model."""

@@ -6,7 +6,10 @@ import pytest
 
 from brnn import cli
 from brnn.cli import (load_checkpoint, main, save_checkpoint)
-from brnn.errors import CheckpointFormatError
+from brnn.errors import (CheckpointFormatError, ConfigurationError,
+                         CostateExplosionError, DatasetFormatError,
+                         DivergenceError, NumericalError, StateOverflowError,
+                         UnboundedRegionError)
 from brnn.loss import LossWeights, total_cost
 from brnn.model import BrnnParams, forward
 from brnn.tasks import read_csv
@@ -433,6 +436,66 @@ def test_checkpoint_dimensions_below_1_exit_4(dims, tmp_path, capsys):
     ckpt.write_text(f"brnn-v1 {dims} tanh\n1\n")
     assert run("stability", "--checkpoint", str(ckpt)) == 4
     assert f"bad dimensions in header 'brnn-v1 {dims} tanh'" in capsys.readouterr().err
+
+
+def test_unknown_sigma_in_a_checkpoint_exits_4(tmp_path, capsys):
+    ckpt = tmp_path / "c.txt"
+    ckpt.write_text("brnn-v1 1 1 1 softsign\n0.5\n0.1\n1\n0\n1\n0\n0\n")
+    # eval loads the checkpoint before it reads the dataset
+    for argv in (["stability", "--checkpoint", str(ckpt)],
+                 ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "d.csv")]):
+        assert run(*argv) == 4
+        assert capsys.readouterr().err == "error: unknown nonlinearity 'softsign'\n"
+
+
+# each error class, the exit code cli.main maps it to, and the prefix of
+# its one line on stderr
+EXIT_CODES = [
+    (ConfigurationError, 2, "error: "),
+    (MemoryError, 2, "error: sizes too large for memory: "),
+    (NumericalError, 3, "numerical failure: "),
+    (StateOverflowError, 3, "numerical failure: "),
+    (CostateExplosionError, 3, "numerical failure: "),
+    (DivergenceError, 3, "numerical failure: "),
+    (UnboundedRegionError, 3, "numerical failure: "),
+    (DatasetFormatError, 4, "error: "),
+    (CheckpointFormatError, 4, "error: "),
+    (OSError, 4, "error: "),
+]
+
+
+@pytest.mark.parametrize("error, code, prefix", EXIT_CODES,
+                         ids=[error.__name__ for error, _, _ in EXIT_CODES])
+def test_each_error_class_exits_with_its_documented_code(error, code, prefix,
+                                                         monkeypatch, capsys):
+    def command(args):
+        raise error("boom")
+    monkeypatch.setattr(cli, "cmd_stability", command)
+    assert run("stability") == code
+    assert capsys.readouterr().err == prefix + "boom\n"
+
+
+def test_other_value_errors_surface(monkeypatch):
+    def command(args):
+        raise ValueError("a fault in brnn")
+    monkeypatch.setattr(cli, "cmd_stability", command)
+    with pytest.raises(ValueError, match="a fault in brnn"):
+        run("stability")
+
+
+# 2^62 float64 values overflow the byte count NumPy can address, so NumPy
+# refuses the shape before it allocates anything
+@pytest.mark.parametrize("argv", [
+    ["stability", "--n", str(2 ** 62)],
+    ["generate", "--task", "sine", "--N", str(2 ** 62)],
+    ["train", "--task", "sine", "--N", "10", "--n", str(2 ** 62), "--epochs", "1"],
+    ["gradcheck", "--n", str(2 ** 62)]], ids=lambda argv: argv[0])
+def test_sizes_too_large_for_memory_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sizes too large for memory: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
