@@ -8,8 +8,8 @@ region (Liapunov analysis) and cross-check every gradient against a finite
 difference oracle.
 """
 
-from .adjoint import (CostateSeq, GradSet, backward_costates, final_costate,
-                      max_step_norm, per_step_gradients, summed_gradients)
+from .adjoint import (CostateSeq, GradSet, backward_costates, max_step_norm,
+                      per_step_gradients, summed_gradients)
 from .errors import (CheckpointFormatError, ConfigurationError,
                      CostateExplosionError, DatasetFormatError,
                      DivergenceError, NumericalError, StateOverflowError,

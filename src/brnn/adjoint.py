@@ -126,12 +126,6 @@ PARAM_GROUPS = (("dU", "U"), ("dW", "W"), ("db", "b"),
                 ("dV", "V"), ("dD", "Dft"), ("dc", "c"))
 
 
-def final_costate(params: BrnnParams, x_N, e_N) -> np.ndarray:
-    """Boundary condition lambda_N = sigma'(x_N) (.) (V^T e_N)."""
-    sp = nonlinearity_derivative(params.sigma, x_N)
-    return sp * (params.V.T @ np.asarray(e_N, dtype=float))
-
-
 def backward_costates(params: BrnnParams, traj: Trajectory,
                       w: LossWeights) -> CostateSeq:
     """Run the multiplier recursion from k = N down to k = 0, for one model.
@@ -145,8 +139,6 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
         raise ConfigurationError("backward_costates takes one model, not stacked params")
     N, n = traj.N, params.n
     lam = np.empty((N + 1, n))
-    lam[N] = final_costate(params, traj.x[N], traj.e[N])
-
     # lam[k+1] @ [A | U] is [A^T lam, U^T lam]: one product per step
     AU = np.concatenate([params.A, params.U], axis=1)
     # explosion is detected after the recursion, so silence the warnings
@@ -155,23 +147,27 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
         if blocked:
             _blocked_scan(lam, AU, params, traj, w)
         if not blocked or not np.isfinite(lam[:N]).all():
-            _recur(lam[:N], lam[N], AU, *_forcing(params, traj, w))
-    # the recursion runs downward in k, so the largest non-finite k is the
-    # step at which it first blew up (N for a non-finite lam[N])
-    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
-    if bad.size:
-        k = int(bad[-1])
+            lam[N], sp, force = _forcing(params, traj, w)
+            _recur(lam[:N], lam[N], AU, sp, force)
+    if not np.isfinite(lam).all():
+        # the recursion runs downward in k, so the largest non-finite k is
+        # the step at which it first blew up (N for a non-finite lam[N])
+        k = int(np.flatnonzero(~np.isfinite(lam).all(axis=1))[-1])
         raise CostateExplosionError(f"non-finite multiplier at k={k}", k=k)
     return CostateSeq(lam=lam)
 
 
 def _forcing(params: BrnnParams, traj: Trajectory, w: LossWeights):
-    """sigma'_k and the forcing f_k, k = 0..N-1, as (N, n) arrays: every term
-    of the recursion that does not depend on lambda, for all k at once."""
+    """The boundary condition lambda_N = sigma'_N (.) (V^T e_N), and sigma'_k
+    and the forcing f_k, k = 0..N-1, as (N, n) arrays: every term of the
+    recursion that does not depend on lambda_k, k < N, for all k at once.
+    sigma' is evaluated in one call over x_0..x_N."""
     N = traj.N
     x, h = traj.x[:N], traj.h[:N]
-    sp = nonlinearity_derivative(params.sigma, x)
-    return sp, sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
+    sp_all = nonlinearity_derivative(params.sigma, traj.x)
+    sp = sp_all[:N]
+    lam_N = sp_all[N] * (params.V.T @ traj.e[N])
+    return lam_N, sp, sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
 
 
 def _scan_pays(N: int, n: int) -> bool:
@@ -198,7 +194,7 @@ def _recur(lam, top, AU, sp, force) -> None:
 
 
 def _blocked_scan(lam, AU, params, traj, w) -> None:
-    """Fill lam[:N] from lam[N] by a two-level scan over B blocks of L steps.
+    """Fill lam by a two-level scan over B blocks of L steps, from lam[N].
 
     The N - B*L steps above the last block run per step first. Pass 1
     carries, for all blocks at once, the transfer matrix Phi and the
@@ -209,7 +205,7 @@ def _blocked_scan(lam, AU, params, traj, w) -> None:
     runs the recursion itself in all blocks at once from those boundaries,
     in pass 1's block-last layout.
     """
-    sp, force = _forcing(params, traj, w)
+    lam[-1], sp, force = _forcing(params, traj, w)
     N, n = sp.shape
     L = round(math.sqrt(N / 2))     # minimises the 2L + N/L Python steps
     B = N // L

@@ -269,6 +269,10 @@ def cmd_train(args) -> int:
 
     tc = TrainConfig(eta=value("eta"), epochs=value("epochs"), aggregation=value("agg"),
                      stop_tol=value("stop_tol"))
+    # TrainConfig allows 0 epochs; a command that runs none would have no
+    # cost to report and would save the untrained parameters as its checkpoint
+    if tc.epochs == 0:
+        raise ConfigurationError("epochs must be >= 1")
     w = _loss_weights(value)
 
     dims = Dims(n=value("n"), m=seq.m, r=seq.r, N=seq.N)
@@ -278,8 +282,7 @@ def cmd_train(args) -> int:
 
     write_metrics_csv(args.metrics_out, history)
     save_checkpoint(args.checkpoint_out, params)
-    first = history[0].cost.total if history else float("nan")
-    last = history[-1].cost.total if history else float("nan")
+    first, last = history[0].cost.total, history[-1].cost.total
     print(f"trained {len(history)} epochs: total {first!r} -> {last!r}")
     print(f"metrics: {args.metrics_out}")
     print(f"checkpoint: {args.checkpoint_out}")

@@ -142,7 +142,10 @@ class BrnnParams:
         if self.sigma not in NONLINEARITIES:
             raise ConfigurationError(f"unknown nonlinearity {self.sigma!r}")
         for name in shapes:
-            if not np.isfinite(getattr(self, name)).all():
+            a = getattr(self, name)
+            # count_nonzero skips the fixed cost of a ufunc reduction, which
+            # .all() pays on each of these small arrays
+            if np.count_nonzero(np.isfinite(a)) != a.size:
                 raise ConfigurationError(f"{name} contains non-finite entries")
 
     def copy(self) -> "BrnnParams":
@@ -210,11 +213,16 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
     Stacked params (see BrnnParams.batch) run every member from the same x0
     on the same sequence in one recursion. Each step is h_k = sigma(x_k) and
     x_{k+1} = z_k M over the augmented row z_k = [x_k, h_k, s_k, 1] (see the
-    module docstring). Raises ConfigurationError on dimension mismatch and
+    module docstring). Raises ConfigurationError on a mismatch between the
+    sequence's and the params' dimensions or a bad x0, and
     StateOverflowError (naming the first offending k over all members) if
     the state or output turns non-finite.
+
+    params are not validated here but where they enter: train validates
+    params0 (its updates keep the shapes and are checked for finiteness),
+    load_checkpoint validates what it reads, and the gradient check
+    validates its one model before any rollout.
     """
-    params.validate()
     if seq.m != params.m or seq.r != params.r:
         raise ConfigurationError(
             f"sequence dims (m={seq.m}, r={seq.r}) do not match "
@@ -278,8 +286,10 @@ def _batch_first(cols, batch):
 
 def _check_finite(a, what):
     """Raise StateOverflowError naming the first step k at which any member
-    of a (batch + (N+1, dim)) is non-finite."""
+    of a (batch + (N+1, dim)) is non-finite. One pass over a finite array;
+    the per-row mask is built only to name k."""
+    if np.isfinite(a).all():
+        return
     bad = ~np.isfinite(a).all(axis=-1)
-    if bad.any():
-        k = int(np.argwhere(bad)[:, -1].min())
-        raise StateOverflowError(f"non-finite {what} at k={k}", k=k)
+    k = int(np.argwhere(bad)[:, -1].min())
+    raise StateOverflowError(f"non-finite {what} at k={k}", k=k)

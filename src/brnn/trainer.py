@@ -164,7 +164,11 @@ def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
     epoch. Numerical failures re-raise with the epoch index attached; a
     total cost that is not finite, or above DIVERGENCE_RATIO times the
     first epoch's (when that is not 0), raises DivergenceError.
+
+    params0 is validated once, here: each update keeps its shapes and
+    apply_update rejects non-finite entries, so forward does not validate.
     """
+    params0.validate()
     params = params0
     history: list[EpochMetrics] = []
     for i in range(1, config.epochs + 1):

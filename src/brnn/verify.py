@@ -6,11 +6,19 @@ path, so agreement certifies the backward recursion. All perturbed models
 are stacked along a batch axis and run as one batched rollout (in chunks
 of bounded memory). Valid only for smooth configurations: sigma in
 {tanh, logistic, identity} and state loss in {none, tanh_approx}.
+
+analytic_gradient and numeric_gradient each validate their one model once;
+the stacked members are built from it, and no rollout validates again.
+compare_gradients does its elementwise work (absolute error, the
+max(|a|, |b|, 1e-8) denominator, relative error) in one pass over all
+groups' entries concatenated; only the argmax that picks each group's
+worst entry runs per group. At the AC-1 sizes a NumPy call's fixed cost
+outweighs its arithmetic, so each of these runs once per check rather than
+once per group or per rollout.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -37,7 +45,9 @@ def cost_value(params: BrnnParams, seq: Sequence, x0, w: LossWeights):
 def analytic_gradient(params: BrnnParams, seq: Sequence, x0,
                       w: LossWeights) -> GradSet:
     """Summed multiplier gradient (the exact gradient of the cost), by the
-    same code path the trainer's sum aggregation uses."""
+    same code path the trainer's sum aggregation uses. params are validated
+    here, once; forward does not validate them."""
+    params.validate()
     traj = forward(params, seq, x0)
     costates = backward_costates(params, traj, w)
     return summed_gradients(params, traj, costates, seq, w)
@@ -49,7 +59,8 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
 
     The P trainable entries, in PARAM_GROUPS order, form one vector theta.
     Rows 2i and 2i+1 of the stacked models are theta with entry i moved by
-    +eps and -eps; each chunk of rows is one cost_value call.
+    +eps and -eps; each chunk of rows is one cost_value call. params are
+    validated once, before the stacked models are built from them.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ConfigurationError(f"eps={eps} outside [1e-7, 1e-3]")
@@ -60,11 +71,14 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
             f"state loss {w.state_loss_kind!r} is not smooth enough for the oracle")
     if params.batch:
         raise ConfigurationError("the oracle takes one model, not stacked params")
+    params.validate()
 
-    shapes = [getattr(params, pname).shape for _, pname in PARAM_GROUPS]
-    # each group's [start, stop) slice of theta
-    ends = list(accumulate(map(math.prod, shapes), initial=0))
-    spans = list(zip(ends, ends[1:]))
+    # each group's [start, stop) slice of theta and its shape
+    layout, stop = [], 0
+    for gname, pname in PARAM_GROUPS:
+        shape = getattr(params, pname).shape
+        start, stop = stop, stop + math.prod(shape)
+        layout.append((gname, pname, start, stop, shape))
     theta = np.concatenate([getattr(params, pname).ravel() for _, pname in PARAM_GROUPS])
     P = theta.size
     # floats one perturbed member holds: its parameters, and its x, h, y, e
@@ -74,18 +88,20 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
 
     grad = np.empty(P)
     for lo in range(0, P, chunk):
-        idx = np.arange(lo, min(lo + chunk, P))
-        plus = 2 * (idx - lo)
-        rows = np.repeat(theta[None, :], 2 * idx.size, axis=0)
-        rows[plus, idx] += eps
-        rows[plus + 1, idx] -= eps
+        hi = min(lo + chunk, P)
+        rows = np.repeat(theta[None, :], 2 * (hi - lo), axis=0)
+        # entry lo + j is element lo + j (2P + 1) of the flat rows in row 2j,
+        # and P elements on in row 2j + 1: two strided slices, no index arrays
+        flat = rows.reshape(-1)
+        flat[lo::2 * P + 1] += eps
+        flat[lo + P::2 * P + 1] -= eps
         stacked = BrnnParams(A=params.A, sigma=params.sigma, **{
-            pname: rows[:, start:stop].reshape((rows.shape[0],) + shape)
-            for (_, pname), (start, stop), shape in zip(PARAM_GROUPS, spans, shapes)})
+            pname: rows[:, start:stop].reshape((len(rows),) + shape)
+            for _, pname, start, stop, shape in layout})
         J = cost_value(stacked, seq, x0, w)
-        grad[idx] = (J[0::2] - J[1::2]) / (2.0 * eps)
-    return GradSet(**{gname: grad[start:stop].reshape(shape) for (gname, _), (start, stop),
-                      shape in zip(PARAM_GROUPS, spans, shapes)})
+        grad[lo:hi] = (J[0::2] - J[1::2]) / (2.0 * eps)
+    return GradSet(**{gname: grad[start:stop].reshape(shape)
+                      for gname, _, start, stop, shape in layout})
 
 
 @dataclass
@@ -110,23 +126,35 @@ def compare_gradients(analytic: GradSet, numeric: GradSet,
                       tol: float) -> GradCheckReport:
     """Entrywise comparison; relative error uses max(|a|, |b|, 1e-8) as
     denominator, and the report passes iff every group stays below tol,
-    which must be finite and > 0."""
+    which must be finite and > 0. A group's max_abs_err is the absolute
+    error at its worst relative error (the first such entry on ties, a NaN
+    entry if there is one).
+
+    The elementwise work runs once over all groups' entries, concatenated
+    in PARAM_GROUPS order; only the argmax runs per group, on its slice.
+    """
     if not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tol={tol} must be finite and > 0")
-    groups = {}
-    for gname, _ in PARAM_GROUPS:
-        a = getattr(analytic, gname)
-        b = getattr(numeric, gname)
+    pairs = [(gname, getattr(analytic, gname), getattr(numeric, gname))
+             for gname, _ in PARAM_GROUPS]
+    for gname, a, b in pairs:
         if a.shape != b.shape:
             raise ConfigurationError(f"{gname} shapes differ: {a.shape} vs {b.shape}")
-        abs_err = np.abs(a - b)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-        rel = abs_err / denom
-        worst = int(rel.argmax())
+    a = np.concatenate([a.ravel() for _, a, _ in pairs])
+    b = np.concatenate([b.ravel() for _, _, b in pairs])
+    abs_err = np.abs(a - b)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+    rel = abs_err / denom
+    groups = {}
+    lo = 0
+    for gname, g, _ in pairs:
+        hi = lo + g.size
+        worst = lo + int(rel[lo:hi].argmax())
         groups[gname] = GroupCheck(
-            max_abs_err=float(abs_err.flat[worst]),
-            max_rel_err=float(rel.flat[worst]),
-            worst_index=tuple(int(i) for i in np.unravel_index(worst, a.shape)))
+            max_abs_err=float(abs_err[worst]),
+            max_rel_err=float(rel[worst]),
+            worst_index=tuple(int(i) for i in np.unravel_index(worst - lo, g.shape)))
+        lo = hi
     passed = all(g.max_rel_err < tol for g in groups.values())
     return GradCheckReport(groups=groups, tol=tol, passed=passed)
 

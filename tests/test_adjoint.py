@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from brnn import adjoint
-from brnn.adjoint import (backward_costates, final_costate, max_step_norm,
-                          per_step_gradients, summed_gradients)
+from brnn.adjoint import (backward_costates, max_step_norm, per_step_gradients,
+                          summed_gradients)
 from brnn.errors import CostateExplosionError
 from brnn.loss import LossWeights, state_loss_grad
-from brnn.model import (NONLINEARITIES, BrnnParams, Sequence, forward,
+from brnn.model import (NONLINEARITIES, BrnnParams, Sequence, Trajectory, forward,
                         nonlinearity_derivative)
 from brnn.stability import spectral_norm
 from brnn.trainer import aggregate, epoch_gradient
@@ -32,15 +32,35 @@ def perfect_then_final_error(params, s, x0, final_err):
     return Sequence(s=s, d=d)
 
 
+def final_costate(params, x_N, e_N):
+    """Boundary condition lambda_N = sigma'(x_N) (.) (V^T e_N) written from its
+    definition: the reference for backward_costates' lam[N], which shares
+    its sigma' call with the recursion and equals this bit for bit."""
+    sp = nonlinearity_derivative(params.sigma, x_N)
+    return sp * (params.V.T @ np.asarray(e_N, dtype=float))
+
+
+def boundary_costate(params, x_N, e_N):
+    """backward_costates' lam[N] on a one-step trajectory that ends at x_N
+    with output error e_N."""
+    x = np.zeros((2, params.n))
+    x[1] = x_N
+    e = np.zeros((2, params.r))
+    e[1] = e_N
+    traj = Trajectory(x=x, h=np.zeros_like(x), y=np.zeros_like(e), e=e)
+    return backward_costates(params, traj, LossWeights()).lam[1]
+
+
 def test_final_costate_zero_error():
     params = scalar_params()
-    assert final_costate(params, np.array([0.3]), np.array([0.0]))[0] == 0.0
+    assert boundary_costate(params, [0.3], [0.0])[0] == 0.0
 
 
 def test_final_costate_scalar_example():
     params = scalar_params(V=2.0)
-    lam = final_costate(params, np.array([1.0]), np.array([0.1]))
+    lam = boundary_costate(params, [1.0], [0.1])
     assert lam[0] == pytest.approx(0.0839948, abs=1e-7)
+    assert lam.tobytes() == final_costate(params, np.array([1.0]), [0.1]).tobytes()
 
 
 def test_final_costate_identity_is_error():
@@ -49,7 +69,7 @@ def test_final_costate_identity_is_error():
                         b=np.zeros(n), V=np.eye(n), Dft=np.zeros((n, 1)),
                         c=np.zeros(n), sigma="identity")
     e = np.array([0.3, -1.2, 0.5])
-    np.testing.assert_array_equal(final_costate(params, np.zeros(n), e), e)
+    np.testing.assert_array_equal(boundary_costate(params, np.zeros(n), e), e)
 
 
 def test_backward_power_oracle():

@@ -140,6 +140,26 @@ def test_non_finite_train_values_exit_2(flag, value, key, tmp_path, capsys):
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("epochs, message", [("0", "epochs must be >= 1"),
+                                            ("-1", "epochs must be >= 0")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_with_fewer_than_1_epoch_exits_2(epochs, message, source, tmp_path, capsys):
+    metrics, checkpoint = tmp_path / "m.csv", tmp_path / "c.txt"
+    argv = ["train", "--N", "10", "--n", "2", "--metrics-out", str(metrics),
+            "--checkpoint-out", str(checkpoint)]
+    if source == "flag":
+        argv += ["--epochs", epochs]
+    else:
+        config = tmp_path / "train.cfg"
+        config.write_text(f"epochs = {epochs}\n")
+        argv += ["--config", str(config)]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not metrics.exists() and not checkpoint.exists()
+
+
 def test_train_initialises_through_init_params(tmp_path):
     from brnn.model import Dims
     from brnn.tasks import TaskSpec, gen_task

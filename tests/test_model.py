@@ -246,6 +246,23 @@ def test_dimension_mismatch_raises():
         forward(params, Sequence(s=np.zeros((3, 1)), d=np.zeros((3, 1))), [0.0, 0.0])
 
 
+def test_forward_checks_sequence_and_x0_but_not_params(monkeypatch):
+    params = scalar_params()
+    seq = Sequence(s=np.zeros((3, 1)), d=np.zeros((3, 1)))
+    with pytest.raises(ConfigurationError, match="x0 has shape"):
+        forward(params, seq, [0.0, 0.0])
+    with pytest.raises(ConfigurationError, match="x0 contains non-finite"):
+        forward(params, seq, [np.nan])
+    with pytest.raises(ConfigurationError, match="sequence dims"):
+        forward(params, Sequence(s=np.zeros((3, 2)), d=np.zeros((3, 1))), [0.0])
+    # params are validated where they enter (train, load_checkpoint, the
+    # gradient check), not on every rollout
+    def fail(self):
+        raise AssertionError("forward validated its params")
+    monkeypatch.setattr(BrnnParams, "validate", fail)
+    np.testing.assert_array_equal(forward(params, seq, [0.0]).x, np.zeros((3, 1)))
+
+
 def test_overflow_error_names_first_k():
     # x1 = 1e200 is still finite; x2 = (1e200)^2 overflows
     params = scalar_params(A=1e200, U=0.0, W=0.0, sigma="identity")

@@ -227,6 +227,34 @@ def test_train_zero_epochs():
     assert out is params
 
 
+@pytest.mark.parametrize("fault", ["non-finite", "shape"])
+def test_train_validates_params0_before_epoch_1(fault, monkeypatch):
+    from brnn import trainer
+    params = scalar_params()
+    if fault == "non-finite":
+        params.V = np.array([[np.inf]])
+    else:
+        params.c = np.zeros(2)
+    forwards = []
+    monkeypatch.setattr(trainer, "forward", lambda *args: forwards.append(args))
+    seq = Sequence(s=np.zeros((3, 1)), d=np.zeros((3, 1)))
+    with pytest.raises(ConfigurationError, match="non-finite entries|has shape"):
+        train(TrainConfig(epochs=3), seq, params, [0.0], LossWeights())
+    assert forwards == []
+
+
+def test_train_validates_params0_once(monkeypatch):
+    calls = []
+    validate = BrnnParams.validate
+    monkeypatch.setattr(BrnnParams, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    params = scalar_params(U=0.1)
+    seq = Sequence(s=np.ones((6, 1)), d=np.zeros((6, 1)))
+    _, history = train(TrainConfig(epochs=4, eta=0.01), seq, params, [0.0], LossWeights())
+    assert len(history) == 4
+    assert calls == [params]
+
+
 def test_train_early_stop_on_perfect_fit():
     params = scalar_params()
     s = np.array([[0.3], [-0.2], [0.5]])

@@ -193,3 +193,105 @@ def test_one_model_paths_reject_stacked_params():
         backward_costates(stacked, traj, w)
     with pytest.raises(ConfigurationError):
         numeric_gradient(stacked, seq, x0, w)
+
+
+def compare_gradients_per_group(analytic, numeric, tol):
+    """Reference: the elementwise work of compare_gradients run group by
+    group, as (max_abs_err, max_rel_err, worst_index) per group and the
+    pass flag."""
+    groups = {}
+    for gname, _ in PARAM_GROUPS:
+        a, b = getattr(analytic, gname), getattr(numeric, gname)
+        abs_err = np.abs(a - b)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+        rel = abs_err / denom
+        worst = int(rel.argmax())
+        groups[gname] = (float(abs_err.flat[worst]), float(rel.flat[worst]),
+                         tuple(int(i) for i in np.unravel_index(worst, a.shape)))
+    return groups, all(rel < tol for _, rel, _ in groups.values())
+
+
+def random_gradsets(rng):
+    """An (analytic, numeric) pair of random GradSets over random dims from
+    1 up, so that groups of size 1 occur: entries from 1e-12 to 1e2, some
+    below the 1e-8 floor; equal pairs copied to a second position, so that
+    the worst relative error ties; now and then a NaN."""
+    n, m, r = (int(v) for v in rng.integers(1, 4, 3))
+    shapes = dict(dU=(n, n), dW=(n, m), db=(n,), dV=(r, n), dD=(r, m), dc=(r,))
+    analytic, numeric = {}, {}
+    for gname, shape in shapes.items():
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 2, shape)
+        b = a + rng.standard_normal(shape) * 10.0 ** rng.uniform(-14, 0, shape)
+        if a.size > 1 and rng.random() < 0.5:
+            i, j = rng.choice(a.size, 2, replace=False)
+            a.flat[j], b.flat[j] = a.flat[i], b.flat[i]
+        if rng.random() < 0.15:
+            (a if rng.random() < 0.5 else b).flat[rng.integers(a.size)] = np.nan
+        analytic[gname], numeric[gname] = a, b
+    return GradSet(**analytic), GradSet(**numeric)
+
+
+def test_one_pass_comparison_equals_the_per_group_reference_bit_for_bit():
+    rng = np.random.default_rng(20)
+    bits = lambda v: np.float64(v).tobytes()
+    seen = set()
+    for _ in range(400):
+        analytic, numeric = random_gradsets(rng)
+        tol = 10.0 ** rng.uniform(-8, 0)
+        report = compare_gradients(analytic, numeric, tol)
+        want, passed = compare_gradients_per_group(analytic, numeric, tol)
+        assert report.passed == passed
+        for gname, (abs_err, rel_err, index) in want.items():
+            got = report.groups[gname]
+            assert bits(got.max_abs_err) == bits(abs_err)
+            assert bits(got.max_rel_err) == bits(rel_err)
+            assert got.worst_index == index
+            seen.add("nan" if np.isnan(rel_err) else "size 1"
+                     if getattr(analytic, gname).size == 1 else "other")
+    assert seen == {"nan", "size 1", "other"}
+
+
+def test_comparison_rules_on_fixed_entries():
+    # dU: a tie between entries 1 and 3 goes to the first; dW: below the
+    # 1e-8 floor the denominator is 1e-8; db: a NaN entry makes the group's
+    # errors NaN and the report FAIL
+    a = GradSet(dU=np.array([[1.0, 2.0], [1.0, 2.0]]), dW=np.array([[3e-9], [0.0]]),
+                db=np.array([0.5, np.nan]), dV=np.ones((1, 2)), dD=np.ones((1, 1)),
+                dc=np.ones(1))
+    b = GradSet(dU=np.array([[1.0, 2.5], [1.0, 2.5]]), dW=np.array([[1e-9], [0.0]]),
+                db=np.array([0.5, 1.0]), dV=np.ones((1, 2)), dD=np.ones((1, 1)),
+                dc=np.ones(1))
+    report = compare_gradients(a, b, tol=1.0)
+    assert report.groups["dU"].worst_index == (0, 1)
+    assert report.groups["dU"].max_abs_err == 0.5
+    assert report.groups["dW"].max_rel_err == (3e-9 - 1e-9) / 1e-8
+    assert report.groups["db"].worst_index == (1,)
+    assert np.isnan(report.groups["db"].max_rel_err)
+    assert not report.passed
+
+
+def invalid_instance(fault):
+    params, seq, x0, w = random_instance(4)
+    if fault == "non-finite":
+        params.U[0, 0] = np.nan
+    else:
+        # forward would end in a broadcast ValueError, not a clean error
+        params.b = np.zeros(params.n + 1)
+    return params, seq, x0, w
+
+
+@pytest.mark.parametrize("fault", ["non-finite", "shape"])
+@pytest.mark.parametrize("check", [analytic_gradient, numeric_gradient, gradcheck])
+def test_gradient_checks_validate_their_params(check, fault):
+    with pytest.raises(ConfigurationError, match="non-finite entries|has shape"):
+        check(*invalid_instance(fault))
+
+
+def test_gradcheck_validates_its_one_model_once_per_entry_point(monkeypatch):
+    batches = []
+    validate = BrnnParams.validate
+    monkeypatch.setattr(BrnnParams, "validate",
+                        lambda self: batches.append(self.batch) or validate(self))
+    assert gradcheck(*random_instance(6)).passed
+    # analytic_gradient and numeric_gradient, never a stacked member
+    assert batches == [(), ()]
