@@ -16,14 +16,18 @@ CostateExplosionError naming the step.
 Everything that does not depend on lambda (sigma'_k and the forcing f_k)
 is computed for all k first. What is left is linear and time-varying,
 lambda_k = T_k lambda_{k+1} + f_k, and it is solved in one of two regimes,
-chosen from (N, n) alone:
+chosen from (N, n) alone (the loop's product also reads A's non-zero
+pattern):
 
   loop  one product per step, lambda_{k+1}^T [A | U] = [A^T lambda,
         U^T lambda], followed by in-place elementwise work: N Python steps
         of four NumPy calls each, every output array passed positionally
         and the product called as ndarray.dot (np.dot adds a Python-level
         dispatch per call; at small n a step costs the calls, not the
-        arithmetic).
+        arithmetic). When model.diagonal_A says so (a diagonal A and
+        n >= model.DIAGONAL_MIN_N), the product leaves A out:
+        lambda_k = sp_k (.) (lambda_{k+1}^T U) + a (.) lambda_{k+1} + f_k,
+        a = diag A, five calls per step over a product half the size.
   scan  a blocked two-level scan: k = 0..N-1 is cut into B blocks of
         L ~ sqrt(N/2) steps (the N - B*L steps above them run as the loop).
         Pass 1 carries every block's transfer matrix Phi and zero-boundary
@@ -39,29 +43,56 @@ chosen from (N, n) alone:
         that layout, pass 1 hands pass 2 one transposed copy, (B, n+1, n),
         and pass 3 writes lambda over sigma' and copies it back once.
 
-The scan runs when N >= 100 and n <= 16. Measured medians of 21
-interleaved runs (5 at n = 256), one BLAS thread on a 2-vCPU VM
-(random_instance(3, scale=0.3), m = r = 1):
+The scan runs when n <= 12 and N >= 50, n <= 16 and N >= 150, or n <= 20
+and N >= 1000 (_SCAN_BANDS). Measured medians of 21 interleaved runs, one
+BLAS thread on a 2-vCPU VM (random_instance(3, scale=0.3), m = r = 1),
+with the number of runs in which the scan was the faster:
 
-    N, n        loop      scan      rule
-    20000, 4    74.6 ms   5.65 ms   scan
-    20000, 8    80.0 ms   12.3 ms   scan
-    20000, 12   75.5 ms   18.9 ms   scan
-    20000, 16   74.8 ms   35.5 ms   scan
-    20000, 20   78.7 ms   54.2 ms   loop
-    20000, 24   87.1 ms   87.2 ms   loop
-    1000, 8     4.33 ms   1.22 ms   scan
-    1000, 16    4.59 ms   2.44 ms   scan
-    100, 8      0.456 ms  0.304 ms  scan
-    70, 8       0.325 ms  0.261 ms  loop
-    50, 8       0.254 ms  0.221 ms  loop
-    30, 8       0.173 ms  0.186 ms  loop
-    15, 8       0.112 ms  0.150 ms  loop
-    200, 256    6.85 ms   374 ms    loop
+    N, n        loop      scan      scan faster  rule
+    20000, 8    42.9 ms   8.16 ms   21/21        scan
+    20000, 16   43.3 ms   27.0 ms   21/21        scan
+    20000, 20   47.0 ms   44.8 ms   20/21        scan
+    20000, 24   48.8 ms   75.1 ms    0/21        loop
+    1000, 16    2.27 ms   1.40 ms   21/21        scan
+    1000, 20    2.22 ms   1.91 ms   20/21        scan
+    1000, 24    2.19 ms   3.27 ms    0/21        loop
+    500, 20     1.19 ms   1.14 ms   13/21        loop
+    300, 20     0.668 ms  0.712 ms   2/21        loop
+    150, 16     0.397 ms  0.343 ms  18/21        scan
+    100, 16     0.246 ms  0.245 ms  10/21        loop
+    70, 16      0.169 ms  0.182 ms   2/21        loop
+    100, 8      0.242 ms  0.147 ms  21/21        scan
+    70, 12      0.176 ms  0.145 ms  21/21        scan
+    50, 12      0.117 ms  0.113 ms  16/21        scan
+    40, 12      0.118 ms  0.116 ms  12/21        loop
+    50, 8       0.119 ms  0.097 ms  21/21        scan
+    40, 8       0.096 ms  0.086 ms  21/21        loop
+    30, 8       0.077 ms  0.082 ms   3/21        loop
+    50, 4       0.123 ms  0.089 ms  20/21        scan
+    30, 4       0.081 ms  0.081 ms  10/21        loop
+    20, 1       0.082 ms  0.070 ms  20/21        loop
+    10, 1       0.048 ms  0.054 ms   0/21        loop
 
-The rule was fixed before passes 1 and 3 kept the block axis last; with
-that layout the scan is also the faster regime at (20000, 20), (70, 8)
-and (50, 8), where the rule still runs the loop.
+Below N = 50 the scan is also faster at some small n, such as (40, 8) and
+(20, 1), by 10-15%; the bands leave those sizes, where AC-4 and the
+gradient check's instances lie, to the loop. At N = 200, n = 256 the scan
+would take about 374 ms against the dense loop's 6-7 ms.
+
+The loop's two products at N = 200 (random_instance(3, m=4, r=4,
+scale=0.3), whose A is diagonal; medians of 11 interleaved rounds, one
+BLAS thread), in ms; the same table for forward is in brnn.model:
+
+    n      dense  diagonal
+    32     0.498  0.576
+    64     0.745  0.707
+    96     1.107  0.891
+    112    1.037  1.028
+    128    1.558  1.013
+    192    2.559  1.883
+    256    5.961  2.534
+
+Up to n = 112 the forward's diagonal form is no faster (in some runs the
+loop's was not either); from 128 on both were faster or level in every run.
 
 The scan agrees with the loop to rounding (last bits); the loop's results
 are the reference. Finiteness is checked once, after the recursion: the
@@ -75,7 +106,7 @@ Every per-step gradient contribution is a rank-one term plus a regularizer,
 a_k b_k^T + gamma P (for example lambda_{k+1} h_k^T + gamma1 U). The sum
 over k, which the sum and mean aggregations need, is one matrix product
 (summed_gradients), and the largest per-step block norm has a closed form
-(max_step_norm); only median and min_abs need the per-step contributions
+(step_norms); only median and min_abs need the per-step contributions
 themselves. reduce_step_blocks forms them with the step axis last, so
 that the reduction over k runs along contiguous memory, one row of a
 parameter at a time in one buffer that a row block fills at most
@@ -91,7 +122,8 @@ import numpy as np
 
 from .errors import ConfigurationError, CostateExplosionError
 from .loss import LossWeights, state_loss_grad
-from .model import BrnnParams, Sequence, Trajectory, nonlinearity_derivative
+from .model import (BrnnParams, Sequence, Trajectory, diagonal_A,
+                    nonlinearity_derivative)
 
 
 @dataclass
@@ -139,16 +171,19 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
         raise ConfigurationError("backward_costates takes one model, not stacked params")
     N, n = traj.N, params.n
     lam = np.empty((N + 1, n))
-    # lam[k+1] @ [A | U] is [A^T lam, U^T lam]: one product per step
-    AU = np.concatenate([params.A, params.U], axis=1)
+    blocked = _scan_pays(N, n)
+    a = None if blocked else diagonal_A(params.A)
+    # lam[k+1] @ [A | U] is [A^T lam, U^T lam]: one product per step; with
+    # a diagonal A the product is lam[k+1] @ U and A^T lam is a * lam
+    AU = (np.concatenate([params.A, params.U], axis=1) if a is None
+          else np.ascontiguousarray(params.U))
     # explosion is detected after the recursion, so silence the warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        blocked = _scan_pays(N, n)
         if blocked:
             _blocked_scan(lam, AU, params, traj, w)
         if not blocked or not np.isfinite(lam[:N]).all():
             lam[N], sp, force = _forcing(params, traj, w)
-            _recur(lam[:N], lam[N], AU, sp, force)
+            _recur(lam[:N], lam[N], AU, sp, force, a)
     if not np.isfinite(lam).all():
         # the recursion runs downward in k, so the largest non-finite k is
         # the step at which it first blew up (N for a non-finite lam[N])
@@ -170,27 +205,43 @@ def _forcing(params: BrnnParams, traj: Trajectory, w: LossWeights):
     return lam_N, sp, sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
 
 
+# (largest n, smallest N) of each band of sizes in which the blocked scan
+# beats the per-step loop (the measured table in the module docstring)
+_SCAN_BANDS = ((12, 50), (16, 150), (20, 1000))
+
+
 def _scan_pays(N: int, n: int) -> bool:
-    """Whether the blocked scan beats the per-step loop at these sizes (the
-    measured table in the module docstring)."""
-    return N >= 100 and n <= 16
+    """Whether the blocked scan beats the per-step loop at these sizes."""
+    return any(n <= n_max and N >= N_min for n_max, N_min in _SCAN_BANDS)
 
 
-def _recur(lam, top, AU, sp, force) -> None:
+def _recur(lam, top, AU, sp, force, a=None) -> None:
     """Fill lam[i] = lam[i+1] @ (A + U diag sp[i]) + force[i] for
-    i = K-1..0 (K = len(lam)), with top as lam[K]."""
+    i = K-1..0 (K = len(lam)), with top as lam[K]. AU is [A | U]; given a,
+    A's diagonal (model.diagonal_A), AU is U alone and
+    lam[i] = sp[i] * (lam[i+1] @ U) + a * lam[i+1] + force[i]."""
     n = AU.shape[0]
-    t = np.empty(2 * n)
-    t_A, t_U = t[:n], t[n:]
     dot = np.ndarray.dot
     lam_next = top
     # each step reads the row the previous step wrote
-    for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
-        dot(lam_next, AU, t)
-        np.multiply(sp_k, t_U, lam_k)
-        lam_k += t_A
-        lam_k += force_k
-        lam_next = lam_k
+    if a is None:
+        t = np.empty(2 * n)
+        t_A, t_U = t[:n], t[n:]
+        for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
+            dot(lam_next, AU, t)
+            np.multiply(sp_k, t_U, lam_k)
+            lam_k += t_A
+            lam_k += force_k
+            lam_next = lam_k
+    else:
+        t = np.empty(n)
+        for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
+            dot(lam_next, AU, t)
+            np.multiply(sp_k, t, lam_k)
+            np.multiply(a, lam_next, t)
+            lam_k += t
+            lam_k += force_k
+            lam_next = lam_k
 
 
 def _blocked_scan(lam, AU, params, traj, w) -> None:
@@ -354,24 +405,32 @@ def summed_gradients(params: BrnnParams, traj: Trajectory,
     return GradSet(**out)
 
 
-def max_step_norm(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
-                  seq: Sequence, w: LossWeights) -> float:
-    """Largest Frobenius norm of any per-step contribution of any group, from
+def step_norms(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
+               seq: Sequence, w: LossWeights) -> tuple[float, float]:
+    """The epoch's two diagnostics from one set of row norms: grad_norm, the
+    largest Frobenius norm of any per-step contribution of any group, from
 
         ||a b^T + g P||_F^2 = ||a||^2 ||b||^2 + 2 g a^T P b + g^2 ||P||_F^2
 
-    per k, clamped at 0 against cancellation before the square root.
+    per k, clamped at 0 against cancellation before the square root; and
+    lambda_max = max ||lambda_k||_2 over k = 1..N. The squared row norms of
+    each factor (lam, e, h, s) are computed once and shared by the groups;
+    the cross and ||P|| terms are formed only for a group with g != 0.
     """
-    worst = 0.0
+    groups = contributions(params, traj, costates, seq, w)
     # einsum's row dots beat a multiply and a sum over a short trailing axis
-    for a, b, P, g in contributions(params, traj, costates, seq, w).values():
-        sq = np.einsum("ij,ij->i", a, a)
-        if b is None:
-            cross = a @ P
-        else:
-            b = b[:len(a)]
-            sq *= np.einsum("ij,ij->i", b, b)
-            cross = np.einsum("ij,ij->i", a @ P, b)
-        sq += 2.0 * g * cross + g * g * (P * P).sum()
+    row_sq = {}
+    for a, b, _, _ in groups.values():
+        for f in (a, b):
+            if f is not None and id(f) not in row_sq:
+                row_sq[id(f)] = np.einsum("ij,ij->i", f, f)
+    worst = 0.0
+    for a, b, P, g in groups.values():
+        K = len(a)
+        sq = row_sq[id(a)] if b is None else row_sq[id(a)] * row_sq[id(b)][:K]
+        if g != 0.0:
+            cross = a @ P if b is None else np.einsum("ij,ij->i", a @ P, b[:K])
+            sq = sq + (2.0 * g * cross + g * g * (P * P).sum())
         worst = max(worst, float(np.sqrt(np.maximum(sq, 0.0)).max()))
-    return worst
+    lam_sq = row_sq[id(groups["dU"][0])]
+    return worst, float(np.sqrt(lam_sq.max()))

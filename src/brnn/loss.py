@@ -115,13 +115,19 @@ def total_cost(traj: Trajectory, seq: Sequence, params: BrnnParams,
         if w.beta0 != 0.0:
             hidden_sum = w.beta0 * _penalty(kind, alpha, traj.h[..., :N, :])
 
-    theta_sq = ((params.U ** 2).sum(axis=(-2, -1)) + (params.W ** 2).sum(axis=(-2, -1))
-                + (params.b ** 2).sum(axis=-1))
-    nu_sq = ((params.V ** 2).sum(axis=(-2, -1)) + (params.Dft ** 2).sum(axis=(-2, -1))
-             + (params.c ** 2).sum(axis=-1))
+    # a term whose weight is 0 is not formed: 0 * ||theta||^2 would be NaN
+    # for params whose squares overflow, although the weighted cost is finite
+    reg_theta = reg_nu = np.zeros(params.batch)
+    if w.gamma1 != 0.0:
+        theta_sq = ((params.U ** 2).sum(axis=(-2, -1)) + (params.W ** 2).sum(axis=(-2, -1))
+                    + (params.b ** 2).sum(axis=-1))
+        reg_theta = w.gamma1 * N * 0.5 * theta_sq
+    if w.gamma2 != 0.0:
+        nu_sq = ((params.V ** 2).sum(axis=(-2, -1)) + (params.Dft ** 2).sum(axis=(-2, -1))
+                 + (params.c ** 2).sum(axis=-1))
+        reg_nu = w.gamma2 * (N + 1) * 0.5 * nu_sq
     fields = dict(phi_N=phi_N, output_sum=output_sum, state_sum=state_sum,
-                  hidden_sum=hidden_sum, reg_theta=w.gamma1 * N * 0.5 * theta_sq,
-                  reg_nu=w.gamma2 * (N + 1) * 0.5 * nu_sq)
+                  hidden_sum=hidden_sum, reg_theta=reg_theta, reg_nu=reg_nu)
     fields["total"] = sum(fields.values())
     if not params.batch:
         fields = {name: float(v) for name, v in fields.items()}

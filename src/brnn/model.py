@@ -22,6 +22,35 @@ vector-matrix path takes about 0.78 us per call, np.dot (the same C
 routine behind a Python-level dispatch) 1.1 us and the np.matmul gufunc
 1.7 us (medians of 3 timings, one BLAS thread, 2-vCPU VM).
 Stacked params keep np.matmul, which is the batched product on a 3-D M.
+
+Every A that brnn builds to train with is diagonal (init_params' alpha_A I,
+random_instance's diagonal draw), and at large n its zero off-diagonal is
+half of M. So from n = DIAGONAL_MIN_N on, a single model with a diagonal A
+leaves A out of the product:
+
+    x_{k+1} = [h_k, s_k, 1] @ [U^T; W^T; b] + a * x_k      (a = diag A)
+
+a product over half as many rows, plus two elementwise calls. diagonal_A
+makes this choice from n and A's non-zero pattern, for forward and for the
+co-state loop in brnn.adjoint alike; a dense A (random_orthogonal_scaled,
+or a hand-written checkpoint), stacked params and smaller n keep A in the
+product. The two forms agree to rounding, not bit for bit. Measured at
+N = 200 (random_instance(3, m=4, r=4, scale=0.3); medians of 11
+interleaved rounds, one BLAS thread, 2-vCPU VM), in ms:
+
+    n      forward           co-state loop
+           dense  diagonal   dense  diagonal
+    32     0.322  0.473      0.498  0.576
+    64     0.472  0.580      0.745  0.707
+    96     0.670  0.693      1.107  0.891
+    112    1.162  0.933      1.037  1.028
+    128    1.395  1.083      1.558  1.013
+    192    3.320  1.871      2.559  1.883
+    256    5.816  3.472      5.961  2.534
+
+Up to n = 112 the two forms traded places between runs; from 128 on the
+diagonal one was faster or level in every run.
+
 Overflow is not checked per step: the finished trajectory is checked once
 and StateOverflowError names the first non-finite k, as a per-step check
 would.
@@ -212,7 +241,8 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
 
     Stacked params (see BrnnParams.batch) run every member from the same x0
     on the same sequence in one recursion. Each step is h_k = sigma(x_k) and
-    x_{k+1} = z_k M over the augmented row z_k = [x_k, h_k, s_k, 1] (see the
+    x_{k+1} = z_k M over the augmented row z_k = [x_k, h_k, s_k, 1], or,
+    when diagonal_A says so, the product without A plus a * x_k (see the
     module docstring). Raises ConfigurationError on a mismatch between the
     sequence's and the params' dimensions or a bad x0, and
     StateOverflowError (naming the first offending k over all members) if
@@ -236,16 +266,21 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
     N, n, m, batch = seq.N, params.n, params.m, params.batch
     s = seq.s
     sigma = _SIGMA[params.sigma]
+    # stacked params keep the dense product, their one batched call per step
+    a = None if batch else diagonal_A(params.A)
 
     # M = [A^T; U^T; W^T; b] maps the augmented row z_k = [x_k, h_k, s_k, 1]
     # to x_{k+1} = z_k M, so each step is one product. A stacked model's row
     # is (1, D) and its M is batch + (D, n); a single model's row is (D,).
+    # In the diagonal regime M leaves out A^T and the product reads z_k from
+    # h_k on; the rows are filled from the bottom, so both layouts share them.
     D = 2 * n + m + 1
-    M = np.empty(batch + (D, n))
-    M[..., :n, :] = params.A.T
-    M[..., n:2 * n, :] = params.U.swapaxes(-1, -2)
-    M[..., 2 * n:D - 1, :] = params.W.swapaxes(-1, -2)
-    M[..., D - 1, :] = params.b
+    M = np.empty(batch + (D if a is None else D - n, n))
+    if a is None:
+        M[..., :n, :] = params.A.T
+    M[..., -1 - m - n:-1 - m, :] = params.U.swapaxes(-1, -2)
+    M[..., -1 - m:-1, :] = params.W.swapaxes(-1, -2)
+    M[..., -1, :] = params.b
     lead = batch + (1,) if batch else ()
     # time-first: Z[k] is row k of every member; X and H are column views
     Z = np.empty((N + 1,) + lead + (D,))
@@ -260,10 +295,20 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
         # dispatch), but on a stacked (3-D) M it is not a batched product
         product = np.matmul if batch else np.ndarray.dot
         x_k = X[0]
-        for z_k, h_k, x_next in zip(Z[:N], H[:N], X[1:]):
-            sigma(x_k, h_k)
-            product(z_k, M, x_next)
-            x_k = x_next
+        if a is None:
+            for z_k, h_k, x_next in zip(Z[:N], H[:N], X[1:]):
+                sigma(x_k, h_k)
+                product(z_k, M, x_next)
+                x_k = x_next
+        else:
+            ax = np.empty(n)
+            # x_{k+1} = [h_k, s_k, 1] @ [U^T; W^T; b] + a * x_k
+            for z_k, h_k, x_next in zip(Z[:N, n:], H[:N], X[1:]):
+                sigma(x_k, h_k)
+                product(z_k, M, x_next)
+                np.multiply(a, x_k, ax)
+                x_next += ax
+                x_k = x_next
         sigma(x_k, H[N])
         x, h = _batch_first(X, batch), _batch_first(H, batch)
         # x holds every step, so one check after the loop finds the first
@@ -273,6 +318,27 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
              + params.c[..., None, :])
     _check_finite(y, "output")
     return Trajectory(x=x, h=h, y=y, e=y - seq.d)
+
+
+# n from which the step products leave a diagonal A out (the module
+# docstring's table)
+DIAGONAL_MIN_N = 128
+
+
+def diagonal_A(A):
+    """A's diagonal when the step products of forward and of the co-state
+    loop should leave A out, else None: A is diagonal and n is at least
+    DIAGONAL_MIN_N. Below that a step costs its calls, and the extra
+    elementwise calls of the diagonal form cost more than the smaller product
+    saves. Reads only n and A's non-zero pattern."""
+    n = A.shape[0]
+    if n < DIAGONAL_MIN_N:
+        return None
+    a = A.diagonal()
+    if np.count_nonzero(A) != np.count_nonzero(a):
+        return None
+    # a contiguous copy: the view strides across n rows of A
+    return a.copy()
 
 
 def _batch_first(cols, batch):

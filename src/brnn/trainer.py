@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import (PARAM_GROUPS, CostateSeq, GradSet, backward_costates,
-                      max_step_norm, reduce_step_blocks, summed_gradients)
+                      reduce_step_blocks, step_norms, summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
 from .model import BrnnParams, Dims, Sequence, Trajectory, forward
@@ -185,12 +185,9 @@ def train(config: TrainConfig, seq: Sequence, params0: BrnnParams, x0,
             costates = backward_costates(params, traj, w)
             gset = epoch_gradient(params, traj, costates, seq, w,
                                   config.aggregation)
-            lam = costates.lam[1:]
-            history.append(EpochMetrics(
-                epoch=i, cost=cost,
-                grad_norm=max_step_norm(params, traj, costates, seq, w),
-                # einsum's row dots beat np.linalg.norm over a short row
-                lambda_max=float(np.sqrt(np.einsum("ij,ij->i", lam, lam).max()))))
+            grad_norm, lambda_max = step_norms(params, traj, costates, seq, w)
+            history.append(EpochMetrics(epoch=i, cost=cost, grad_norm=grad_norm,
+                                        lambda_max=lambda_max))
             if cost.total < config.stop_tol:
                 break
             params = apply_update(params, gset, config.eta)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from brnn import adjoint
-from brnn.adjoint import (backward_costates, max_step_norm, per_step_gradients,
+from brnn import model
+from brnn.adjoint import (backward_costates, per_step_gradients, step_norms,
                           summed_gradients)
 from brnn.errors import CostateExplosionError
 from brnn.loss import LossWeights, state_loss_grad
-from brnn.model import (NONLINEARITIES, BrnnParams, Sequence, Trajectory, forward,
-                        nonlinearity_derivative)
-from brnn.stability import spectral_norm
+from brnn.model import (DIAGONAL_MIN_N, NONLINEARITIES, BrnnParams, Sequence,
+                        Trajectory, forward, nonlinearity_derivative)
+from brnn.stability import make_stable_A, spectral_norm
 from brnn.trainer import aggregate, epoch_gradient
 from brnn.verify import random_instance
 
@@ -180,7 +181,14 @@ def loop_costates(monkeypatch, params, traj, w):
         return backward_costates(params, traj, w).lam
 
 
-@pytest.mark.parametrize("N, n", [(200, 256), (1, 1), (8, 4), (15, 8), (15, 1)])
+@pytest.mark.parametrize("N, n", [(50, 4), (50, 8), (70, 8), (50, 12), (150, 16),
+                                  (1000, 20), (20000, 20)])
+def test_regime_rule_runs_the_scan_where_it_was_measured_faster(N, n):
+    assert adjoint._scan_pays(N, n)
+
+
+@pytest.mark.parametrize("N, n", [(200, 256), (1, 1), (8, 4), (15, 8), (15, 1),
+                                  (40, 8), (49, 12), (100, 16), (500, 20), (20000, 24)])
 def test_regime_rule_keeps_the_loop_for_wide_or_short_runs(monkeypatch, N, n):
     assert not adjoint._scan_pays(N, n)
     params, seq, x0, w = random_instance(11, n=n, m=2, r=2, N=N,
@@ -263,22 +271,102 @@ def kept_blocked_scan(lam, AU, sp, force):
     lam3[...] = lamT.transpose(0, 2, 1)
 
 
-@pytest.mark.parametrize("N, n", [(50, 8), (200, 24), (2000, 8), (1999, 3),
-                                  (100, 16), (500, 8), (1999, 1)])
-def test_costates_equal_the_kept_step_forms_bit_for_bit(N, n):
-    params, seq, x0, w = random_instance(29, n=n, m=2, r=2, N=N, scale=0.3,
-                                         state_loss_kind="tanh_approx")
-    traj = forward(params, seq, x0)
+def kept_diagonal_recur(lam, top, U, a, sp, force):
+    """The per-step co-state loop for a diagonal A (its diagonal a), which
+    the product leaves out, with keyword `out` forms: lam_k =
+    sp_k * (lam_{k+1} @ U) + a * lam_{k+1} + f_k. Kept to pin the bits of
+    adjoint._recur's diagonal regime."""
+    t = np.empty(top.shape)
+    lam_next = top
+    for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
+        np.dot(lam_next, U, out=t)
+        np.multiply(sp_k, t, out=lam_k)
+        lam_k += a * lam_next
+        lam_k += force_k
+        lam_next = lam_k
+
+
+def kept_costates(params, traj, w):
+    """The costates by the kept step form of the regime backward_costates
+    runs at these sizes and this A: the scan, the dense loop or the
+    diagonal loop."""
+    N, n = traj.N, params.n
     want = np.empty((N + 1, n))
     want[N] = final_costate(params, traj.x[N], traj.e[N])
     sp = nonlinearity_derivative(params.sigma, traj.x[:N])
     force = sp * (traj.e[:N] @ params.V) + state_loss_grad(w, traj.x[:N], traj.h[:N], sp)
     AU = np.concatenate([params.A, params.U], axis=1)
+    a = np.diagonal(params.A)
     if adjoint._scan_pays(N, n):
         kept_blocked_scan(want, AU, sp, force)
+    elif n >= DIAGONAL_MIN_N and np.array_equal(params.A, np.diag(a)):
+        kept_diagonal_recur(want[:N], want[N], params.U, a, sp, force)
     else:
         kept_recur(want[:N], want[N], AU, sp, force)
+    return want
+
+
+@pytest.mark.parametrize("N, n", [(50, 8), (200, 24), (2000, 8), (1999, 3),
+                                  (100, 16), (500, 8), (1999, 1), (30, 8)])
+def test_costates_equal_the_kept_step_forms_bit_for_bit(N, n):
+    params, seq, x0, w = random_instance(29, n=n, m=2, r=2, N=N, scale=0.3,
+                                         state_loss_kind="tanh_approx")
+    traj = forward(params, seq, x0)
+    assert np.array_equal(backward_costates(params, traj, w).lam,
+                          kept_costates(params, traj, w))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("n", [DIAGONAL_MIN_N - 1, DIAGONAL_MIN_N, 256])
+def test_loop_costates_equal_the_kept_step_form_on_both_sides_of_the_diagonal_threshold(
+        n, dense):
+    # a diagonal A leaves the product from DIAGONAL_MIN_N on; a dense A
+    # never does
+    params, seq, x0, w = random_instance(31, n=n, m=2, r=2, N=60, scale=0.3,
+                                         state_loss_kind="tanh_approx")
+    if dense:
+        params.A = make_stable_A(n, "random_orthogonal_scaled", 0.8, seed=n)
+    traj = forward(params, seq, x0)
+    want = kept_costates(params, traj, w)
+    assert (model.diagonal_A(params.A) is None) == (dense or n < DIAGONAL_MIN_N)
     assert np.array_equal(backward_costates(params, traj, w).lam, want)
+
+
+def dense_costates(monkeypatch, params, traj, w):
+    """backward_costates with the diagonal regime switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(model, "DIAGONAL_MIN_N", 10 ** 9)
+        return backward_costates(params, traj, w).lam
+
+
+@pytest.mark.parametrize("sigma", NONLINEARITIES)
+@pytest.mark.parametrize("n", [DIAGONAL_MIN_N, 256])
+def test_diagonal_regime_costates_agree_with_the_dense_product(monkeypatch, n, sigma):
+    params, seq, x0, w = random_instance(37, n=n, m=2, r=2, N=80, sigma=sigma,
+                                         scale=0.3, state_loss_kind="tanh_approx")
+    traj = forward(params, seq, x0)
+    got, want = backward_costates(params, traj, w).lam, dense_costates(monkeypatch, params, traj, w)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_costate_explosion_names_the_same_k_in_both_regimes(monkeypatch):
+    # x = h = 0 and sigma' = 1, e_N = 1: each backward step multiplies lam
+    # by A + U, about 1e110, so lam_{N-2} ~ 1e220 is the last finite one
+    n, N = DIAGONAL_MIN_N, 50
+    rng = np.random.default_rng(8)
+    params = BrnnParams(A=0.5 * np.eye(n), U=1e110 * rng.uniform(0.5, 1, (n, n)) / n,
+                        W=np.zeros((n, 1)), b=np.zeros(n), V=np.ones((1, n)),
+                        Dft=np.zeros((1, 1)), c=np.zeros(1))
+    seq = Sequence(s=np.zeros((N + 1, 1)), d=np.zeros((N + 1, 1)))
+    traj = forward(params, seq, np.zeros(n))
+    traj.e[N] = 1.0
+    with pytest.raises(CostateExplosionError) as diagonal:
+        backward_costates(params, traj, LossWeights())
+    with pytest.raises(CostateExplosionError) as dense:
+        dense_costates(monkeypatch, params, traj, LossWeights())
+    with pytest.raises(CostateExplosionError) as ref:
+        backward_reference(params, traj, LossWeights())
+    assert diagonal.value.k == dense.value.k == ref.value.k == N - 3
 
 
 def assert_explosion_names(k, N, A, U, V):
@@ -452,7 +540,7 @@ def test_summed_gradients_and_max_step_norm_match_per_step(case):
         err = np.abs(getattr(fused, name) - want).max()
         assert err <= 1e-12 * np.abs(want).max(), name
     want_norm = materialized_max_step_norm(ref)
-    assert abs(max_step_norm(*case) - want_norm) <= 1e-12 * want_norm
+    assert abs(step_norms(*case)[0] - want_norm) <= 1e-12 * want_norm
 
 
 def test_mean_is_the_summed_gradient_over_the_step_counts():
@@ -500,6 +588,47 @@ def test_no_two_groups_share_memory():
                 assert not np.shares_memory(getattr(gset, a), getattr(gset, b)), (a, b)
 
 
+def kept_max_step_norm(params, traj, costates, seq, w):
+    """grad_norm as trainer.train computed it before step_norms: six
+    ||a_k||^2 and four ||b_k||^2 row-norm vectors, and the cross and ||P||
+    terms for every group, whatever its g. Kept to pin step_norms' bits."""
+    worst = 0.0
+    for a, b, P, g in adjoint.contributions(params, traj, costates, seq, w).values():
+        sq = np.einsum("ij,ij->i", a, a)
+        if b is None:
+            cross = a @ P
+        else:
+            b = b[:len(a)]
+            sq *= np.einsum("ij,ij->i", b, b)
+            cross = np.einsum("ij,ij->i", a @ P, b)
+        sq += 2.0 * g * cross + g * g * (P * P).sum()
+        worst = max(worst, float(np.sqrt(np.maximum(sq, 0.0)).max()))
+    return worst
+
+
+def kept_lambda_max(costates):
+    lam = costates.lam[1:]
+    return float(np.sqrt(np.einsum("ij,ij->i", lam, lam).max()))
+
+
+def trained_instances():
+    """Larger instances than equivalence_instances, gamma = 0 and > 0."""
+    for N, n, gamma in ((50, 8, 0.0), (50, 8, 0.01), (200, 130, 0.0), (300, 20, 0.02)):
+        params, seq, x0, w = random_instance(N + n, n=n, m=3, r=2, N=N, scale=0.3,
+                                             gamma1=gamma, gamma2=gamma / 2)
+        traj = forward(params, seq, x0)
+        yield params, traj, backward_costates(params, traj, w), seq, w
+
+
+def test_step_norms_equal_the_kept_formulas_bit_for_bit():
+    cases = list(equivalence_instances()) + list(trained_instances())
+    assert {case[-1].gamma1 for case in cases} == {0.0, 0.05, 0.01, 0.02}
+    for case in cases:
+        grad_norm, lambda_max = step_norms(*case)
+        assert grad_norm == kept_max_step_norm(*case)
+        assert lambda_max == kept_lambda_max(case[2])
+
+
 def test_max_step_norm_clamps_cancelling_blocks():
     # n = 1: lam_1 h_0 = -gamma1 U makes the k = 0 block of dU vanish, and the
     # expanded square can round below zero; it must not reach the square root
@@ -513,6 +642,6 @@ def test_max_step_norm_clamps_cancelling_blocks():
         assert abs(ref.dU[0, 0, 0]) <= 1e-15 * abs(w.gamma1 * params.U[0, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = max_step_norm(params, traj, cs, seq, w)
+            got = step_norms(params, traj, cs, seq, w)[0]
         want = materialized_max_step_norm(ref)
         assert abs(got - want) <= 1e-12 * want

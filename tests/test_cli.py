@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from brnn import cli
+from brnn import cli, model
 from brnn.cli import (load_checkpoint, main, save_checkpoint)
 from brnn.errors import (CheckpointFormatError, ConfigurationError,
                          CostateExplosionError, DatasetFormatError,
                          DivergenceError, NumericalError, StateOverflowError,
                          UnboundedRegionError)
 from brnn.loss import LossWeights, total_cost
-from brnn.model import BrnnParams, forward
-from brnn.tasks import read_csv
+from brnn.model import BrnnParams, Sequence, forward
+from brnn.stability import make_stable_A
+from brnn.tasks import read_csv, write_csv
 
 
 def run(*argv):
@@ -559,10 +560,9 @@ def test_non_finite_total_cost_in_train_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("W, huge, total", [(1.0, True, "inf"), (1e200, False, "nan")])
+@pytest.mark.parametrize("W, huge, total", [(1.0, True, "inf")])
 def test_non_finite_total_cost_in_eval_exits_3(W, huge, total, tmp_path, capsys):
-    # inf: the targets' squares overflow; nan: gamma1 = 0 times the
-    # overflowing ||W||^2 in reg_theta
+    # the targets' squares overflow
     data, ckpt = tmp_path / "d.csv", tmp_path / "c.txt"
     if huge:
         huge_target_dataset(data)
@@ -575,6 +575,47 @@ def test_non_finite_total_cost_in_eval_exits_3(W, huge, total, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.err == f"numerical failure: total cost is {total}\n"
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eval_leaves_a_zero_weight_regularizer_out_of_an_overflowing_total(tmp_path, capsys):
+    # ||U||^2 = 1e400 overflows; with gamma1 = 0 it is not formed and the
+    # total stays finite, with gamma1 > 0 the total is inf
+    data, ckpt = tmp_path / "d.csv", tmp_path / "c.txt"
+    assert run("generate", "--N", "30", "--out", str(data)) == 0
+    params = BrnnParams(A=[[0.5]], U=[[1e200]], W=[[1.0]], b=[0.0],
+                        V=[[1.0]], Dft=[[0.0]], c=[0.0])
+    save_checkpoint(ckpt, params)
+    seq = read_csv(data)
+    expect = total_cost(forward(params, seq, np.zeros(1)), seq, params, LossWeights())
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", str(ckpt), "--data", str(data)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "reg_theta = 0.0" in out and f"total = {expect.total!r}" in out
+    assert math.isfinite(expect.total)
+    assert run("eval", "--checkpoint", str(ckpt), "--data", str(data),
+               "--gamma1", "0.1") == 3
+    assert capsys.readouterr().err == "numerical failure: total cost is inf\n"
+
+
+def test_eval_of_a_dense_A_checkpoint_above_the_diagonal_threshold(tmp_path, capsys):
+    # a hand-written checkpoint with a dense A runs the dense step products
+    # at every n; eval prints the total an in-memory rollout gives
+    n, m, r, N = model.DIAGONAL_MIN_N, 2, 1, 40
+    rng = np.random.default_rng(12)
+    params = BrnnParams(A=make_stable_A(n, "random_orthogonal_scaled", 0.7, seed=3),
+                        U=rng.uniform(-1, 1, (n, n)) / n, W=rng.uniform(-1, 1, (n, m)),
+                        b=rng.uniform(-0.1, 0.1, n), V=rng.uniform(-1, 1, (r, n)) / n,
+                        Dft=rng.uniform(-1, 1, (r, m)), c=rng.uniform(-1, 1, r))
+    data, ckpt = tmp_path / "d.csv", tmp_path / "c.txt"
+    write_csv(Sequence(s=rng.uniform(-1, 1, (N + 1, m)),
+                       d=rng.uniform(-1, 1, (N + 1, r))), data)
+    save_checkpoint(ckpt, params)
+    loaded, seq = load_checkpoint(ckpt), read_csv(data)
+    assert model.diagonal_A(loaded.A) is None
+    expect = total_cost(forward(loaded, seq, np.zeros(n)), seq, loaded, LossWeights())
+    assert run("eval", "--checkpoint", str(ckpt), "--data", str(data)) == 0
+    assert f"total = {expect.total!r}" in capsys.readouterr().out.splitlines()
 
 
 def test_numerical_explosion_exits_3(tmp_path, capsys):

@@ -153,6 +153,34 @@ def test_regularizer_step_counts():
     assert cost.reg_nu == pytest.approx(0.1 * (N + 1) * 0.5 * 9.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_weight_regularizer_is_not_formed():
+    # ||U||^2 = 1e400 overflows; a weight of 0 must not make it 0 * inf = nan
+    N = 5
+    seq = Sequence(s=np.zeros((N + 1, 1)), d=np.zeros((N + 1, 1)))
+    traj = traj_with_errors(np.full((N + 1, 1), 0.5))
+    params = zero_params()
+    params.U = np.array([[1e200]])
+    params.V = np.array([[1e200]])
+    cost = total_cost(traj, seq, params, LossWeights())
+    assert (cost.reg_theta, cost.reg_nu) == (0.0, 0.0)
+    assert cost.total == cost.phi_N + cost.output_sum == 0.125 + 0.625
+    cost = total_cost(traj, seq, params, LossWeights(gamma1=0.5))
+    assert cost.reg_theta == cost.total == np.inf and cost.reg_nu == 0.0
+    cost = total_cost(traj, seq, params, LossWeights(gamma2=0.5))
+    assert cost.reg_nu == cost.total == np.inf and cost.reg_theta == 0.0
+    # stacked: one 0 per member
+    B = 3
+    stacked = dataclasses.replace(params, **{
+        name: np.broadcast_to(getattr(params, name), (B,) + getattr(params, name).shape)
+        for name in ("U", "W", "b", "V", "Dft", "c")})
+    btraj = traj_with_errors(np.full((N + 1, 1), 0.5))
+    btraj = Trajectory(**{k: np.broadcast_to(v, (B,) + v.shape) for k, v in vars(btraj).items()})
+    cost = total_cost(btraj, seq, stacked, LossWeights())
+    assert cost.reg_theta.shape == cost.reg_nu.shape == (B,)
+    assert (cost.total == 0.75).all()
+
+
 def test_weights_validation():
     with pytest.raises(ConfigurationError):
         LossWeights(beta=1.5)

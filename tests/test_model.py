@@ -5,9 +5,9 @@ import pytest
 
 from brnn import model
 from brnn.errors import ConfigurationError, StateOverflowError
-from brnn.model import (BrnnParams, Dims, Sequence, forward,
-                        nonlinearity_derivative)
-from brnn.stability import bibo_bound
+from brnn.model import (DIAGONAL_MIN_N, BrnnParams, Dims, Sequence, diagonal_A,
+                        forward, nonlinearity_derivative)
+from brnn.stability import bibo_bound, make_stable_A
 
 
 TRAINABLE = ("U", "W", "b", "V", "Dft", "c")
@@ -200,22 +200,112 @@ def matmul_step_rollout(params, seq, x0):
     return X, H
 
 
-@pytest.mark.parametrize("n", [1, 8, 24, 256])
-@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
-def test_single_model_rollout_equals_the_matmul_step_form(sigma, n):
-    # forward's single-model step is np.dot with a positional out; it must
-    # give the np.matmul step's bits, not merely values close to them
+def rollout_instance(n, sigma, A):
+    """(params, seq, x0) with the given A, m = 3, r = 2, N = 40."""
     rng = np.random.default_rng(n)
     m, r, N = 3, 2, 40
-    params = BrnnParams(A=0.5 * np.eye(n), U=rng.uniform(-1, 1, (n, n)) / np.sqrt(n),
+    params = BrnnParams(A=A, U=rng.uniform(-1, 1, (n, n)) / np.sqrt(n),
                         W=rng.uniform(-1, 1, (n, m)), b=rng.uniform(-0.2, 0.2, n),
                         V=rng.uniform(-1, 1, (r, n)), Dft=rng.uniform(-1, 1, (r, m)),
                         c=rng.uniform(-1, 1, r), sigma=sigma)
     seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
-    x0 = rng.uniform(-1, 1, n)
+    return params, seq, rng.uniform(-1, 1, n)
+
+
+@pytest.mark.parametrize("n", [1, 8, 24, 256])
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_single_model_rollout_equals_the_matmul_step_form(sigma, n):
+    # forward's single-model step is np.dot with a positional out; it must
+    # give the np.matmul step's bits, not merely values close to them. A is
+    # dense, so every n runs the step with A in the product
+    A = make_stable_A(n, "random_orthogonal_scaled", 0.5, seed=n)
+    params, seq, x0 = rollout_instance(n, sigma, A)
+    assert n == 1 or diagonal_A(A) is None
     traj = forward(params, seq, x0)
     x, h = matmul_step_rollout(params, seq, x0)
     assert np.array_equal(traj.x, x) and np.array_equal(traj.h, h)
+
+
+def diagonal_step_rollout(params, seq, x0):
+    """x and h of one model with a diagonal A, which the product leaves out:
+    x_{k+1} = np.matmul([h_k, s_k, 1], [U^T; W^T; b]) + a * x_k, with the
+    keyword `out` forms."""
+    N, n, m = seq.N, params.n, params.m
+    sigma = model._SIGMA[params.sigma]
+    a = np.diagonal(params.A)
+    M = np.ascontiguousarray(np.vstack([params.U.T, params.W.T, params.b]))
+    Z = np.empty((N + 1, 2 * n + m + 1))
+    Z[:, 2 * n:-1], Z[:, -1] = seq.s, 1.0
+    X, H = Z[:, :n], Z[:, n:2 * n]
+    X[0] = x0
+    for k in range(N):
+        sigma(X[k], out=H[k])
+        np.matmul(Z[k, n:], M, out=X[k + 1])
+        X[k + 1] += a * X[k]
+    sigma(X[N], out=H[N])
+    return X, H
+
+
+@pytest.mark.parametrize("n", [DIAGONAL_MIN_N - 1, DIAGONAL_MIN_N, 256])
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_diagonal_A_rollout_equals_its_step_form_on_both_sides_of_the_threshold(sigma, n):
+    # below DIAGONAL_MIN_N a diagonal A stays in the product; from it on,
+    # the product leaves A out and a * x_k is added after it
+    A = make_stable_A(n, "random_diagonal", 0.9, seed=n)
+    params, seq, x0 = rollout_instance(n, sigma, A)
+    traj = forward(params, seq, x0)
+    kept = diagonal_step_rollout if n >= DIAGONAL_MIN_N else matmul_step_rollout
+    x, h = kept(params, seq, x0)
+    assert np.array_equal(traj.x, x) and np.array_equal(traj.h, h)
+
+
+def dense_forward(monkeypatch, params, seq, x0):
+    """forward with the diagonal regime switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(model, "DIAGONAL_MIN_N", 10 ** 9)
+        return forward(params, seq, x0)
+
+
+@pytest.mark.parametrize("n", [DIAGONAL_MIN_N, 256])
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_diagonal_regime_agrees_with_the_dense_product(monkeypatch, sigma, n):
+    A = make_stable_A(n, "random_diagonal", 0.9, seed=n)
+    params, seq, x0 = rollout_instance(n, sigma, A)
+    got, want = forward(params, seq, x0), dense_forward(monkeypatch, params, seq, x0)
+    for name in ("x", "h", "y", "e"):
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
+
+
+def test_diagonal_A_reads_n_and_the_non_zero_pattern():
+    n = DIAGONAL_MIN_N
+    d = np.linspace(-0.9, 0.9, n)
+    assert np.array_equal(diagonal_A(np.diag(d)), d)
+    assert diagonal_A(np.diag(d[:-1])) is None          # n below the threshold
+    assert np.array_equal(diagonal_A(np.zeros((n, n))), np.zeros(n))
+    A = np.diag(d)
+    A[3, 70] = 1e-300                                   # one entry off the diagonal
+    assert diagonal_A(A) is None
+    # a diagonal zero is part of the pattern, not a reason to go dense
+    A = np.diag(d)
+    A[5, 5] = 0.0
+    assert np.array_equal(diagonal_A(A), np.diagonal(A))
+
+
+def test_state_overflow_names_the_same_k_in_both_regimes(monkeypatch):
+    # identity sigma, x0 = 1: x grows by about 1e100 per step and first
+    # overflows at k = 4 in both regimes
+    n, N = DIAGONAL_MIN_N, 8
+    rng = np.random.default_rng(5)
+    params = BrnnParams(A=0.5 * np.eye(n), U=1e100 * rng.uniform(0.5, 1, (n, n)) / n,
+                        W=np.zeros((n, 1)), b=np.zeros(n), V=np.ones((1, n)),
+                        Dft=np.zeros((1, 1)), c=np.zeros(1), sigma="identity")
+    seq = Sequence(s=np.zeros((N + 1, 1)), d=np.zeros((N + 1, 1)))
+    with pytest.raises(StateOverflowError) as diagonal:
+        forward(params, seq, np.ones(n))
+    with pytest.raises(StateOverflowError) as dense:
+        dense_forward(monkeypatch, params, seq, np.ones(n))
+    assert diagonal.value.k == dense.value.k == 4
 
 
 def test_linearity_superposition():
