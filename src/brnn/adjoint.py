@@ -14,10 +14,11 @@ vanishing/exploding gradients, and a non-finite lambda raises
 CostateExplosionError naming the step.
 
 Everything that does not depend on lambda (sigma'_k and the forcing f_k)
-is computed for all k first. What is left is linear and time-varying,
-lambda_k = T_k lambda_{k+1} + f_k, and it is solved in one of two regimes,
-chosen from (N, n) alone (the loop's product also reads A's non-zero
-pattern):
+is computed for all k first; sigma'_k is read from h_k
+(model.SIGMA_PRIME_OF_H), not evaluated again from x_k. What is left is
+linear and time-varying, lambda_k = T_k lambda_{k+1} + f_k, and it is
+solved in one of two regimes, chosen from (N, n) alone (the loop's product
+also reads A's non-zero pattern):
 
   loop  one product per step, lambda_{k+1}^T [A | U] = [A^T lambda,
         U^T lambda], followed by in-place elementwise work: N Python steps
@@ -122,8 +123,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CostateExplosionError
 from .loss import LossWeights, state_loss_grad
-from .model import (BrnnParams, Sequence, Trajectory, diagonal_A,
-                    nonlinearity_derivative)
+from .model import SIGMA_PRIME_OF_H, BrnnParams, Sequence, Trajectory, diagonal_A
 
 
 @dataclass
@@ -153,9 +153,35 @@ class GradSet:
     dc: np.ndarray   # (r,)
 
 
+# grad field of GradSet -> (its parameter in BrnnParams, its regularizer
+# weight in LossWeights, the names of its factors a and b in _factors): the
+# step-k contribution is a_k b_k^T + g P, or a_k + g P for a bias (b None)
+GROUPS = {
+    "dU": ("U", "gamma1", "lam", "h"),
+    "dW": ("W", "gamma1", "lam", "s"),
+    "db": ("b", "gamma1", "lam", None),
+    "dV": ("V", "gamma2", "e", "h"),
+    "dD": ("Dft", "gamma2", "e", "s"),
+    "dc": ("c", "gamma2", "e", None),
+}
 # grad field of GradSet -> parameter attribute of BrnnParams
-PARAM_GROUPS = (("dU", "U"), ("dW", "W"), ("db", "b"),
-                ("dV", "V"), ("dD", "Dft"), ("dc", "c"))
+PARAM_GROUPS = tuple((name, group[0]) for name, group in GROUPS.items())
+
+
+def step_counts(N: int) -> dict:
+    """Per group, the number K of steps its contributions run over, the
+    rows of its factor a: N for lam, N + 1 for e."""
+    rows = {"lam": N, "e": N + 1}
+    return {name: rows[a] for name, (_, _, a, _) in GROUPS.items()}
+
+
+def _factors(traj: Trajectory, costates: CostateSeq, seq: Sequence) -> dict:
+    """The four gradient factors by name: lam = lambda_1..lambda_N (N rows),
+    and e, h and s (N + 1 rows each, k = 0..N). A group pairs the first K
+    rows of its b with the K rows of its a."""
+    if costates.N != traj.N or seq.N != traj.N:
+        raise ConfigurationError("costates/sequence length mismatch")
+    return {"lam": costates.lam[1:], "e": traj.e, "h": traj.h, "s": seq.s}
 
 
 def backward_costates(params: BrnnParams, traj: Trajectory,
@@ -196,10 +222,10 @@ def _forcing(params: BrnnParams, traj: Trajectory, w: LossWeights):
     """The boundary condition lambda_N = sigma'_N (.) (V^T e_N), and sigma'_k
     and the forcing f_k, k = 0..N-1, as (N, n) arrays: every term of the
     recursion that does not depend on lambda_k, k < N, for all k at once.
-    sigma' is evaluated in one call over x_0..x_N."""
+    sigma' is read from h_0..h_N in one call (model.SIGMA_PRIME_OF_H)."""
     N = traj.N
     x, h = traj.x[:N], traj.h[:N]
-    sp_all = nonlinearity_derivative(params.sigma, traj.x)
+    sp_all = SIGMA_PRIME_OF_H[params.sigma](traj.h)
     sp = sp_all[:N]
     lam_N = sp_all[N] * (params.V.T @ traj.e[N])
     return lam_N, sp, sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
@@ -308,26 +334,13 @@ def _blocked_scan(lam, AU, params, traj, w) -> None:
     lam[:top].reshape(B, L, n)[...] = lamT.transpose(2, 0, 1)
 
 
-def contributions(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
-                   seq: Sequence, w: LossWeights) -> dict:
-    """Per group, the factors (a, b, P, g) of the step-k contribution
-    a_k b_k^T + g P; b is None for the bias groups, whose contribution is
-    the vector a_k + g P. a has one row per step of the group, K = N or
-    N + 1; b is h or s in full (N + 1 rows), of which the first K pair
-    with a's, so that the groups share each factor array."""
-    N = traj.N
-    if costates.N != N or seq.N != N:
-        raise ConfigurationError("costates/sequence length mismatch")
-    lam = costates.lam[1:]       # lambda_1..lambda_N
-    h, e, s = traj.h, traj.e, seq.s
-    return {
-        "dU": (lam, h, params.U, w.gamma1),
-        "dW": (lam, s, params.W, w.gamma1),
-        "db": (lam, None, params.b, w.gamma1),
-        "dV": (e, h, params.V, w.gamma2),
-        "dD": (e, s, params.Dft, w.gamma2),
-        "dc": (e, None, params.c, w.gamma2),
-    }
+def _groups(params: BrnnParams, w: LossWeights, N: int) -> dict:
+    """Per group, (a, b, P, g, K): the names of its factors a and b as
+    GROUPS gives them, its parameter array P, its regularizer weight g and
+    its step count K."""
+    counts = step_counts(N)
+    return {name: (a, b, getattr(params, p), getattr(w, g), counts[name])
+            for name, (p, g, a, b) in GROUPS.items()}
 
 
 def per_step_gradients(params: BrnnParams, traj: Trajectory,
@@ -354,26 +367,22 @@ def reduce_step_blocks(params: BrnnParams, traj: Trajectory, costates: CostateSe
     """Per group, reduce(block) for each row i of P, stacked in row order.
 
     block holds row i of every step's contribution a_k b_k^T + g P
-    (a_k + g P without b), from the factors `contributions` returns, as a
+    (a_k + g P without b), from the factors that GROUPS names, as a
     C-contiguous array of shape P[i].shape + (K,): the step axis is last.
     Every block is built in one buffer, sized for the largest, and
     overwritten by the next, so reduce must return an array of its own.
     """
-    groups = contributions(params, traj, costates, seq, w)
-    # each distinct factor array (lam, h, e, s) transposed once, steps last
-    step_last = {}
-    for a, b, _, _ in groups.values():
-        for f in (a, b):
-            if f is not None and id(f) not in step_last:
-                step_last[id(f)] = np.ascontiguousarray(f.T)
+    # each factor transposed once, steps last
+    step_last = {key: np.ascontiguousarray(f.T)
+                 for key, f in _factors(traj, costates, seq).items()}
+    groups = _groups(params, w, traj.N)
     # a row at a time, not a whole (n, n, N) block: a row block of at most
     # n (N+1) values is built, reduced and built over while still in cache
-    buf = np.empty(max(P[0].size * a.shape[0] for a, _, P, _ in groups.values()))
+    buf = np.empty(max(P[0].size * K for _, _, P, _, K in groups.values()))
     out = {}
-    for name, (a, b, P, g) in groups.items():
-        K = a.shape[0]
-        aT = step_last[id(a)]
-        bT = None if b is None else step_last[id(b)][:, :K]
+    for name, (a, b, P, g, K) in groups.items():
+        aT = step_last[a]
+        bT = None if b is None else step_last[b][:, :K]
         gP = g * P
         rows = []
         for i in range(P.shape[0]):
@@ -398,10 +407,11 @@ def summed_gradients(params: BrnnParams, traj: Trajectory,
 
     and likewise for W, b, Dft, c. This is the exact gradient of the cost.
     """
+    f = _factors(traj, costates, seq)
     out = {}
-    for name, (a, b, P, g) in contributions(params, traj, costates, seq, w).items():
-        rank_one = a.sum(axis=0) if b is None else a.T @ b[:len(a)]
-        out[name] = rank_one + a.shape[0] * g * P
+    for name, (a, b, P, g, K) in _groups(params, w, traj.N).items():
+        rank_one = f[a].sum(axis=0) if b is None else f[a].T @ f[b][:K]
+        out[name] = rank_one + K * g * P
     return GradSet(**out)
 
 
@@ -417,20 +427,14 @@ def step_norms(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
     each factor (lam, e, h, s) are computed once and shared by the groups;
     the cross and ||P|| terms are formed only for a group with g != 0.
     """
-    groups = contributions(params, traj, costates, seq, w)
+    f = _factors(traj, costates, seq)
     # einsum's row dots beat a multiply and a sum over a short trailing axis
-    row_sq = {}
-    for a, b, _, _ in groups.values():
-        for f in (a, b):
-            if f is not None and id(f) not in row_sq:
-                row_sq[id(f)] = np.einsum("ij,ij->i", f, f)
+    row_sq = {key: np.einsum("ij,ij->i", a, a) for key, a in f.items()}
     worst = 0.0
-    for a, b, P, g in groups.values():
-        K = len(a)
-        sq = row_sq[id(a)] if b is None else row_sq[id(a)] * row_sq[id(b)][:K]
+    for a, b, P, g, K in _groups(params, w, traj.N).values():
+        sq = row_sq[a] if b is None else row_sq[a] * row_sq[b][:K]
         if g != 0.0:
-            cross = a @ P if b is None else np.einsum("ij,ij->i", a @ P, b[:K])
+            cross = f[a] @ P if b is None else np.einsum("ij,ij->i", f[a] @ P, f[b][:K])
             sq = sq + (2.0 * g * cross + g * g * (P * P).sum())
         worst = max(worst, float(np.sqrt(np.maximum(sq, 0.0)).max()))
-    lam_sq = row_sq[id(groups["dU"][0])]
-    return worst, float(np.sqrt(lam_sq.max()))
+    return worst, float(np.sqrt(row_sq["lam"].max()))

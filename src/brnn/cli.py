@@ -16,6 +16,7 @@ repeated key is a configuration error) and every default come from it.
 import argparse
 import inspect
 import math
+import re
 import sys
 
 import numpy as np
@@ -182,8 +183,10 @@ def write_metrics_csv(path, history) -> None:
 
 
 def load_config_file(path) -> dict:
-    """Flat key = value pairs; blank lines and # comments ignored. A key
-    not in KEYS, or one given twice, is an error."""
+    """Flat key = value pairs; blank lines and # comments ignored. A #
+    starts a comment at the start of a line or after whitespace, so a value
+    such as run#1.csv keeps its #. A key not in KEYS, or one given twice,
+    is an error."""
     try:
         with open(path) as f:
             raws = f.readlines()
@@ -191,7 +194,7 @@ def load_config_file(path) -> dict:
         raise ConfigurationError(f"{path}: not a text file ({exc})") from None
     out, lines = {}, {}
     for lineno, raw in enumerate(raws, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

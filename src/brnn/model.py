@@ -81,24 +81,34 @@ _SIGMA = {
 }
 NONLINEARITIES = tuple(_SIGMA)
 
+# tanh' and logistic' form their result in place in one new array: with the
+# temporary of 1.0 - h * h, the peak RSS of 5 median epochs at N = 20000,
+# n = 8 rose by 2.4 MB (4%)
+def _tanh_prime(h):
+    p = np.multiply(h, h, out=np.empty_like(h))
+    return np.subtract(1.0, p, out=p)
+
+
+def _logistic_prime(h):
+    p = np.subtract(1.0, h, out=np.empty_like(h))
+    return np.multiply(p, h, out=p)
+
+
+# sigma'(x) as a function of h = sigma(x), so that a trajectory's sigma' is
+# read from its h; relu's is the subderivative 0 at x = 0
+SIGMA_PRIME_OF_H = {
+    "tanh": _tanh_prime,
+    "logistic": _logistic_prime,
+    "relu": lambda h: (h > 0.0).astype(float),
+    "identity": np.ones_like,
+}
+
 
 def nonlinearity_derivative(kind: str, x) -> np.ndarray:
-    """Diagonal of sigma'(x), stored as a vector for Hadamard application.
-
-    relu uses the subderivative 0 at x = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if kind == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if kind == "logistic":
-        p = _logistic(x)
-        return p * (1.0 - p)
-    if kind == "relu":
-        return (x > 0.0).astype(float)
-    if kind == "identity":
-        return np.ones_like(x)
-    raise ConfigurationError(f"unknown nonlinearity {kind!r}")
+    """Diagonal of sigma'(x), stored as a vector for Hadamard application."""
+    if kind not in _SIGMA:
+        raise ConfigurationError(f"unknown nonlinearity {kind!r}")
+    return SIGMA_PRIME_OF_H[kind](_SIGMA[kind](np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -116,16 +116,24 @@ def m_sup_bound(params: BrnnParams, s_sup: float) -> float:
     return m_sup
 
 
+def _bibo(A, M_sup: float) -> tuple[float, float]:
+    """||A||_2 and the asymptotic state bound of the module docstring, which
+    needs ||A||_2 < 1."""
+    norm = spectral_norm(A)
+    if norm >= 1.0:
+        raise UnboundedRegionError(f"spectral norm of A is {norm} >= 1")
+    return norm, M_sup / (1.0 - norm)
+
+
 def bibo_bound(params: BrnnParams, s_sup: float) -> float:
-    """Asymptotic state bound M_sup / (1 - ||A||_2). Requires ||A||_2 < 1.
+    """Asymptotic state bound of _bibo, with M_sup from m_sup_bound (its
+    errors come first, as in `brnn stability --checkpoint`). Requires
+    ||A||_2 < 1.
 
     For the transient from x0, add rate^k ||x0||: rate = ||A||_2 for
     tanh/logistic, ||A||_2 + ||U||_2 for relu/identity (see hidden_sup).
     """
-    a = spectral_norm(params.A)
-    if a >= 1.0:
-        raise UnboundedRegionError(f"spectral norm of A is {a} >= 1")
-    bound = m_sup_bound(params, s_sup) / (1.0 - a)
+    _, bound = _bibo(params.A, m_sup_bound(params, s_sup))
     if not bound < np.inf:
         raise UnboundedRegionError(f"bibo_bound overflows float64 at s_sup = {s_sup!r}")
     return bound
@@ -175,7 +183,7 @@ def lyapunov_region(A, M_sup: float) -> LyapunovRegion:
 class StabilityReport:
     spectral_radius: float
     spectral_norm: float
-    bibo: float            # M_sup / (1 - ||A||_2)
+    bibo: float            # asymptotic bound on ||x_k||_2 (_bibo)
     region: LyapunovRegion
 
 
@@ -183,9 +191,7 @@ def stability_report(A, M_sup: float) -> StabilityReport:
     """Diagnostics for a fixed A under forcing bounded by M_sup."""
     _check_bound("M_sup", M_sup)
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    norm = spectral_norm(A)
-    if norm >= 1.0:
-        raise UnboundedRegionError(f"spectral norm of A is {norm} >= 1")
+    norm, bibo = _bibo(A, M_sup)
     return StabilityReport(
-        spectral_radius=spectral_radius(A), spectral_norm=norm,
-        bibo=M_sup / (1.0 - norm), region=lyapunov_region(A, M_sup))
+        spectral_radius=spectral_radius(A), spectral_norm=norm, bibo=bibo,
+        region=lyapunov_region(A, M_sup))

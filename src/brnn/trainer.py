@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import (PARAM_GROUPS, CostateSeq, GradSet, backward_costates,
-                      reduce_step_blocks, step_norms, summed_gradients)
+                      reduce_step_blocks, step_counts, step_norms,
+                      summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
 from .model import BrnnParams, Dims, Sequence, Trajectory, forward
@@ -140,18 +141,16 @@ def init_params(dims: Dims, *, sigma: str = "tanh", init_scale: float = 0.1,
 def epoch_gradient(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
                    seq: Sequence, w: LossWeights, mode: str) -> GradSet:
     """The epoch's update direction under aggregation `mode`. mean is the
-    summed gradient divided by the step count of each group, N for the
-    state-equation groups and N+1 for the output-equation ones, exactly as
-    aggregate divides."""
+    summed gradient divided by each group's step count (adjoint.step_counts),
+    exactly as aggregate divides."""
     if mode not in ("sum", "mean"):
         # median reorders each block, which the next one overwrites anyway
         return reduce_step_blocks(params, traj, costates, seq, w,
                                   lambda block: _select(block, mode))
     g = summed_gradients(params, traj, costates, seq, w)
     if mode == "mean":
-        N = traj.N
-        g = GradSet(dU=g.dU / N, dW=g.dW / N, db=g.db / N,
-                    dV=g.dV / (N + 1), dD=g.dD / (N + 1), dc=g.dc / (N + 1))
+        counts = step_counts(traj.N)
+        g = GradSet(**{name: a / counts[name] for name, a in vars(g).items()})
     return g
 
 

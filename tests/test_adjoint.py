@@ -43,12 +43,13 @@ def final_costate(params, x_N, e_N):
 
 def boundary_costate(params, x_N, e_N):
     """backward_costates' lam[N] on a one-step trajectory that ends at x_N
-    with output error e_N."""
+    with output error e_N. h is sigma(x), which backward_costates reads
+    sigma' from."""
     x = np.zeros((2, params.n))
     x[1] = x_N
     e = np.zeros((2, params.r))
     e[1] = e_N
-    traj = Trajectory(x=x, h=np.zeros_like(x), y=np.zeros_like(e), e=e)
+    traj = Trajectory(x=x, h=model._SIGMA[params.sigma](x), y=np.zeros_like(e), e=e)
     return backward_costates(params, traj, LossWeights()).lam[1]
 
 
@@ -530,6 +531,35 @@ def equivalence_instances(N=None):
         yield params, traj, backward_costates(params, traj, w), seq, w
 
 
+@pytest.mark.parametrize("N, n", [(10, 4), (200, 8), (30, DIAGONAL_MIN_N)])
+@pytest.mark.parametrize("sigma", NONLINEARITIES)
+def test_backward_costates_reads_sigma_prime_from_h(monkeypatch, sigma, N, n):
+    # loop, scan and the diagonal loop; beta0 > 0 puts sigma' in the forcing too
+    params, seq, x0, w = random_instance(N + n, n=n, N=N, sigma=sigma,
+                                         state_loss_kind="tanh_approx")
+    traj = forward(params, seq, x0)
+    lam = backward_costates(params, traj, w).lam
+    calls = []
+    for kind, f in model._SIGMA.items():
+        monkeypatch.setitem(model._SIGMA, kind,
+                            lambda *args, f=f, **kw: calls.append(f) or f(*args, **kw))
+    assert backward_costates(params, traj, w).lam.tobytes() == lam.tobytes()
+    assert calls == []
+    # without a state loss nothing reads x: a trajectory whose x is lost
+    # gives the same co-states
+    w = LossWeights()
+    blind = Trajectory(x=np.full_like(traj.x, np.nan), h=traj.h, y=traj.y, e=traj.e)
+    assert (backward_costates(params, blind, w).lam.tobytes()
+            == backward_costates(params, traj, w).lam.tobytes())
+
+
+def test_step_counts_are_the_per_step_lengths():
+    for case in equivalence_instances():
+        steps = per_step_gradients(*case)
+        assert adjoint.step_counts(case[1].N) == {
+            name: getattr(steps, name).shape[0] for name in GROUPS}
+
+
 @pytest.mark.parametrize("case", list(equivalence_instances()))
 def test_summed_gradients_and_max_step_norm_match_per_step(case):
     ref = per_step_gradients(*case)
@@ -588,12 +618,28 @@ def test_no_two_groups_share_memory():
                 assert not np.shares_memory(getattr(gset, a), getattr(gset, b)), (a, b)
 
 
+def kept_contributions(params, traj, costates, seq, w):
+    """Per group, the factors (a, b, P, g) of the step-k contribution
+    a_k b_k^T + g P, written out: b is None for a bias, a has the group's
+    K rows, and b is h or s in full (N + 1 rows)."""
+    lam = costates.lam[1:]
+    h, e, s = traj.h, traj.e, seq.s
+    return {
+        "dU": (lam, h, params.U, w.gamma1),
+        "dW": (lam, s, params.W, w.gamma1),
+        "db": (lam, None, params.b, w.gamma1),
+        "dV": (e, h, params.V, w.gamma2),
+        "dD": (e, s, params.Dft, w.gamma2),
+        "dc": (e, None, params.c, w.gamma2),
+    }
+
+
 def kept_max_step_norm(params, traj, costates, seq, w):
     """grad_norm as trainer.train computed it before step_norms: six
     ||a_k||^2 and four ||b_k||^2 row-norm vectors, and the cross and ||P||
     terms for every group, whatever its g. Kept to pin step_norms' bits."""
     worst = 0.0
-    for a, b, P, g in adjoint.contributions(params, traj, costates, seq, w).values():
+    for a, b, P, g in kept_contributions(params, traj, costates, seq, w).values():
         sq = np.einsum("ij,ij->i", a, a)
         if b is None:
             cross = a @ P

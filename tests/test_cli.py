@@ -825,3 +825,25 @@ def test_config_file_flags_win(tmp_path):
                "--metrics-out", str(m2),
                "--checkpoint-out", str(tmp_path / "c2.txt")) == 0
     assert len(m2.read_text().strip().splitlines()) == 1 + 2  # flag wins
+
+
+def test_config_value_keeps_a_hash_that_follows_no_whitespace(tmp_path, monkeypatch):
+    # cut at its #, the value would name `run`, which does not exist (exit 4)
+    monkeypatch.chdir(tmp_path)
+    assert run("generate", "--task", "sine", "--N", "20", "--out", "run#1.csv") == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data = run#1.csv\nn = 2\nepochs = 1\n")
+    assert cli.load_config_file(cfg)["data"] == "run#1.csv"
+    assert run("train", "--config", str(cfg)) == 0
+    assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1 + 1
+
+
+def test_config_comment_after_whitespace_is_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment line\n  # an indented one\nepochs = 2  # two\n"
+                   "N = 20\t# a tab before it\nn = 2\n")
+    assert cli.load_config_file(cfg) == {"epochs": "2", "N": "20", "n": "2"}
+    metrics = tmp_path / "m.csv"
+    assert run("train", "--config", str(cfg), "--metrics-out", str(metrics),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 0
+    assert len(metrics.read_text().splitlines()) == 1 + 2

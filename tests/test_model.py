@@ -102,6 +102,41 @@ def test_nonlinearity_derivative_values():
         pytest.approx(p[0] * (1 - p[0]), rel=1e-12)
 
 
+def kept_nonlinearity_derivative(kind, x):
+    """sigma'(x) as nonlinearity_derivative computed it from x before it read
+    model.SIGMA_PRIME_OF_H at h = sigma(x); kept to pin that table's bits."""
+    x = np.asarray(x, dtype=float)
+    if kind == "tanh":
+        t = np.tanh(x)
+        return 1.0 - t * t
+    if kind == "logistic":
+        p = model._logistic(x)
+        return p * (1.0 - p)
+    if kind == "relu":
+        return (x > 0.0).astype(float)
+    return np.ones_like(x)
+
+
+# the tails, where tanh and the logistic saturate, and relu's kink
+EDGE_X = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9, 0.7, -0.7, 19.0, -19.0,
+                   40.0, -40.0, 800.0, -800.0, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("n", [1, 8, DIAGONAL_MIN_N, 256])
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_sigma_prime_of_h_equals_the_derivative_at_x_bit_for_bit(sigma, n):
+    # the co-state recursion reads sigma' from forward's h; it must give the
+    # bits of sigma' computed from x, in both forward regimes
+    A = make_stable_A(n, "random_diagonal", 0.9, seed=n)
+    params, seq, x0 = rollout_instance(n, sigma, A)
+    traj = forward(params, seq, x0)
+    want = kept_nonlinearity_derivative(sigma, traj.x)
+    assert model.SIGMA_PRIME_OF_H[sigma](traj.h).tobytes() == want.tobytes()
+    assert nonlinearity_derivative(sigma, traj.x).tobytes() == want.tobytes()
+    edge = kept_nonlinearity_derivative(sigma, EDGE_X)
+    assert nonlinearity_derivative(sigma, EDGE_X).tobytes() == edge.tobytes()
+
+
 def test_unknown_nonlinearity_raises():
     with pytest.raises(ConfigurationError):
         scalar_params(sigma="softsign").validate()

@@ -196,6 +196,17 @@ def test_small_gain_fails_without_a_certificate(sigma):
     assert stability_report(params.A, 1.0).bibo == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("sigma", ["tanh", "relu"])
+def test_bibo_bound_is_the_report_bound_at_m_sup(sigma):
+    params = forcing_params(0.6 * np.eye(2), U=0.15, W=0.7, b=0.1, sigma=sigma)
+    m_sup = m_sup_bound(params, 1.3)
+    assert bibo_bound(params, 1.3) == stability_report(params.A, m_sup).bibo
+    # m_sup_bound's errors come first, as in `brnn stability --checkpoint`
+    unstable = forcing_params(np.eye(2), U=0.3, sigma=sigma)
+    with pytest.raises(ConfigurationError, match="s_sup must be finite"):
+        bibo_bound(unstable, -1.0)
+
+
 def test_overflowing_certificates_raise():
     # finite input bounds whose certificate is not a finite float64
     tanh = forcing_params(0.5 * np.eye(2), U=0.3, W=1.0)        # ||W||_2 = sqrt(2)
