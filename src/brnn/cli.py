@@ -25,7 +25,7 @@ from . import stability as stab
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DatasetFormatError, NumericalError)
 from .loss import STATE_LOSS_KINDS, LossWeights, total_cost
-from .model import BrnnParams, Dims, NONLINEARITIES, forward
+from .model import BrnnParams, Dims, NONLINEARITIES, forward, step_rate
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
 from .trainer import AGGREGATIONS, TrainConfig, init_params, train
 from .verify import (SMOOTH_SIGMAS, SMOOTH_STATE_LOSSES, format_report,
@@ -363,6 +363,8 @@ def cmd_stability(args) -> int:
         m_sup = args.Msup if args.Msup is not None else 1.0
     report = stab.stability_report(A, m_sup)
     fields = _format_stability(report)
+    if args.checkpoint:
+        fields.append(("step_rate", step_rate(params)))
     print(f"n = {A.shape[0]}")
     for key, value in fields:
         print(f"{key} = {value!r}")

@@ -11,8 +11,9 @@ the state inside a bounded region; see :mod:`brnn.stability`. All
 arithmetic is float64. `forward` also runs a stack of models (trainable
 parameters with a leading batch axis) in one recursion.
 
-The state recursion cannot be vectorized over k, so `forward` makes each
-step one matrix product: it keeps the augmented rows z_k = [x_k, h_k, s_k, 1]
+The state recursion is nonlinear in x and runs as a loop over k (for a
+long horizon, see multiple shooting below). `forward` makes each step one
+matrix product: it keeps the augmented rows z_k = [x_k, h_k, s_k, 1]
 in one time-first buffer and multiplies by M = [A^T; U^T; W^T; b], built
 once, so that x_{k+1} = z_k M. A step of one model is two NumPy calls,
 sigma(x_k) into h_k and then one ndarray.dot into x_{k+1}, each with its
@@ -50,6 +51,67 @@ interleaved rounds, one BLAS thread, 2-vCPU VM), in ms:
 
 Up to n = 112 the two forms traded places between runs; from 128 on the
 diagonal one was faster or level in every run.
+
+Over a long horizon a single model with A in the product runs most of the
+steps as multiple shooting, and gets the step loop's bits. With
+q = step_rate(params) < 1 the state map contracts: two rollouts from
+different states close in by a factor q per step, so a rollout started
+from 0 has forgotten its start after L(q) steps, the smallest L with
+q^L < 2^-64. In floating point it then has the true rollout's bits, and
+keeps them, since the arithmetic that follows is the same. The steps
+k < B L are cut into B blocks of L steps; block 0 starts at x0 and every
+other block at 0. A sweep runs every block at once, one step per
+iteration: sigma on the (B, n) view of the blocks' rows, then one
+np.matmul over the rows and the shared M, which makes the one gemv per row
+that ndarray.dot makes for one row (so does each row of sigma's call).
+Block j is final when block j-1 is final and block j's start has the bits
+of block j-1's end: its rows are then the loop's, step for step. A second
+sweep restarts every open block from the first sweep's end of the block
+before it. After at most two sweeps the step loop runs on from the end of
+the last final block, over whatever is open and the N - B L steps after
+the blocks. The result is the loop's in every case; only the time
+depends on how many blocks are final.
+
+2^-53 (float64's unit roundoff) in place of 2^-64 left blocks open at
+small q, since a state's norm can exceed its entries by some bits: in 36
+random rollouts per q (n = 4, 8, 16, four sigmas, 40 blocks each) 1-15%
+of the blocks were open at q = 0.05-0.3. At 2^-64 every block was final,
+at each q from 0.05 to 0.8.
+
+The regime runs when q < 1, n <= 16 (SHOOT_MAX_N), N >= 512 (SHOOT_MIN_N)
+and N >= 12 L (SHOOT_BLOCKS); shooting_block decides from N and n before
+it computes q. Measured medians of 21 interleaved runs against the step
+loop, one BLAS thread on a 2-vCPU VM (tanh, A = 0.5 I, or (q/2) I for
+q <= 0.5, U scaled to the rate q; m = r = 2), with the number of runs in
+which shooting was the faster; every block was final in every row:
+
+    q       L    N/L   n    loop       shooting   faster
+    0.7625  164  122   1    21.0 ms    4.03 ms    21/21
+    0.7625  164  122   8    48.1 ms    18.0 ms    21/21
+    0.7625  164  122   16   45.4 ms    22.5 ms    21/21
+    0.7625  164  122   24   35.2 ms    25.6 ms    21/21
+    0.7625  164  122   32   36.0 ms    26.0 ms    19/21
+    0.7625  164  24    24   5.42 ms    4.17 ms    21/21
+    0.7625  164  12    8    2.26 ms    1.88 ms    17/21
+    0.7625  164  12    16   4.97 ms    3.79 ms    21/21
+    0.7625  164  12    24   2.64 ms    2.70 ms     5/21
+    0.7625  164  12    32   2.84 ms    3.02 ms     1/21
+    0.7625  164  8     8    1.39 ms    1.36 ms    18/21
+    0.7625  164  6     8    1.09 ms    1.31 ms     0/21
+    0.95    865  12    16   23.7 ms    17.6 ms    17/21
+    0.95    865  8     16   16.6 ms    15.3 ms    19/21
+    0.5     65   12    8    1.69 ms    1.34 ms    17/21
+    0.5     65   12    16   0.974 ms   0.968 ms   12/21
+    0.5     65   8     16   0.647 ms   0.805 ms    1/21
+    0.2     28   20    16   0.684 ms   0.521 ms   21/21
+    0.2     28   12    16   0.421 ms   0.433 ms    3/21
+    0.2     28   8     8    0.277 ms   0.341 ms    0/21
+
+Two sweeps cost about 4 L NumPy calls plus two rows of arithmetic per
+step, so the regime pays from about 12 blocks; at small L the fixed cost
+weighs more, which SHOOT_MIN_N covers. Above n = 16 the per-row products
+cost more and the gain shrinks; at n = 48-64 blocks were left open in
+some rollouts. Stacked params and the diagonal regime keep the loop.
 
 Overflow is not checked per step: the finished trajectory is checked once
 and StateOverflowError names the first non-finite k, as a per-step check
@@ -102,6 +164,23 @@ SIGMA_PRIME_OF_H = {
     "relu": lambda h: (h > 0.0).astype(float),
     "identity": np.ones_like,
 }
+
+
+# sup of sigma' over the real line
+SIGMA_PRIME_SUP = {"tanh": 1.0, "logistic": 0.25, "relu": 1.0, "identity": 1.0}
+
+
+def spectral_norm(A) -> float:
+    return float(np.linalg.norm(np.asarray(A, dtype=float), 2))
+
+
+def step_rate(params) -> float:
+    """q = ||A||_2 + sup sigma' * ||U||_2 of a single model: a bound on
+    ||A + U diag sigma'_k||_2 at every k of every rollout, so the state map
+    contracts at rate q (two rollouts from different states close in by a
+    factor q per step) and the co-states decay at rate q."""
+    return (spectral_norm(params.A)
+            + SIGMA_PRIME_SUP[params.sigma] * spectral_norm(params.U))
 
 
 def nonlinearity_derivative(kind: str, x) -> np.ndarray:
@@ -252,11 +331,13 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
     Stacked params (see BrnnParams.batch) run every member from the same x0
     on the same sequence in one recursion. Each step is h_k = sigma(x_k) and
     x_{k+1} = z_k M over the augmented row z_k = [x_k, h_k, s_k, 1], or,
-    when diagonal_A says so, the product without A plus a * x_k (see the
-    module docstring). Raises ConfigurationError on a mismatch between the
-    sequence's and the params' dimensions or a bad x0, and
-    StateOverflowError (naming the first offending k over all members) if
-    the state or output turns non-finite.
+    when diagonal_A says so, the product without A plus a * x_k; when
+    shooting_block says so, two multiple-shooting sweeps give most steps
+    the loop's bits first (see the module docstring). Raises
+    ConfigurationError on a mismatch between the sequence's and the
+    params' dimensions or a bad x0, and StateOverflowError (naming the
+    first offending k over all members) if the state or output turns
+    non-finite.
 
     params are not validated here but where they enter: train validates
     params0 (its updates keep the shapes and are checked for finiteness),
@@ -304,9 +385,16 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
         # np.matmul gufunc (and than np.dot, which adds a Python-level
         # dispatch), but on a stacked (3-D) M it is not a batched product
         product = np.matmul if batch else np.ndarray.dot
-        x_k = X[0]
+        # the loop goes on from step k0; before it X[0..k0] and H[:k0] hold
+        # its own bits
+        k0 = 0
+        if a is None and not batch:
+            L = shooting_block(params, N)
+            if L:
+                k0 = _shoot(Z, M, sigma, n, L)
+        x_k = X[k0]
         if a is None:
-            for z_k, h_k, x_next in zip(Z[:N], H[:N], X[1:]):
+            for z_k, h_k, x_next in zip(Z[k0:N], H[k0:N], X[k0 + 1:]):
                 sigma(x_k, h_k)
                 product(z_k, M, x_next)
                 x_k = x_next
@@ -333,6 +421,72 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
 # n from which the step products leave a diagonal A out (the module
 # docstring's table)
 DIAGONAL_MIN_N = 128
+
+# the multiple-shooting regime's sizes (the module docstring's table): n at
+# most SHOOT_MAX_N, N at least SHOOT_MIN_N and at least SHOOT_BLOCKS blocks
+SHOOT_MAX_N, SHOOT_MIN_N, SHOOT_BLOCKS = 16, 512, 12
+
+
+def shooting_block(params, N: int) -> int:
+    """Block length L of forward's multiple-shooting regime for a single
+    model with A in the product, or 0 where the step loop runs alone.
+
+    L is the smallest L with q^L < 2^-64, q = step_rate(params), so that a
+    rollout from 0 has forgotten its start to below rounding after L steps
+    (see the module docstring). The regime runs when q < 1,
+    n <= SHOOT_MAX_N, N >= SHOOT_MIN_N and N >= SHOOT_BLOCKS * L. N and n
+    are tested first, so short rollouts (the gradient check's) take no SVD.
+    """
+    if N < SHOOT_MIN_N or params.n > SHOOT_MAX_N:
+        return 0
+    q = step_rate(params)
+    if not q < 1.0:
+        return 0
+    L = 1 if q == 0.0 else int(64.0 / -np.log2(q)) + 1
+    return L if N >= SHOOT_BLOCKS * L else 0
+
+
+def _shoot(Z, M, sigma, n, L) -> int:
+    """Fill the first blocks of L steps of forward's buffer Z with the step
+    loop's own bits; return the step k0 from which the loop goes on.
+
+    Z[:B*L] (B = (len(Z) - 1) // L) is cut into B blocks; block 0 starts
+    at x0 and every other block at 0. A block is final when the one before
+    it is final and its start has the bits of that block's end: its rows
+    are then the loop's, step for step. A second sweep restarts every open
+    block from the first sweep's end of the block before it. At most two
+    sweeps run; X[k0] is the end of the last final block.
+    """
+    B = (len(Z) - 1) // L
+    Zb = Z[:B * L].reshape(B, L, -1)
+    starts = Zb[:, 0, :n]
+    starts[1:] = 0.0
+    ends = np.empty((B, 1, n))
+    done = 0    # blocks 0..done-1 are final
+    for _ in range(2):
+        _sweep(Zb[done:], M, sigma, n, ends[done:])
+        # block `done` started from the end of a final block, so is final
+        same = (starts[done + 1:].view(np.uint64)
+                == ends[done:-1, 0].view(np.uint64)).all(axis=1)
+        done += 1 + int(np.logical_and.accumulate(same).sum())
+        if done == B:
+            break
+        starts[done:] = ends[done - 1:-1, 0]
+    Z[done * L, :n] = ends[done - 1, 0]
+    return done * L
+
+
+def _sweep(Zb, M, sigma, n, ends) -> None:
+    """Run every block of Zb (B, L, D) from the state in its first row, all
+    blocks at once, one step per iteration; write the state after each
+    block's last step to ends (B, 1, n). The broadcast product is one gemv
+    per block, the call ndarray.dot makes for one row, and sigma on the
+    (B, 1, n) view gives each block the bits of the per-row call."""
+    T = Zb[:, :, None, :].swapaxes(0, 1)   # T[i]: row i of every block
+    X, H = T[..., :n], T[..., n:2 * n]
+    for z_i, x_i, h_i, x_next in zip(T, X, H, [*X[1:], ends]):
+        sigma(x_i, h_i)
+        np.matmul(z_i, M, x_next)
 
 
 def diagonal_A(A):

@@ -40,13 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnboundedRegionError
-from .model import BrnnParams
+from .model import BrnnParams, spectral_norm, step_rate
 
 A_SCHEMES = ("scaled_identity", "random_diagonal", "random_orthogonal_scaled")
-
-
-def spectral_norm(A) -> float:
-    return float(np.linalg.norm(np.asarray(A, dtype=float), 2))
 
 
 def spectral_radius(A) -> float:
@@ -93,12 +89,13 @@ def hidden_sup(params: BrnnParams, s_sup: float) -> float:
     relu/identity: ||h|| <= ||x||, and ||x_{k+1}|| <= (a + u) ||x_k||
     + ||W||_2 s_sup + ||b||_2 with a = ||A||_2, u = ||U||_2, so the bound
     is (||W||_2 s_sup + ||b||_2) / (1 - a - u) and the transient decays at
-    a + u. Raises UnboundedRegionError when a + u >= 1.
+    a + u, which is model.step_rate (sup sigma' = 1 for both). Raises
+    UnboundedRegionError when a + u >= 1.
     """
     _check_bound("s_sup", s_sup)
     if params.sigma in ("tanh", "logistic"):
         return float(np.sqrt(params.n))
-    rate = spectral_norm(params.A) + spectral_norm(params.U)
+    rate = step_rate(params)
     if rate >= 1.0:
         raise UnboundedRegionError(f"||A||_2 + ||U||_2 is {rate} >= 1, so a "
                                    f"{params.sigma} state has no small-gain bound")

@@ -847,3 +847,51 @@ def test_config_comment_after_whitespace_is_ignored(tmp_path):
     assert run("train", "--config", str(cfg), "--metrics-out", str(metrics),
                "--checkpoint-out", str(tmp_path / "c.txt")) == 0
     assert len(metrics.read_text().splitlines()) == 1 + 2
+
+
+def test_stability_prints_the_step_rate_last(tmp_path, capsys):
+    # relu: q = 0.5 + 1 * 0.4; logistic: q = 0.5 + 0.8 / 4
+    eye = np.eye(2)
+    logistic = BrnnParams(A=0.5 * eye, U=0.8 * eye, W=eye, b=np.zeros(2), V=eye,
+                          Dft=np.zeros((2, 2)), c=np.zeros(2), sigma="logistic")
+    save_checkpoint(tmp_path / "logistic.txt", logistic)
+    for ckpt, rate in ((relu_checkpoint(tmp_path, 0.4), 0.9),
+                       (str(tmp_path / "logistic.txt"), 0.7)):
+        csv_out = tmp_path / "stab.csv"
+        assert run("stability", "--checkpoint", ckpt, "--csv-out", str(csv_out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        key, _, value = lines[-2].partition(" = ")
+        assert key == "step_rate" and float(value) == pytest.approx(rate, rel=1e-15)
+        assert lines[-1] == f"csv: {csv_out}"
+        header, row = csv_out.read_text().strip().splitlines()
+        assert header.split(",")[-1] == "step_rate"
+        assert row.split(",")[-1] == value
+        assert run("stability", "--checkpoint", ckpt) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == lines[-2]
+    # without a checkpoint there is no U, and no rate
+    assert run("stability", "--n", "2") == 0
+    assert "step_rate" not in capsys.readouterr().out
+
+
+def test_train_writes_the_same_bytes_with_and_without_shooting(monkeypatch, tmp_path,
+                                                               capsys):
+    data = tmp_path / "data.csv"
+    assert run("generate", "--task", "bandpass", "--N", "4999", "--m", "2", "--r", "2",
+               "--out", str(data)) == 0
+    sweeps = []
+    sweep = model._sweep
+    monkeypatch.setattr(model, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+    outputs = {}
+    for regime in ("shooting", "loop"):
+        if regime == "loop":
+            monkeypatch.setattr(model, "shooting_block", lambda params, N: 0)
+        capsys.readouterr()
+        sweeps.clear()
+        metrics, ckpt = tmp_path / f"{regime}.csv", tmp_path / f"{regime}.txt"
+        assert run("train", "--data", str(data), "--n", "8", "--epochs", "2",
+                   "--metrics-out", str(metrics), "--checkpoint-out", str(ckpt)) == 0
+        stdout = capsys.readouterr().out.replace(str(tmp_path / regime), "")
+        outputs[regime] = (metrics.read_bytes(), ckpt.read_bytes(), stdout, len(sweeps))
+    # two sweeps per epoch's rollout in one regime, none in the other
+    assert outputs["shooting"][3] == 4 and outputs["loop"][3] == 0
+    assert outputs["shooting"][:3] == outputs["loop"][:3]

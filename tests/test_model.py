@@ -261,6 +261,148 @@ def test_single_model_rollout_equals_the_matmul_step_form(sigma, n):
     assert np.array_equal(traj.x, x) and np.array_equal(traj.h, h)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def contractive_instance(n, sigma, q, N, seed=0):
+    """(params, seq, x0) with a dense A, ||A||_2 = 0.5 and U scaled so that
+    step_rate(params) = q; m = 2, r = 1."""
+    rng = np.random.default_rng(seed)
+    m = 2
+    A = make_stable_A(n, "random_orthogonal_scaled", 0.5, seed=seed)
+    A *= 0.5 / model.spectral_norm(A)
+    U = rng.standard_normal((n, n))
+    U *= (q - 0.5) / model.SIGMA_PRIME_SUP[sigma] / model.spectral_norm(U)
+    params = BrnnParams(A=A, U=U, W=rng.uniform(-1, 1, (n, m)),
+                        b=rng.uniform(-0.2, 0.2, n), V=rng.uniform(-1, 1, (1, n)),
+                        Dft=np.zeros((1, m)), c=np.zeros(1), sigma=sigma)
+    seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=np.zeros((N + 1, 1)))
+    return params, seq, rng.uniform(-1, 1, n)
+
+
+def spy_shoot(monkeypatch):
+    """Record (k0, L) of each multiple-shooting call and the sweeps run."""
+    calls = {"shoot": [], "sweeps": 0}
+    shoot, sweep = model._shoot, model._sweep
+
+    def spy(Z, M, sigma, n, L):
+        k0 = shoot(Z, M, sigma, n, L)
+        calls["shoot"].append((k0, L))
+        return k0
+
+    def count(*args):
+        calls["sweeps"] += 1
+        return sweep(*args)
+    monkeypatch.setattr(model, "_shoot", spy)
+    monkeypatch.setattr(model, "_sweep", count)
+    return calls
+
+
+def test_step_rate_is_a_plus_sup_sigma_prime_times_u():
+    A, U = np.diag([0.5, -0.25]), np.array([[0.0, 0.6], [0.0, 0.0]])
+    for sigma, d in (("tanh", 1.0), ("logistic", 0.25), ("relu", 1.0),
+                     ("identity", 1.0)):
+        params = BrnnParams(A=A, U=U, W=np.zeros((2, 1)), b=np.zeros(2),
+                            V=np.zeros((1, 2)), Dft=np.zeros((1, 1)), c=np.zeros(1),
+                            sigma=sigma)
+        assert model.step_rate(params) == pytest.approx(0.5 + d * 0.6, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_shooting_regime_equals_the_matmul_step_form(monkeypatch, sigma, n):
+    # the fewest blocks of L steps the regime takes, with no tail and with a
+    # partial tail of 77 steps after them
+    B = model.SHOOT_BLOCKS
+    L = model.shooting_block(contractive_instance(n, sigma, 0.8, 1)[0], 10 ** 9)
+    for tail in (0, 77):
+        params, seq, x0 = contractive_instance(n, sigma, 0.8, B * L + tail)
+        assert model.shooting_block(params, seq.N) == L
+        with monkeypatch.context() as m:
+            calls = spy_shoot(m)
+            traj = forward(params, seq, x0)
+        (k0, _), = calls["shoot"]
+        assert 1 <= calls["sweeps"] <= 2 and L <= k0 <= B * L
+        x, h = matmul_step_rollout(params, seq, x0)
+        assert same_bits(traj.x, x) and same_bits(traj.h, h)
+
+
+def test_shooting_block_reads_N_n_and_the_rate():
+    params, _, _ = contractive_instance(8, "tanh", 0.8, 1)
+    # 0.8^L < 2^-64 first at L = 199
+    assert model.shooting_block(params, model.SHOOT_BLOCKS * 199) == 199
+    assert model.shooting_block(params, model.SHOOT_BLOCKS * 199 - 1) == 0
+    big, _, _ = contractive_instance(model.SHOOT_MAX_N + 1, "tanh", 0.8, 1)
+    assert model.shooting_block(big, 10 ** 6) == 0
+    # below SHOOT_MIN_N the rate is not computed at all
+    assert model.shooting_block(None, model.SHOOT_MIN_N - 1) == 0
+    for sigma in ("tanh", "logistic"):
+        slow, _, _ = contractive_instance(8, sigma, 1.1, 1)
+        assert model.shooting_block(slow, 10 ** 6) == 0
+
+
+def test_non_contractive_model_runs_the_loop(monkeypatch):
+    params, seq, x0 = contractive_instance(8, "tanh", 1.1, 3000)
+    assert model.step_rate(params) >= 1.0
+    calls = spy_shoot(monkeypatch)
+    traj = forward(params, seq, x0)
+    assert calls == {"shoot": [], "sweeps": 0}
+    x, h = matmul_step_rollout(params, seq, x0)
+    assert same_bits(traj.x, x) and same_bits(traj.h, h)
+
+
+@pytest.mark.parametrize("sigma", ["tanh", "relu"])
+def test_open_blocks_after_two_sweeps_fall_back_to_the_loop(monkeypatch, sigma):
+    # blocks of 3 steps cannot forget their zero start: after the two sweeps
+    # only blocks 0 (from x0) and 1 (from block 0's end) are final
+    params, seq, x0 = contractive_instance(8, sigma, 0.8, 3000)
+    calls = spy_shoot(monkeypatch)
+    monkeypatch.setattr(model, "shooting_block", lambda params, N: 3)
+    traj = forward(params, seq, x0)
+    assert calls["shoot"] == [(6, 3)] and calls["sweeps"] == 2
+    x, h = matmul_step_rollout(params, seq, x0)
+    assert same_bits(traj.x, x) and same_bits(traj.h, h)
+
+
+def test_a_block_off_by_one_ulp_ends_the_final_blocks(monkeypatch):
+    # the first sweep's end of block 3 is nudged by one ulp, so block 4
+    # restarts from a state that is not the loop's: blocks 0-3 are final,
+    # and no block after block 4 may count as final, though their starts
+    # match
+    params, seq, x0 = contractive_instance(8, "tanh", 0.8, 3000)
+    calls = spy_shoot(monkeypatch)
+    sweep = model._sweep
+
+    def nudge(Zb, M, sigma, n, ends):
+        sweep(Zb, M, sigma, n, ends)
+        if calls["sweeps"] == 1:
+            ends[3] = np.nextafter(ends[3], np.inf)
+    monkeypatch.setattr(model, "_sweep", nudge)
+    traj = forward(params, seq, x0)
+    (k0, L), = calls["shoot"]
+    assert k0 == 4 * L
+    x, h = matmul_step_rollout(params, seq, x0)
+    assert same_bits(traj.x, x) and same_bits(traj.h, h)
+
+
+def test_shooting_overflow_names_the_loop_k(monkeypatch):
+    # one input of 1e308 in the fourth block overflows W s (W = 4); the
+    # loop's first non-finite state is the step after it
+    params, seq, x0 = contractive_instance(8, "tanh", 0.8, 3000)
+    params.W[:] = 4.0
+    L = model.shooting_block(params, seq.N)
+    seq.s[3 * L + 5] = 1e308
+    calls = spy_shoot(monkeypatch)
+    with pytest.raises(StateOverflowError) as shooting:
+        forward(params, seq, x0)
+    assert calls["sweeps"] >= 1
+    monkeypatch.setattr(model, "shooting_block", lambda params, N: 0)
+    with pytest.raises(StateOverflowError) as loop:
+        forward(params, seq, x0)
+    assert shooting.value.k == loop.value.k == 3 * L + 6
+
+
 def diagonal_step_rollout(params, seq, x0):
     """x and h of one model with a diagonal A, which the product leaves out:
     x_{k+1} = np.matmul([h_k, s_k, 1], [U^T; W^T; b]) + a * x_k, with the
