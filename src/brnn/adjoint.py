@@ -14,8 +14,8 @@ vanishing/exploding gradients, and a non-finite lambda raises
 CostateExplosionError naming the step.
 
 Everything that does not depend on lambda (sigma'_k and the forcing f_k)
-is computed for all k first; sigma'_k is read from h_k
-(model.SIGMA_PRIME_OF_H), not evaluated again from x_k. What is left is
+is computed for all k first; sigma'_k is read from h_k (the prime_of_h
+column of model.SIGMAS), not evaluated again from x_k. What is left is
 linear and time-varying, lambda_k = T_k lambda_{k+1} + f_k, and it is
 solved in one of two regimes, chosen from (N, n) alone (the loop's product
 also reads A's non-zero pattern):
@@ -123,7 +123,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CostateExplosionError
 from .loss import LossWeights, state_loss_grad
-from .model import SIGMA_PRIME_OF_H, BrnnParams, Sequence, Trajectory, diagonal_A
+from .model import SIGMAS, BrnnParams, Sequence, Trajectory, diagonal_A
 
 
 @dataclass
@@ -222,10 +222,10 @@ def _forcing(params: BrnnParams, traj: Trajectory, w: LossWeights):
     """The boundary condition lambda_N = sigma'_N (.) (V^T e_N), and sigma'_k
     and the forcing f_k, k = 0..N-1, as (N, n) arrays: every term of the
     recursion that does not depend on lambda_k, k < N, for all k at once.
-    sigma' is read from h_0..h_N in one call (model.SIGMA_PRIME_OF_H)."""
+    sigma' is read from h_0..h_N in one call (model.SIGMAS' prime_of_h)."""
     N = traj.N
     x, h = traj.x[:N], traj.h[:N]
-    sp_all = SIGMA_PRIME_OF_H[params.sigma](traj.h)
+    sp_all = SIGMAS[params.sigma].prime_of_h(traj.h)
     sp = sp_all[:N]
     lam_N = sp_all[N] * (params.V.T @ traj.e[N])
     return lam_N, sp, sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
@@ -383,15 +383,16 @@ def reduce_step_blocks(params: BrnnParams, traj: Trajectory, costates: CostateSe
     for name, (a, b, P, g, K) in groups.items():
         aT = step_last[a]
         bT = None if b is None else step_last[b][:, :K]
-        gP = g * P
         rows = []
         for i in range(P.shape[0]):
             block = buf[:P[i].size * K].reshape(P[i].shape + (K,))
             if bT is None:
-                np.add(aT[i], gP[i], out=block)
+                block[...] = aT[i]
             else:
                 np.multiply(aT[i], bT, out=block)
-                block += gP[i][:, None]
+            # a term whose weight is 0 is not formed, as in step_norms
+            if g != 0.0:
+                block += (g * P[i])[..., None]
             rows.append(reduce(block))
         out[name] = np.array(rows)
     return GradSet(**out)
@@ -411,7 +412,7 @@ def summed_gradients(params: BrnnParams, traj: Trajectory,
     out = {}
     for name, (a, b, P, g, K) in _groups(params, w, traj.N).items():
         rank_one = f[a].sum(axis=0) if b is None else f[a].T @ f[b][:K]
-        out[name] = rank_one + K * g * P
+        out[name] = rank_one + K * g * P if g != 0.0 else rank_one
     return GradSet(**out)
 
 

@@ -25,7 +25,8 @@ from . import stability as stab
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DatasetFormatError, NumericalError)
 from .loss import STATE_LOSS_KINDS, LossWeights, total_cost
-from .model import BrnnParams, Dims, NONLINEARITIES, forward, step_rate
+from .model import (PARAM_DIMS, BrnnParams, Dims, NONLINEARITIES, forward,
+                    param_shapes, step_rate)
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
 from .trainer import AGGREGATIONS, TrainConfig, init_params, train
 from .verify import (SMOOTH_SIGMAS, SMOOTH_STATE_LOSSES, format_report,
@@ -103,19 +104,13 @@ KEYS = {
 
 # ---------------------------------------------------------------- persistence
 
-def _checkpoint_shapes(n, m, r) -> list:
-    """The checkpoint's matrices in file order, each with its (rows, cols)."""
-    return [("A", (n, n)), ("U", (n, n)), ("W", (n, m)), ("b", (1, n)),
-            ("V", (r, n)), ("Dft", (r, m)), ("c", (1, r))]
-
-
 def save_checkpoint(path, params: BrnnParams) -> None:
     """Plain-text checkpoint: header "brnn-v1 n m r sigma", then one
     whitespace-separated line per matrix row, the matrices in
-    _checkpoint_shapes' order."""
+    model.PARAM_DIMS' order; b and c are one line each."""
     with open(path, "w") as f:
         f.write(f"{CHECKPOINT_MAGIC} {params.n} {params.m} {params.r} {params.sigma}\n")
-        for name, _ in _checkpoint_shapes(params.n, params.m, params.r):
+        for name in PARAM_DIMS:
             # row by row, each written as it is formatted: the whole text, or
             # a whole n x n .tolist(), raises the peak RSS at n = 256
             for row in np.atleast_2d(getattr(params, name)):
@@ -140,14 +135,16 @@ def load_checkpoint(path) -> BrnnParams:
     except ValueError:
         raise CheckpointFormatError(f"bad dimensions in header {lines[0]!r}") from None
 
-    shapes = _checkpoint_shapes(n, m, r)
-    need = sum(rows for _, (rows, _) in shapes)
+    shapes = param_shapes(n, m, r)
+    # a vector's shape[:-1] is (): one row
+    need = sum(math.prod(shape[:-1]) for shape in shapes.values())
     if len(lines) - 1 != need:
         raise CheckpointFormatError(
             f"expected {need} matrix rows, found {len(lines) - 1}")
     blocks = {}
     at = 1
-    for name, (rows, cols) in shapes:
+    for name, shape in shapes.items():
+        rows, cols = math.prod(shape[:-1]), shape[-1]
         block = []
         for i in range(rows):
             fields = lines[at + i].split()
@@ -159,10 +156,8 @@ def load_checkpoint(path) -> BrnnParams:
             except ValueError as exc:
                 raise CheckpointFormatError(f"{name} row {i}: {exc}") from None
         at += rows
-        blocks[name] = np.array(block)
-    params = BrnnParams(A=blocks["A"], U=blocks["U"], W=blocks["W"],
-                        b=blocks["b"][0], V=blocks["V"], Dft=blocks["Dft"],
-                        c=blocks["c"][0], sigma=head[4])
+        blocks[name] = np.array(block).reshape(shape)
+    params = BrnnParams(**blocks, sigma=head[4])
     try:
         params.validate()
     except ConfigurationError as exc:

@@ -11,6 +11,19 @@ the state inside a bounded region; see :mod:`brnn.stability`. All
 arithmetic is float64. `forward` also runs a stack of models (trainable
 parameters with a leading batch axis) in one recursion.
 
+Two tables state the model's choices once each. SIGMAS has one row per
+nonlinearity (tanh, logistic, relu, identity): sigma itself, taking an
+`out` array as a NumPy ufunc does; sigma' as a function of h = sigma(x),
+which the co-state recursion reads from a trajectory's h; sup sigma' over
+the real line, which sets step_rate and so the co-state decay rate; and
+whether every h_i lies in [-1, 1], so that ||h||_2 <= sqrt(n), which the
+BIBO bound of brnn.stability uses. forward, nonlinearity_derivative,
+BrnnParams.validate, brnn.adjoint, brnn.stability and the CLI's --sigma
+choices (NONLINEARITIES, its keys) read it. PARAM_DIMS names the seven
+parameters A, U, W, b, V, Dft, c in order with their shapes;
+param_shapes gives them at sizes (n, m, r), and BrnnParams, the
+checkpoint file and the random initializers follow it.
+
 The state recursion is nonlinear in x and runs as a loop over k (for a
 long horizon, see multiple shooting below). `forward` makes each step one
 matrix product: it keeps the augmented rows z_k = [x_k, h_k, s_k, 1]
@@ -120,6 +133,7 @@ would.
 
 from dataclasses import dataclass
 import copy
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -134,15 +148,6 @@ def _logistic(x, out=None):
     return p
 
 
-# each takes an optional `out` array, as a NumPy ufunc does
-_SIGMA = {
-    "tanh": np.tanh,
-    "logistic": _logistic,
-    "relu": lambda x, out=None: np.maximum(x, 0.0, out=out),
-    "identity": np.positive,
-}
-NONLINEARITIES = tuple(_SIGMA)
-
 # tanh' and logistic' form their result in place in one new array: with the
 # temporary of 1.0 - h * h, the peak RSS of 5 median epochs at N = 20000,
 # n = 8 rose by 2.4 MB (4%)
@@ -156,18 +161,25 @@ def _logistic_prime(h):
     return np.multiply(p, h, out=p)
 
 
-# sigma'(x) as a function of h = sigma(x), so that a trajectory's sigma' is
-# read from its h; relu's is the subderivative 0 at x = 0
-SIGMA_PRIME_OF_H = {
-    "tanh": _tanh_prime,
-    "logistic": _logistic_prime,
-    "relu": lambda h: (h > 0.0).astype(float),
-    "identity": np.ones_like,
+class Nonlinearity(NamedTuple):
+    """One row of SIGMAS: everything brnn knows about one sigma."""
+
+    f: Callable           # sigma(x, out=None), taking `out` as a NumPy ufunc does
+    prime_of_h: Callable  # sigma'(x) as a function of h = sigma(x)
+    prime_sup: float      # sup of sigma' over the real line
+    bounded: bool         # |h_i| <= 1, so ||h||_2 <= sqrt(n)
+
+
+# The nonlinearities by name. sigma' is read from h so that a trajectory's
+# sigma' comes from its h; relu's is the subderivative 0 at x = 0.
+SIGMAS = {
+    "tanh": Nonlinearity(np.tanh, _tanh_prime, 1.0, True),
+    "logistic": Nonlinearity(_logistic, _logistic_prime, 0.25, True),
+    "relu": Nonlinearity(lambda x, out=None: np.maximum(x, 0.0, out=out),
+                         lambda h: (h > 0.0).astype(float), 1.0, False),
+    "identity": Nonlinearity(np.positive, np.ones_like, 1.0, False),
 }
-
-
-# sup of sigma' over the real line
-SIGMA_PRIME_SUP = {"tanh": 1.0, "logistic": 0.25, "relu": 1.0, "identity": 1.0}
+NONLINEARITIES = tuple(SIGMAS)
 
 
 def spectral_norm(A) -> float:
@@ -180,14 +192,15 @@ def step_rate(params) -> float:
     contracts at rate q (two rollouts from different states close in by a
     factor q per step) and the co-states decay at rate q."""
     return (spectral_norm(params.A)
-            + SIGMA_PRIME_SUP[params.sigma] * spectral_norm(params.U))
+            + SIGMAS[params.sigma].prime_sup * spectral_norm(params.U))
 
 
 def nonlinearity_derivative(kind: str, x) -> np.ndarray:
     """Diagonal of sigma'(x), stored as a vector for Hadamard application."""
-    if kind not in _SIGMA:
+    if kind not in SIGMAS:
         raise ConfigurationError(f"unknown nonlinearity {kind!r}")
-    return SIGMA_PRIME_OF_H[kind](_SIGMA[kind](np.asarray(x, dtype=float)))
+    sigma = SIGMAS[kind]
+    return sigma.prime_of_h(sigma.f(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -208,26 +221,42 @@ class Dims:
                 raise ConfigurationError(f"{name} must be >= 1")
 
 
+# The seven parameters, in the order of BrnnParams' fields and of the
+# checkpoint file, each with its shape for one model as the names of its
+# sizes, one letter per axis. A is fixed; the other six are trainable.
+PARAM_DIMS = {"A": "nn", "U": "nn", "W": "nm", "b": "n", "V": "rn", "Dft": "rm", "c": "r"}
+
+
+def param_shapes(n: int, m: int, r: int, batch: tuple = ()) -> dict:
+    """Each parameter's shape at sizes (n, m, r), in PARAM_DIMS' order. The
+    trainable ones carry the batch axes of stacked params in front; A, which
+    the members share, never does."""
+    size = {"n": n, "m": m, "r": r}
+    return {name: (() if name == "A" else batch) + tuple(map(size.get, dims))
+            for name, dims in PARAM_DIMS.items()}
+
+
 @dataclass
 class BrnnParams:
     """All model parameters. A is fixed; U, W, b, V, Dft, c are trainable.
 
     Dft is the direct input-to-output feedthrough matrix. The trainable
     arrays may carry a common leading batch axis, which stacks B models that
-    share A and sigma; `batch` is then (B,), and () for one model.
+    share A and sigma; `batch` is then (B,), and () for one model. The
+    shapes are param_shapes'.
     """
 
-    A: np.ndarray      # n x n, fixed and shared
-    U: np.ndarray      # batch + (n, n)
-    W: np.ndarray      # batch + (n, m)
-    b: np.ndarray      # batch + (n,)
-    V: np.ndarray      # batch + (r, n)
-    Dft: np.ndarray    # batch + (r, m)
-    c: np.ndarray      # batch + (r,)
+    A: np.ndarray
+    U: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
+    V: np.ndarray
+    Dft: np.ndarray
+    c: np.ndarray
     sigma: str = "tanh"
 
     def __post_init__(self):
-        for name in ("A", "U", "W", "b", "V", "Dft", "c"):
+        for name in PARAM_DIMS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
@@ -247,17 +276,12 @@ class BrnnParams:
         return self.V.shape[-2]
 
     def validate(self):
-        n, m, r, batch = self.n, self.m, self.r, self.batch
-        shapes = {
-            "A": (n, n), "U": batch + (n, n), "W": batch + (n, m),
-            "b": batch + (n,), "V": batch + (r, n), "Dft": batch + (r, m),
-            "c": batch + (r,),
-        }
+        shapes = param_shapes(self.n, self.m, self.r, self.batch)
         for name, want in shapes.items():
             got = getattr(self, name).shape
             if got != want:
                 raise ConfigurationError(f"{name} has shape {got}, expected {want}")
-        if self.sigma not in NONLINEARITIES:
+        if self.sigma not in SIGMAS:
             raise ConfigurationError(f"unknown nonlinearity {self.sigma!r}")
         for name in shapes:
             a = getattr(self, name)
@@ -356,7 +380,7 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
 
     N, n, m, batch = seq.N, params.n, params.m, params.batch
     s = seq.s
-    sigma = _SIGMA[params.sigma]
+    sigma = SIGMAS[params.sigma].f
     # stacked params keep the dense product, their one batched call per step
     a = None if batch else diagonal_A(params.A)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnboundedRegionError
-from .model import BrnnParams, spectral_norm, step_rate
+from .model import SIGMAS, BrnnParams, spectral_norm, step_rate
 
 A_SCHEMES = ("scaled_identity", "random_diagonal", "random_orthogonal_scaled")
 
@@ -85,15 +85,16 @@ def _check_bound(name: str, value: float) -> None:
 def hidden_sup(params: BrnnParams, s_sup: float) -> float:
     """Bound on ||h_k||_2 over rollouts from x0 = 0 with ||s_k||_2 <= s_sup.
 
-    tanh/logistic: sqrt(n), and the state transient decays at ||A||_2.
-    relu/identity: ||h|| <= ||x||, and ||x_{k+1}|| <= (a + u) ||x_k||
-    + ||W||_2 s_sup + ||b||_2 with a = ||A||_2, u = ||U||_2, so the bound
+    tanh/logistic (model.SIGMAS' bounded rows): sqrt(n), and the state
+    transient decays at ||A||_2. relu/identity: ||h|| <= ||x||, and
+    ||x_{k+1}|| <= (a + u) ||x_k|| + ||W||_2 s_sup + ||b||_2 with
+    a = ||A||_2, u = ||U||_2, so the bound
     is (||W||_2 s_sup + ||b||_2) / (1 - a - u) and the transient decays at
     a + u, which is model.step_rate (sup sigma' = 1 for both). Raises
     UnboundedRegionError when a + u >= 1.
     """
     _check_bound("s_sup", s_sup)
-    if params.sigma in ("tanh", "logistic"):
+    if SIGMAS[params.sigma].bounded:
         return float(np.sqrt(params.n))
     rate = step_rate(params)
     if rate >= 1.0:

@@ -12,8 +12,9 @@ rounds, and the top 53 bits are mapped to [0, 1). Uniform noise in
 [-amp, amp) is amp*(2u - 1). The seed is taken modulo 2^64, so any integer
 is a valid seed.
 
-CSV schema: header "k,s1..sm,d1..dr", one row per step k = 0..N, floats
-printed with full round-trip precision.
+CSV schema: header "k,s1..sm,d1..dr" (csv_header, which write_csv writes
+and read_csv checks), one row per step k = 0..N, floats printed with full
+round-trip precision.
 """
 
 import csv
@@ -125,10 +126,15 @@ def gen_task(spec: TaskSpec) -> Sequence:
     return Sequence(s=s, d=d)
 
 
+def csv_header(m: int, r: int) -> list:
+    """The dataset's header fields for m inputs and r targets:
+    k, s1..sm, d1..dr."""
+    return ["k", *(f"s{j + 1}" for j in range(m)), *(f"d{j + 1}" for j in range(r))]
+
+
 def write_csv(seq: Sequence, path) -> None:
     """Write the dataset with full round-trip float precision."""
-    lines = [",".join(["k", *(f"s{j + 1}" for j in range(seq.m)),
-                       *(f"d{j + 1}" for j in range(seq.r))])]
+    lines = [",".join(csv_header(seq.m, seq.r))]
     for k, (s_k, d_k) in enumerate(zip(seq.s.tolist(), seq.d.tolist())):
         lines.append(",".join([str(k), *map(repr, s_k), *map(repr, d_k)]))
     # the bytes csv.writer writes: no field needs quoting, rows end in \r\n
@@ -137,18 +143,12 @@ def write_csv(seq: Sequence, path) -> None:
 
 
 def _parse_header(fields):
+    """(m, r) of a header that csv_header(m, r) gives, m and r >= 1."""
     if not fields or fields[0] != "k":
         raise DatasetFormatError("header must start with 'k'", line=1)
-    m = 0
-    i = 1
-    while i < len(fields) and fields[i] == f"s{m + 1}":
-        m += 1
-        i += 1
-    r = 0
-    while i < len(fields) and fields[i] == f"d{r + 1}":
-        r += 1
-        i += 1
-    if i != len(fields) or m < 1 or r < 1:
+    m = sum(field.startswith("s") for field in fields)
+    r = len(fields) - 1 - m
+    if m < 1 or r < 1 or fields != csv_header(m, r):
         raise DatasetFormatError(
             f"header must be k,s1..sm,d1..dr, got {','.join(fields)}", line=1)
     return m, r

@@ -34,7 +34,7 @@ from .adjoint import (PARAM_GROUPS, CostateSeq, GradSet, backward_costates,
                       summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
-from .model import BrnnParams, Dims, Sequence, Trajectory, forward
+from .model import BrnnParams, Dims, Sequence, Trajectory, forward, param_shapes
 from .stability import make_stable_A
 
 AGGREGATIONS = ("sum", "mean", "median", "min_abs")
@@ -131,11 +131,11 @@ def init_params(dims: Dims, *, sigma: str = "tanh", init_scale: float = 0.1,
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     A = make_stable_A(dims.n, "scaled_identity", alpha_A)
     rng = np.random.default_rng(seed)
-    n, m, r = dims.n, dims.m, dims.r
-    u = lambda *shape: rng.uniform(-init_scale, init_scale, shape)
-    return BrnnParams(
-        A=A, U=u(n, n), W=u(n, m), b=np.zeros(n),
-        V=u(r, n), Dft=u(r, m), c=np.zeros(r), sigma=sigma)
+    # drawn in param_shapes' order: U, W, V, Dft
+    return BrnnParams(A=A, sigma=sigma, **{
+        name: rng.uniform(-init_scale, init_scale, shape) if len(shape) == 2
+        else np.zeros(shape)
+        for name, shape in param_shapes(dims.n, dims.m, dims.r).items() if name != "A"})
 
 
 def epoch_gradient(params: BrnnParams, traj: Trajectory, costates: CostateSeq,

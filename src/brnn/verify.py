@@ -25,7 +25,7 @@ import numpy as np
 from .adjoint import PARAM_GROUPS, GradSet, backward_costates, summed_gradients
 from .errors import ConfigurationError
 from .loss import LossWeights, total_cost
-from .model import BrnnParams, Dims, Sequence, forward
+from .model import BrnnParams, Dims, Sequence, forward, param_shapes
 
 SMOOTH_SIGMAS = ("tanh", "logistic", "identity")
 SMOOTH_STATE_LOSSES = ("none", "tanh_approx")
@@ -168,10 +168,11 @@ def random_instance(seed: int, n: int = 4, m: int = 2, r: int = 2, N: int = 10,
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-scale, scale, shape)
-    params = BrnnParams(
-        A=np.diag(rng.uniform(-0.8, 0.8, n)), U=u(n, n), W=u(n, m),
-        b=u(n), V=u(r, n), Dft=u(r, m), c=u(r), sigma=sigma)
+    A = np.diag(rng.uniform(-0.8, 0.8, n))
+    # drawn in param_shapes' order
+    params = BrnnParams(A=A, sigma=sigma, **{
+        name: rng.uniform(-scale, scale, shape)
+        for name, shape in param_shapes(n, m, r).items() if name != "A"})
     seq = Sequence(s=rng.uniform(-1.0, 1.0, (N + 1, m)),
                    d=rng.uniform(-1.0, 1.0, (N + 1, r)))
     x0 = rng.uniform(-0.5, 0.5, n)

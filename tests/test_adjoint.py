@@ -49,7 +49,7 @@ def boundary_costate(params, x_N, e_N):
     x[1] = x_N
     e = np.zeros((2, params.r))
     e[1] = e_N
-    traj = Trajectory(x=x, h=model._SIGMA[params.sigma](x), y=np.zeros_like(e), e=e)
+    traj = Trajectory(x=x, h=model.SIGMAS[params.sigma].f(x), y=np.zeros_like(e), e=e)
     return backward_costates(params, traj, LossWeights()).lam[1]
 
 
@@ -510,6 +510,42 @@ def test_costate_decay_bound():
     assert (norms <= bound).all()
 
 
+# (N, n) of each co-state regime: the loop, the loop that leaves a diagonal
+# A out of its product, and the blocked scan
+COSTATE_REGIMES = {"loop": (40, 6), "diagonal": (40, DIAGONAL_MIN_N), "scan": (2000, 8)}
+
+
+@pytest.mark.parametrize("state_loss", ("none", "tanh_approx"))
+@pytest.mark.parametrize("regime", COSTATE_REGIMES)
+def test_costates_obey_the_step_rate_certificate(regime, state_loss):
+    # lam_k = lam_{k+1} (A + U diag sp_k) + f_k and ||A + U diag sp_k||_2 <= q,
+    # q = step_rate(params), so by induction from k = N down
+    #     ||lam_k|| <= q^(N-k) ||lam_N|| + F (1 - q^(N-k)) / (1 - q),
+    # F = max ||f_k||. Rounding: each step's products and sums are off by at
+    # most about (n + 3) u relative, sqrt(n) times that in the 2-norm, so
+    # N steps gather below N (n + 3) sqrt(n) u < 1e-11 (u = 2^-53) at these
+    # sizes; the slack 1e-9 leaves a hundredfold margin.
+    N, n = COSTATE_REGIMES[regime]
+    assert adjoint._scan_pays(N, n) == (regime == "scan")
+    for sigma, seed in itertools.product(NONLINEARITIES, (1, 2, 3)):
+        params, seq, x0, w = random_instance(seed, n=n, m=2, r=2, N=N, sigma=sigma,
+                                             state_loss_kind=state_loss)
+        assert (model.diagonal_A(params.A) is not None) == (regime == "diagonal")
+        # U scaled to q = 0.9, whatever the sigma's sup sigma'
+        params.U *= ((0.9 - spectral_norm(params.A)) / model.SIGMAS[sigma].prime_sup
+                     / spectral_norm(params.U))
+        q = model.step_rate(params)
+        assert q == pytest.approx(0.9, rel=1e-12)
+        traj = forward(params, seq, x0)
+        lam = backward_costates(params, traj, w).lam
+        F = float(np.linalg.norm(adjoint._forcing(params, traj, w)[2], axis=1).max())
+        assert F > 0.0
+        norms = np.linalg.norm(lam, axis=1)
+        j = N - np.arange(N + 1)
+        bound = q ** j * norms[N] + F * (1.0 - q ** j) / (1.0 - q)
+        assert (norms <= bound * (1.0 + 1e-9)).all()
+
+
 def materialized_max_step_norm(grads):
     """Reference for max_step_norm: the largest Frobenius norm over the
     formed per-step blocks of every group."""
@@ -540,9 +576,9 @@ def test_backward_costates_reads_sigma_prime_from_h(monkeypatch, sigma, N, n):
     traj = forward(params, seq, x0)
     lam = backward_costates(params, traj, w).lam
     calls = []
-    for kind, f in model._SIGMA.items():
-        monkeypatch.setitem(model._SIGMA, kind,
-                            lambda *args, f=f, **kw: calls.append(f) or f(*args, **kw))
+    for kind, row in model.SIGMAS.items():
+        monkeypatch.setitem(model.SIGMAS, kind, row._replace(
+            f=lambda *args, f=row.f, **kw: calls.append(f) or f(*args, **kw)))
     assert backward_costates(params, traj, w).lam.tobytes() == lam.tobytes()
     assert calls == []
     # without a state loss nothing reads x: a trajectory whose x is lost

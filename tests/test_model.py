@@ -104,7 +104,8 @@ def test_nonlinearity_derivative_values():
 
 def kept_nonlinearity_derivative(kind, x):
     """sigma'(x) as nonlinearity_derivative computed it from x before it read
-    model.SIGMA_PRIME_OF_H at h = sigma(x); kept to pin that table's bits."""
+    the prime_of_h column of model.SIGMAS at h = sigma(x); kept to pin that
+    column's bits."""
     x = np.asarray(x, dtype=float)
     if kind == "tanh":
         t = np.tanh(x)
@@ -123,7 +124,7 @@ EDGE_X = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9, 0.7, -0.7, 19.0, -19
 
 
 @pytest.mark.parametrize("n", [1, 8, DIAGONAL_MIN_N, 256])
-@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+@pytest.mark.parametrize("sigma", model.SIGMAS)
 def test_sigma_prime_of_h_equals_the_derivative_at_x_bit_for_bit(sigma, n):
     # the co-state recursion reads sigma' from forward's h; it must give the
     # bits of sigma' computed from x, in both forward regimes
@@ -131,10 +132,25 @@ def test_sigma_prime_of_h_equals_the_derivative_at_x_bit_for_bit(sigma, n):
     params, seq, x0 = rollout_instance(n, sigma, A)
     traj = forward(params, seq, x0)
     want = kept_nonlinearity_derivative(sigma, traj.x)
-    assert model.SIGMA_PRIME_OF_H[sigma](traj.h).tobytes() == want.tobytes()
+    assert model.SIGMAS[sigma].prime_of_h(traj.h).tobytes() == want.tobytes()
     assert nonlinearity_derivative(sigma, traj.x).tobytes() == want.tobytes()
     edge = kept_nonlinearity_derivative(sigma, EDGE_X)
     assert nonlinearity_derivative(sigma, EDGE_X).tobytes() == edge.tobytes()
+
+
+@pytest.mark.parametrize("sigma", model.SIGMAS)
+def test_nonlinearity_table_sup_and_bound_columns_hold_on_samples(sigma):
+    # sigma' at h = sigma(x) over a grid that reaches each row's sup (at 0,
+    # or any x > 0 for relu) and the tails: the row's sup is a bound, and
+    # the smallest; |h| <= 1 exactly for the bounded rows, |h| <= |x| for
+    # the others
+    row = model.SIGMAS[sigma]
+    x = np.concatenate([EDGE_X, [1e3, -1e3], np.linspace(-1e3, 1e3, 20001)])
+    h = row.f(x)
+    assert row.prime_of_h(h).max() == row.prime_sup
+    assert row.bounded == bool(np.abs(h).max() <= 1.0)
+    if not row.bounded:
+        assert (np.abs(h) <= np.abs(x)).all()
 
 
 def test_unknown_nonlinearity_raises():
@@ -221,7 +237,7 @@ def matmul_step_rollout(params, seq, x0):
     """x and h of one model by one np.matmul(z_k, M) per step over the
     augmented rows z_k = [x_k, h_k, s_k, 1], with the keyword `out` forms."""
     N, n, m = seq.N, params.n, params.m
-    sigma = model._SIGMA[params.sigma]
+    sigma = model.SIGMAS[params.sigma].f
     # C order, as forward builds it: an F-ordered M sums in another order
     M = np.ascontiguousarray(np.vstack([params.A.T, params.U.T, params.W.T, params.b]))
     Z = np.empty((N + 1, 2 * n + m + 1))
@@ -273,7 +289,7 @@ def contractive_instance(n, sigma, q, N, seed=0):
     A = make_stable_A(n, "random_orthogonal_scaled", 0.5, seed=seed)
     A *= 0.5 / model.spectral_norm(A)
     U = rng.standard_normal((n, n))
-    U *= (q - 0.5) / model.SIGMA_PRIME_SUP[sigma] / model.spectral_norm(U)
+    U *= (q - 0.5) / model.SIGMAS[sigma].prime_sup / model.spectral_norm(U)
     params = BrnnParams(A=A, U=U, W=rng.uniform(-1, 1, (n, m)),
                         b=rng.uniform(-0.2, 0.2, n), V=rng.uniform(-1, 1, (1, n)),
                         Dft=np.zeros((1, m)), c=np.zeros(1), sigma=sigma)
@@ -408,7 +424,7 @@ def diagonal_step_rollout(params, seq, x0):
     x_{k+1} = np.matmul([h_k, s_k, 1], [U^T; W^T; b]) + a * x_k, with the
     keyword `out` forms."""
     N, n, m = seq.N, params.n, params.m
-    sigma = model._SIGMA[params.sigma]
+    sigma = model.SIGMAS[params.sigma].f
     a = np.diagonal(params.A)
     M = np.ascontiguousarray(np.vstack([params.U.T, params.W.T, params.b]))
     Z = np.empty((N + 1, 2 * n + m + 1))

@@ -173,10 +173,20 @@ def test_csv_rejects_single_row(tmp_path):
 
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("k,x1,d1\n0,1.0,2.0\n1,1.0,2.0\n")
-    with pytest.raises(DatasetFormatError) as exc:
-        read_csv(path)
-    assert exc.value.line == 1
+    for header in ("k,x1,d1", "k,s2,s1,d1", "k,s1,d1,s2", "k,d1,s1", "k,s1",
+                   "K,s1,d1", "k,s1,d1,"):
+        path.write_text(header + "\n0,1.0,2.0\n1,1.0,2.0\n")
+        with pytest.raises(DatasetFormatError) as exc:
+            read_csv(path)
+        assert exc.value.line == 1
+        want = ("header must start with 'k'" if header.startswith("K")
+                else f"header must be k,s1..sm,d1..dr, got {header}")
+        assert str(exc.value) == f"line 1: {want}"
+    # the same scan gives m and r of a good header
+    for header, m, r in (("k,s1,s2,d1", 2, 1), ("k,s1,d1,d2", 1, 2)):
+        path.write_text(header + "\n0,1.0,2.0,3.0\n1,1.0,2.0,3.0\n")
+        seq = read_csv(path)
+        assert (seq.m, seq.r) == (m, r)
 
 
 def test_csv_bad_column_count_names_line(tmp_path):
