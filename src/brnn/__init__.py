@@ -15,8 +15,8 @@ from .errors import (CheckpointFormatError, ConfigurationError,
                      DivergenceError, NumericalError, StateOverflowError,
                      UnboundedRegionError)
 from .loss import CostBreakdown, LossWeights, state_loss_grad, total_cost
-from .model import (BrnnParams, Dims, NONLINEARITIES, Sequence, Trajectory,
-                    forward, nonlinearity_derivative, step_rate)
+from .model import (BrnnParams, NONLINEARITIES, Sequence, Trajectory, forward,
+                    nonlinearity_derivative, step_rate)
 from .stability import (LyapunovRegion, StabilityReport, bibo_bound,
                         lyapunov_region, make_stable_A, stability_report)
 from .tasks import TaskSpec, gen_task, read_csv, write_csv

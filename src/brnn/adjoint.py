@@ -79,21 +79,8 @@ Below N = 50 the scan is also faster at some small n, such as (40, 8) and
 gradient check's instances lie, to the loop. At N = 200, n = 256 the scan
 would take about 374 ms against the dense loop's 6-7 ms.
 
-The loop's two products at N = 200 (random_instance(3, m=4, r=4,
-scale=0.3), whose A is diagonal; medians of 11 interleaved rounds, one
-BLAS thread), in ms; the same table for forward is in brnn.model:
-
-    n      dense  diagonal
-    32     0.498  0.576
-    64     0.745  0.707
-    96     1.107  0.891
-    112    1.037  1.028
-    128    1.558  1.013
-    192    2.559  1.883
-    256    5.961  2.534
-
-Up to n = 112 the forward's diagonal form is no faster (in some runs the
-loop's was not either); from 128 on both were faster or level in every run.
+The loop's two products, dense and diagonal, are timed in brnn.model's
+table (its co-state loop columns), which sets DIAGONAL_MIN_N for both.
 
 The scan agrees with the loop to rounding (last bits); the loop's results
 are the reference. Finiteness is checked once, after the recursion: the
@@ -123,7 +110,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CostateExplosionError
 from .loss import LossWeights, state_loss_grad
-from .model import SIGMAS, BrnnParams, Sequence, Trajectory, diagonal_A
+from .model import BrnnParams, Sequence, Trajectory, diagonal_A, nonlinearity
 
 
 @dataclass
@@ -225,7 +212,7 @@ def _forcing(params: BrnnParams, traj: Trajectory, w: LossWeights):
     sigma' is read from h_0..h_N in one call (model.SIGMAS' prime_of_h)."""
     N = traj.N
     x, h = traj.x[:N], traj.h[:N]
-    sp_all = SIGMAS[params.sigma].prime_of_h(traj.h)
+    sp_all = nonlinearity(params.sigma).prime_of_h(traj.h)
     sp = sp_all[:N]
     lam_N = sp_all[N] * (params.V.T @ traj.e[N])
     return lam_N, sp, sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)

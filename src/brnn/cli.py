@@ -25,8 +25,8 @@ from . import stability as stab
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DatasetFormatError, NumericalError)
 from .loss import STATE_LOSS_KINDS, LossWeights, total_cost
-from .model import (PARAM_DIMS, BrnnParams, Dims, NONLINEARITIES, forward,
-                    param_shapes, step_rate)
+from .model import (PARAM_DIMS, BrnnParams, NONLINEARITIES, forward, param_shapes,
+                    step_rate)
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
 from .trainer import AGGREGATIONS, TrainConfig, init_params, train
 from .verify import (SMOOTH_SIGMAS, SMOOTH_STATE_LOSSES, format_report,
@@ -129,13 +129,9 @@ def load_checkpoint(path) -> BrnnParams:
     if len(head) != 5 or head[0] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad header {lines[0]!r}")
     try:
-        n, m, r = map(int, head[1:4])
-        if min(n, m, r) < 1:
-            raise ValueError
-    except ValueError:
+        shapes = param_shapes(*map(int, head[1:4]))
+    except (ValueError, ConfigurationError):
         raise CheckpointFormatError(f"bad dimensions in header {lines[0]!r}") from None
-
-    shapes = param_shapes(n, m, r)
     # a vector's shape[:-1] is (): one row
     need = sum(math.prod(shape[:-1]) for shape in shapes.values())
     if len(lines) - 1 != need:
@@ -259,11 +255,12 @@ def _loss_weights(value) -> LossWeights:
 
 def cmd_train(args) -> int:
     value = _resolver(args, load_config_file(args.config) if args.config else {})
+    # only a missing data key means "generate"; an empty path is a path
     data = value("data")
-    if data:
+    if data is not None:
         # the task keys go unused, but one given malformed is still an error
         _command_keys(value, "generate")
-    seq = read_csv(data) if data else gen_task(_task_spec(value))
+    seq = read_csv(data) if data is not None else gen_task(_task_spec(value))
 
     tc = TrainConfig(eta=value("eta"), epochs=value("epochs"), aggregation=value("agg"),
                      stop_tol=value("stop_tol"))
@@ -273,10 +270,10 @@ def cmd_train(args) -> int:
         raise ConfigurationError("epochs must be >= 1")
     w = _loss_weights(value)
 
-    dims = Dims(n=value("n"), m=seq.m, r=seq.r, N=seq.N)
-    params0 = init_params(dims, sigma=value("sigma"), init_scale=value("init_scale"),
-                          alpha_A=value("alphaA"), seed=value("seed"))
-    params, history = train(tc, seq, params0, np.zeros(dims.n), w)
+    params0 = init_params(value("n"), seq.m, seq.r, sigma=value("sigma"),
+                          init_scale=value("init_scale"), alpha_A=value("alphaA"),
+                          seed=value("seed"))
+    params, history = train(tc, seq, params0, np.zeros(params0.n), w)
 
     write_metrics_csv(args.metrics_out, history)
     save_checkpoint(args.checkpoint_out, params)

@@ -17,12 +17,15 @@ nonlinearity (tanh, logistic, relu, identity): sigma itself, taking an
 which the co-state recursion reads from a trajectory's h; sup sigma' over
 the real line, which sets step_rate and so the co-state decay rate; and
 whether every h_i lies in [-1, 1], so that ||h||_2 <= sqrt(n), which the
-BIBO bound of brnn.stability uses. forward, nonlinearity_derivative,
-BrnnParams.validate, brnn.adjoint, brnn.stability and the CLI's --sigma
-choices (NONLINEARITIES, its keys) read it. PARAM_DIMS names the seven
-parameters A, U, W, b, V, Dft, c in order with their shapes;
-param_shapes gives them at sizes (n, m, r), and BrnnParams, the
-checkpoint file and the random initializers follow it.
+BIBO bound of brnn.stability uses. Every reader (forward, step_rate,
+nonlinearity_derivative, BrnnParams.validate, brnn.adjoint,
+brnn.stability) takes its row through nonlinearity(name), which raises
+ConfigurationError for a name without one; the CLI's --sigma choices are
+its keys, NONLINEARITIES. PARAM_DIMS names the seven parameters A, U, W,
+b, V, Dft, c in order with their shapes; param_shapes gives them at sizes
+(n, m, r) and is the size rule (every size >= 1), and BrnnParams, the
+checkpoint file and the random initializers follow it. check_seed is the
+rule for the seed of every random draw.
 
 The state recursion is nonlinear in x and runs as a loop over k (for a
 long horizon, see multiple shooting below). `forward` makes each step one
@@ -182,6 +185,15 @@ SIGMAS = {
 NONLINEARITIES = tuple(SIGMAS)
 
 
+def nonlinearity(name: str) -> Nonlinearity:
+    """SIGMAS' row for `name`, looked up at each call; ConfigurationError
+    for a name that has no row."""
+    try:
+        return SIGMAS[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown nonlinearity {name!r}") from None
+
+
 def spectral_norm(A) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=float), 2))
 
@@ -192,33 +204,19 @@ def step_rate(params) -> float:
     contracts at rate q (two rollouts from different states close in by a
     factor q per step) and the co-states decay at rate q."""
     return (spectral_norm(params.A)
-            + SIGMAS[params.sigma].prime_sup * spectral_norm(params.U))
+            + nonlinearity(params.sigma).prime_sup * spectral_norm(params.U))
 
 
 def nonlinearity_derivative(kind: str, x) -> np.ndarray:
     """Diagonal of sigma'(x), stored as a vector for Hadamard application."""
-    if kind not in SIGMAS:
-        raise ConfigurationError(f"unknown nonlinearity {kind!r}")
-    sigma = SIGMAS[kind]
+    sigma = nonlinearity(kind)
     return sigma.prime_of_h(sigma.f(np.asarray(x, dtype=float)))
 
 
-@dataclass(frozen=True)
-class Dims:
-    """Problem sizes: state n, input m, output r, final horizon index N.
-
-    A sequence has N+1 samples, k = 0..N.
-    """
-
-    n: int
-    m: int
-    r: int
-    N: int
-
-    def __post_init__(self):
-        for name in ("n", "m", "r", "N"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+def check_seed(seed: int) -> None:
+    """The one rule for the seed of a random draw: an integer >= 0."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
 
 # The seven parameters, in the order of BrnnParams' fields and of the
@@ -230,8 +228,12 @@ PARAM_DIMS = {"A": "nn", "U": "nn", "W": "nm", "b": "n", "V": "rn", "Dft": "rm",
 def param_shapes(n: int, m: int, r: int, batch: tuple = ()) -> dict:
     """Each parameter's shape at sizes (n, m, r), in PARAM_DIMS' order. The
     trainable ones carry the batch axes of stacked params in front; A, which
-    the members share, never does."""
+    the members share, never does. This is the size rule: a size below 1
+    is a ConfigurationError."""
     size = {"n": n, "m": m, "r": r}
+    for name, value in size.items():
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1")
     return {name: (() if name == "A" else batch) + tuple(map(size.get, dims))
             for name, dims in PARAM_DIMS.items()}
 
@@ -281,8 +283,7 @@ class BrnnParams:
             got = getattr(self, name).shape
             if got != want:
                 raise ConfigurationError(f"{name} has shape {got}, expected {want}")
-        if self.sigma not in SIGMAS:
-            raise ConfigurationError(f"unknown nonlinearity {self.sigma!r}")
+        nonlinearity(self.sigma)  # raises for a sigma without a row
         for name in shapes:
             a = getattr(self, name)
             # count_nonzero skips the fixed cost of a ufunc reduction, which
@@ -380,7 +381,7 @@ def forward(params: BrnnParams, seq: Sequence, x0) -> Trajectory:
 
     N, n, m, batch = seq.N, params.n, params.m, params.batch
     s = seq.s
-    sigma = SIGMAS[params.sigma].f
+    sigma = nonlinearity(params.sigma).f
     # stacked params keep the dense product, their one batched call per step
     a = None if batch else diagonal_A(params.A)
 

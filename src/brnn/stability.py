@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnboundedRegionError
-from .model import SIGMAS, BrnnParams, spectral_norm, step_rate
+from .model import BrnnParams, check_seed, nonlinearity, spectral_norm, step_rate
 
 A_SCHEMES = ("scaled_identity", "random_diagonal", "random_orthogonal_scaled")
 
@@ -61,8 +61,7 @@ def make_stable_A(n: int, scheme: str = "scaled_identity",
         raise ConfigurationError("alpha_A must be in (0, 1]")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     if scheme == "scaled_identity":
         return alpha_A * np.eye(n)
     rng = np.random.default_rng(seed)
@@ -94,21 +93,27 @@ def hidden_sup(params: BrnnParams, s_sup: float) -> float:
     UnboundedRegionError when a + u >= 1.
     """
     _check_bound("s_sup", s_sup)
-    if SIGMAS[params.sigma].bounded:
+    if nonlinearity(params.sigma).bounded:
         return float(np.sqrt(params.n))
     rate = step_rate(params)
     if rate >= 1.0:
         raise UnboundedRegionError(f"||A||_2 + ||U||_2 is {rate} >= 1, so a "
                                    f"{params.sigma} state has no small-gain bound")
-    return ((spectral_norm(params.W) * s_sup + float(np.linalg.norm(params.b)))
-            / (1.0 - rate))
+    return _forcing_sup(params, 0.0, s_sup) / (1.0 - rate)
+
+
+def _forcing_sup(params: BrnnParams, h_sup: float, s_sup: float) -> float:
+    """||U||_2 h_sup + ||W||_2 s_sup + ||b||_2, a bound on ||U h + W s + b||_2
+    when ||h||_2 <= h_sup and ||s||_2 <= s_sup. At h_sup = 0 it is the input
+    bound ||W||_2 s_sup + ||b||_2, to the bit (0 + x is x)."""
+    return (spectral_norm(params.U) * h_sup + spectral_norm(params.W) * s_sup
+            + float(np.linalg.norm(params.b)))
 
 
 def m_sup_bound(params: BrnnParams, s_sup: float) -> float:
-    """Worst-case forcing norm ||U||2*h_sup + ||W||2*s_sup + ||b||2."""
-    m_sup = (spectral_norm(params.U) * hidden_sup(params, s_sup)
-             + spectral_norm(params.W) * s_sup
-             + float(np.linalg.norm(params.b)))
+    """Worst-case forcing norm ||U||2*h_sup + ||W||2*s_sup + ||b||2, with
+    h_sup from hidden_sup."""
+    m_sup = _forcing_sup(params, hidden_sup(params, s_sup), s_sup)
     if not m_sup < np.inf:  # also catches 0 * inf
         raise UnboundedRegionError(f"M_sup overflows float64 at s_sup = {s_sup!r}")
     return m_sup

@@ -9,14 +9,14 @@ Sum and mean take the summed gradients from :mod:`brnn.adjoint` directly;
 only median and min_abs form the per-step contributions, one parameter
 group at a time, and reduce them over k. adjoint.reduce_step_blocks
 builds them one parameter row at a time, each row block reduced before the
-next is built over it in one buffer (1.3 MB at N = 20000, n = 8, where the
-whole dU block would take 10 MB), from lam, h, e and s transposed once
-each. Those blocks keep the step axis last, so each reduction runs along
-contiguous rows of K = N or N+1 values: median is one single-kth partition
-at K//2 (for even K the lower middle value is the largest entry below it,
-and the two are averaged as np.median averages them), min_abs one argmin
-of |block|. At N = 20000, n = 8 the median direction takes about 12 ms
-and min_abs 8 ms (one BLAS thread, 2-vCPU VM).
+next is built over it in one buffer (its size is in brnn.adjoint), from
+lam, h, e and s transposed once each. Those blocks keep the step axis last,
+so each reduction runs along contiguous rows of K = N or N+1 values:
+median is one single-kth partition at K//2 (for even K the lower middle
+value is the largest entry below it, and the two are averaged as
+np.median averages them), min_abs one argmin of |block|. At N = 20000,
+n = 8 the median direction takes about 12 ms and min_abs 8 ms (one BLAS
+thread, 2-vCPU VM).
 
 Parameters are frozen within an epoch: forward and backward passes of
 epoch i see only params_i, and the update produces params_{i+1}. params_0
@@ -34,7 +34,7 @@ from .adjoint import (PARAM_GROUPS, CostateSeq, GradSet, backward_costates,
                       summed_gradients)
 from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
-from .model import BrnnParams, Dims, Sequence, Trajectory, forward, param_shapes
+from .model import BrnnParams, Sequence, Trajectory, check_seed, forward, param_shapes
 from .stability import make_stable_A
 
 AGGREGATIONS = ("sum", "mean", "median", "min_abs")
@@ -121,21 +121,22 @@ def apply_update(params: BrnnParams, g: GradSet, eta: float) -> BrnnParams:
     return out
 
 
-def init_params(dims: Dims, *, sigma: str = "tanh", init_scale: float = 0.1,
-                alpha_A: float = 0.5, seed: int = 0) -> BrnnParams:
-    """Randomly small init: U, W, V, Dft uniform in [-init_scale, init_scale],
-    zero biases, A = alpha_A * I."""
+def init_params(n: int, m: int, r: int, *, sigma: str = "tanh",
+                init_scale: float = 0.1, alpha_A: float = 0.5,
+                seed: int = 0) -> BrnnParams:
+    """Randomly small init at sizes (n, m, r): U, W, V, Dft uniform in
+    [-init_scale, init_scale], zero biases, A = alpha_A * I."""
+    shapes = param_shapes(n, m, r)
     if not 0.0 < init_scale < math.inf:
         raise ConfigurationError("init_scale must be finite and > 0")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    A = make_stable_A(dims.n, "scaled_identity", alpha_A)
+    check_seed(seed)
+    A = make_stable_A(n, "scaled_identity", alpha_A)
     rng = np.random.default_rng(seed)
     # drawn in param_shapes' order: U, W, V, Dft
     return BrnnParams(A=A, sigma=sigma, **{
         name: rng.uniform(-init_scale, init_scale, shape) if len(shape) == 2
         else np.zeros(shape)
-        for name, shape in param_shapes(dims.n, dims.m, dims.r).items() if name != "A"})
+        for name, shape in shapes.items() if name != "A"})
 
 
 def epoch_gradient(params: BrnnParams, traj: Trajectory, costates: CostateSeq,

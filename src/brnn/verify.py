@@ -25,7 +25,7 @@ import numpy as np
 from .adjoint import PARAM_GROUPS, GradSet, backward_costates, summed_gradients
 from .errors import ConfigurationError
 from .loss import LossWeights, total_cost
-from .model import BrnnParams, Dims, Sequence, forward, param_shapes
+from .model import BrnnParams, Sequence, check_seed, forward, param_shapes
 
 SMOOTH_SIGMAS = ("tanh", "logistic", "identity")
 SMOOTH_STATE_LOSSES = ("none", "tanh_approx")
@@ -163,16 +163,18 @@ def random_instance(seed: int, n: int = 4, m: int = 2, r: int = 2, N: int = 10,
                     sigma: str = "tanh", state_loss_kind: str = "none",
                     gamma1: float = 0.0, gamma2: float = 0.0,
                     scale: float = 0.5):
-    """Seeded random (params, seq, x0, weights) tuple for gradient checks."""
-    Dims(n=n, m=m, r=r, N=N)  # raises ConfigurationError on sizes below 1
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    """Seeded random (params, seq, x0, weights) tuple for gradient checks.
+    The sizes and the seed are checked before the first draw."""
+    shapes = param_shapes(n, m, r)
+    if N < 1:
+        raise ConfigurationError("N must be >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     A = np.diag(rng.uniform(-0.8, 0.8, n))
     # drawn in param_shapes' order
     params = BrnnParams(A=A, sigma=sigma, **{
         name: rng.uniform(-scale, scale, shape)
-        for name, shape in param_shapes(n, m, r).items() if name != "A"})
+        for name, shape in shapes.items() if name != "A"})
     seq = Sequence(s=rng.uniform(-1.0, 1.0, (N + 1, m)),
                    d=rng.uniform(-1.0, 1.0, (N + 1, r)))
     x0 = rng.uniform(-0.5, 0.5, n)

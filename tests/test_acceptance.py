@@ -248,10 +248,9 @@ def test_ac7_determinism_and_formats(tmp_path):
     assert main(["train", "--data", str(sine), "--n", "4", "--epochs", "1",
                  "--seed", "2", "--metrics-out", str(metrics),
                  "--checkpoint-out", str(ckpt)]) == 0
-    from brnn.model import Dims
     from brnn.trainer import TrainConfig, init_params, train
     seq2 = read_csv(sine)
-    params0 = init_params(Dims(n=4, m=1, r=1, N=30), sigma="tanh",
+    params0 = init_params(4, 1, 1, sigma="tanh",
                           init_scale=0.1, alpha_A=0.5, seed=2)
     in_memory, _ = train(TrainConfig(eta=0.01, epochs=1), seq2, params0,
                          np.zeros(4), LossWeights())

@@ -162,7 +162,6 @@ def test_train_with_fewer_than_1_epoch_exits_2(epochs, message, source, tmp_path
 
 
 def test_train_initialises_through_init_params(tmp_path):
-    from brnn.model import Dims
     from brnn.tasks import TaskSpec, gen_task
     from brnn.trainer import TrainConfig, init_params, train
     ckpt = tmp_path / "c.txt"
@@ -171,7 +170,7 @@ def test_train_initialises_through_init_params(tmp_path):
                "--metrics-out", str(tmp_path / "m.csv"),
                "--checkpoint-out", str(ckpt)) == 0
     seq = gen_task(TaskSpec(kind="sine_track", N=20, seed=5))
-    params0 = init_params(Dims(n=3, m=1, r=1, N=20), init_scale=0.3,
+    params0 = init_params(3, 1, 1, init_scale=0.3,
                           alpha_A=0.8, seed=5)
     params, _ = train(TrainConfig(epochs=3), seq, params0, np.zeros(3),
                       LossWeights())
@@ -417,6 +416,20 @@ def test_missing_dataset_exits_4(tmp_path, capsys):
                "--data", str(tmp_path / "none.csv")) == 4
 
 
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_empty_data_path_is_a_path_not_generate(spelling, tmp_path, monkeypatch, capsys):
+    # only a missing data key means "generate the task"; an empty one is an
+    # unreadable path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("data =\nepochs = 1\n")
+    argv = (["--data", "", "--epochs", "1"] if spelling == "flag"
+            else ["--config", "c.cfg"])
+    assert run("train", *argv) == 4
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert not (tmp_path / "metrics.csv").exists()
+    assert not (tmp_path / "checkpoint.txt").exists()
+
+
 def test_malformed_dataset_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("k,s1,d1\n0,1.0,2.0\n1,zzz,2.0\n")
@@ -656,10 +669,16 @@ def test_gradcheck_tolerance_outside_its_range_exits_2(tol, capsys):
     assert "tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--n", "--m", "--instances"])
-def test_gradcheck_bad_dimensions_exit_2(flag, capsys):
-    assert run("gradcheck", flag, "0") == 2
-    assert "must be >= 1" in capsys.readouterr().err
+# a size checked only after the instance's first draw would end in a
+# traceback (--n -1) or in another message (--N 0)
+@pytest.mark.parametrize("flag, size", [
+    pytest.param("--n", "0", id="--n"), pytest.param("--m", "0", id="--m"),
+    pytest.param("--r", "0", id="--r"), pytest.param("--N", "0", id="--N"),
+    pytest.param("--n", "-1", id="--n -1"),
+    pytest.param("--instances", "0", id="--instances")])
+def test_gradcheck_bad_dimensions_exit_2(flag, size, capsys):
+    assert run("gradcheck", flag, size) == 2
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 1\n"
 
 
 def test_stability_without_certificate_exits_3(tmp_path, capsys):

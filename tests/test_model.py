@@ -5,7 +5,7 @@ import pytest
 
 from brnn import model
 from brnn.errors import ConfigurationError, StateOverflowError
-from brnn.model import (DIAGONAL_MIN_N, BrnnParams, Dims, Sequence, diagonal_A,
+from brnn.model import (DIAGONAL_MIN_N, BrnnParams, Sequence, diagonal_A,
                         forward, nonlinearity_derivative)
 from brnn.stability import bibo_bound, make_stable_A
 
@@ -593,12 +593,53 @@ def test_bibo_rollout_property():
     assert (np.linalg.norm(traj.x, axis=1) <= bound).all()
 
 
-def test_dims_validation():
-    with pytest.raises(ConfigurationError):
-        Dims(n=0, m=1, r=1, N=5)
-    with pytest.raises(ConfigurationError):
-        Dims(n=1, m=1, r=1, N=0)
-    Dims(n=1, m=1, r=1, N=1)
+@pytest.mark.parametrize("name", ["n", "m", "r"])
+@pytest.mark.parametrize("size", [0, -1])
+def test_param_shapes_is_the_size_rule(name, size):
+    sizes = {"n": 1, "m": 1, "r": 1, name: size}
+    with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1$"):
+        model.param_shapes(**sizes)
+    assert model.param_shapes(1, 1, 1)["W"] == (1, 1)
+
+
+def _softsign_reader(reader):
+    """A call of one reader of the sigma table on a random instance whose
+    sigma, set after construction, has no row."""
+    from brnn import adjoint, stability
+    from brnn.verify import random_instance
+    params, seq, x0, w = random_instance(0)
+    params.sigma = "softsign"
+    traj = forward(dataclasses.replace(params, sigma="tanh"), seq, x0)
+    return {
+        "forward": lambda: forward(params, seq, x0),
+        "step_rate": lambda: model.step_rate(params),
+        "nonlinearity_derivative": lambda: nonlinearity_derivative(params.sigma, x0),
+        "validate": params.validate,
+        "backward_costates": lambda: adjoint.backward_costates(params, traj, w),
+        "hidden_sup": lambda: stability.hidden_sup(params, 1.0),
+        "m_sup_bound": lambda: stability.m_sup_bound(params, 1.0),
+        "bibo_bound": lambda: stability.bibo_bound(params, 1.0),
+    }[reader]
+
+
+@pytest.mark.parametrize("reader", [
+    "forward", "step_rate", "nonlinearity_derivative", "validate",
+    "backward_costates", "hidden_sup", "m_sup_bound", "bibo_bound"])
+def test_every_reader_of_the_sigma_table_refuses_an_unknown_sigma(reader):
+    call = _softsign_reader(reader)
+    with pytest.raises(ConfigurationError, match="^unknown nonlinearity 'softsign'$"):
+        call()
+
+
+@pytest.mark.parametrize("draw", ["make_stable_A", "init_params", "random_instance"])
+def test_one_seed_rule(draw):
+    from brnn.trainer import init_params
+    from brnn.verify import random_instance
+    call = {"make_stable_A": lambda: make_stable_A(3, "random_diagonal", seed=-1),
+            "init_params": lambda: init_params(3, 1, 1, seed=-1),
+            "random_instance": lambda: random_instance(-1)}[draw]
+    with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+        call()
 
 
 def test_sequence_validation():

@@ -6,7 +6,7 @@ import pytest
 from brnn.adjoint import backward_costates, per_step_gradients
 from brnn.errors import ConfigurationError, DivergenceError
 from brnn.loss import LossWeights, total_cost
-from brnn.model import BrnnParams, Dims, Sequence, forward
+from brnn.model import BrnnParams, Sequence, forward
 from brnn.tasks import TaskSpec, gen_task
 from brnn.trainer import (DIVERGENCE_RATIO, GradSet, TrainConfig, aggregate,
                           apply_update, epoch_gradient, init_params, train)
@@ -206,7 +206,7 @@ def test_exploding_but_finite_cost_raises_divergence():
     # lag copy with eta = 5: the total grows from 2.9 by orders of magnitude
     # per epoch while every parameter stays finite
     seq = gen_task(TaskSpec(kind="lag_copy", N=20, seed=3))
-    params0 = init_params(Dims(n=4, m=1, r=1, N=20), seed=3)
+    params0 = init_params(4, 1, 1, seed=3)
     cfg = TrainConfig(eta=5.0, epochs=20)
     with pytest.raises(DivergenceError) as exc:
         train(cfg, seq, params0, np.zeros(4), LossWeights())
@@ -270,8 +270,7 @@ def test_train_early_stop_on_perfect_fit():
 def test_params_frozen_within_epoch():
     rng = np.random.default_rng(77)
     n, N = 3, 10
-    dims = Dims(n=n, m=1, r=1, N=N)
-    params0 = init_params(dims, seed=4)
+    params0 = init_params(n, 1, 1, seed=4)
     seq = Sequence(s=rng.uniform(-1, 1, (N + 1, 1)), d=rng.uniform(-1, 1, (N + 1, 1)))
     w = LossWeights()
     cfg = TrainConfig(eta=0.05, epochs=2, aggregation="sum")
@@ -341,15 +340,14 @@ def test_sum_mean_update_equivalence_bitwise():
 
 
 def test_init_params():
-    dims = Dims(n=4, m=2, r=3, N=10)
-    p = init_params(dims, sigma="logistic", init_scale=0.2, alpha_A=0.7, seed=9)
+    p = init_params(4, 2, 3, sigma="logistic", init_scale=0.2, alpha_A=0.7, seed=9)
     assert (p.A == 0.7 * np.eye(4)).all()
     assert (p.b == 0).all() and (p.c == 0).all()
     for name in ("U", "W", "V", "Dft"):
         arr = getattr(p, name)
         assert np.abs(arr).max() <= 0.2
         assert np.abs(arr).max() > 0
-    p2 = init_params(dims, sigma="logistic", init_scale=0.2, alpha_A=0.7, seed=9)
+    p2 = init_params(4, 2, 3, sigma="logistic", init_scale=0.2, alpha_A=0.7, seed=9)
     assert (p.U == p2.U).all()
 
 
@@ -379,4 +377,4 @@ def test_train_config_holds_only_what_train_reads():
 def test_init_params_validation(kwargs):
     key = next(iter(kwargs))
     with pytest.raises(ConfigurationError, match=key):
-        init_params(Dims(n=3, m=1, r=1, N=5), **kwargs)
+        init_params(3, 1, 1, **kwargs)
