@@ -10,7 +10,12 @@ Noise comes from the SplitMix 64-bit generator (Steele, Lea and Flood,
 by the golden-gamma constant, the output is finalized by two xor-multiply
 rounds, and the top 53 bits are mapped to [0, 1). Uniform noise in
 [-amp, amp) is amp*(2u - 1). The seed is taken modulo 2^64, so any integer
-is a valid seed.
+is a valid seed. split_seed(seed) is the seed of a second stream split off
+the one seeded with `seed`: that stream's first output, as the split of
+Steele et al. takes it. brnn.trainer.init_params draws the initial
+parameters from the stream seeded with split_seed(seed), so `train --task
+lag|bandpass`, which feeds one seed to the dataset noise and to that draw,
+gets initial weights that are not a scaled copy of its inputs.
 
 CSV schema: header "k,s1..sm,d1..dr" (csv_header, which write_csv writes
 and read_csv checks), one row per step k = 0..N, floats printed with full
@@ -18,8 +23,9 @@ round-trip precision.
 """
 
 import csv
+import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -28,25 +34,42 @@ from .model import Sequence
 
 TASK_KINDS = ("sine_track", "bandpass_filter", "lag_copy")
 
+# rows formatted or parsed at a time by write_csv and read_csv's bulk parse:
+# only one chunk's strings are alive at once
+_CHUNK_ROWS = 2048
+
 _MASK64 = (1 << 64) - 1
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def uniform_noise(seed: int, shape, amp: float) -> np.ndarray:
-    """Array of i.i.d. uniform samples in [-amp, amp).
+def _splitmix64(seed: int, n: int) -> np.ndarray:
+    """Draws 1..n of the generator seeded with `seed`, as np.uint64.
 
-    Sample i is draw i+1 of the generator seeded with `seed`, computed for
-    all i at once: the state after i+1 advances is seed + (i+1)*gamma, and
-    np.uint64 array arithmetic wraps modulo 2^64 as a one-draw-at-a-time
-    generator masks (tests/test_tasks.py keeps one as the reference).
+    Draw i is computed for all i at once: the state after i advances is
+    seed + i*gamma, and np.uint64 array arithmetic wraps modulo 2^64 as a
+    one-draw-at-a-time generator masks (tests/test_tasks.py keeps one as
+    the reference).
     """
-    n = int(np.prod(shape))
     u64 = np.uint64
     z = np.arange(1, n + 1, dtype=u64) * u64(_GAMMA) + u64(seed & _MASK64)
     z = (z ^ (z >> u64(30))) * u64(_MIX1)
     z = (z ^ (z >> u64(27))) * u64(_MIX2)
     z ^= z >> u64(31)
-    u = (z >> u64(11)) * 2.0 ** -53
+    return z
+
+
+def split_seed(seed: int) -> int:
+    """The seed of the stream split off the one seeded with `seed`: its
+    first output."""
+    return int(_splitmix64(seed, 1)[0])
+
+
+def uniform_noise(seed: int, shape, amp: float) -> np.ndarray:
+    """Array of i.i.d. uniform samples in [-amp, amp); sample i is draw
+    i+1 of the generator seeded with `seed`."""
+    # math.prod is exact where np.prod wraps: a count of 2^64 or more values
+    # is refused by np.arange as too large, not taken as its remainder
+    u = (_splitmix64(seed, math.prod(shape)) >> np.uint64(11)) * 2.0 ** -53
     return (amp * (2.0 * u - 1.0)).reshape(shape)
 
 
@@ -134,12 +157,15 @@ def csv_header(m: int, r: int) -> list:
 
 def write_csv(seq: Sequence, path) -> None:
     """Write the dataset with full round-trip float precision."""
-    lines = [",".join(csv_header(seq.m, seq.r))]
-    for k, (s_k, d_k) in enumerate(zip(seq.s.tolist(), seq.d.tolist())):
-        lines.append(",".join([str(k), *map(repr, s_k), *map(repr, d_k)]))
-    # the bytes csv.writer writes: no field needs quoting, rows end in \r\n
+    # the bytes csv.writer writes: no field needs quoting, rows end in \r\n;
+    # a chunk of rows at a time, each written as soon as it is formatted
     with open(path, "w", newline="") as f:
-        f.write("\r\n".join(lines) + "\r\n")
+        f.write(",".join(csv_header(seq.m, seq.r)) + "\r\n")
+        for lo in range(0, seq.N + 1, _CHUNK_ROWS):
+            s = seq.s[lo:lo + _CHUNK_ROWS].tolist()
+            d = seq.d[lo:lo + _CHUNK_ROWS].tolist()
+            f.write("".join([",".join([str(k), *map(repr, s_k), *map(repr, d_k)])
+                             + "\r\n" for k, s_k, d_k in zip(count(lo), s, d)]))
 
 
 def _parse_header(fields):
@@ -190,9 +216,8 @@ def _parse_bulk(text):
     if max(map(len, body)) > csv.field_size_limit():
         return None         # may hold a field csv.reader refuses
     data = np.empty((len(body), m + r))
-    # a chunk of lines at a time: only one chunk's field strings are alive
-    for lo in range(0, len(body), 2048):
-        chunk = body[lo:lo + 2048]
+    for lo in range(0, len(body), _CHUNK_ROWS):
+        chunk = body[lo:lo + _CHUNK_ROWS]
         fields = ",".join(chunk).split(",")
         if fields[::1 + m + r] != list(map(str, range(lo, lo + len(chunk)))):
             return None

@@ -36,6 +36,7 @@ from .errors import ConfigurationError, DivergenceError, NumericalError
 from .loss import CostBreakdown, LossWeights, total_cost
 from .model import BrnnParams, Sequence, Trajectory, check_seed, forward, param_shapes
 from .stability import make_stable_A
+from .tasks import split_seed, uniform_noise
 
 AGGREGATIONS = ("sum", "mean", "median", "min_abs")
 
@@ -125,18 +126,27 @@ def init_params(n: int, m: int, r: int, *, sigma: str = "tanh",
                 init_scale: float = 0.1, alpha_A: float = 0.5,
                 seed: int = 0) -> BrnnParams:
     """Randomly small init at sizes (n, m, r): U, W, V, Dft uniform in
-    [-init_scale, init_scale], zero biases, A = alpha_A * I."""
+    [-init_scale, init_scale), zero biases, A = alpha_A * I.
+
+    U, W, V and Dft are one tasks.uniform_noise stream, drawn in
+    param_shapes' order and seeded with tasks.split_seed(seed): a SplitMix64
+    stream split off the one a dataset of the same seed draws its noise
+    from. The seed (>= 0, check_seed) is taken modulo 2^64, and the draws
+    are the same on every NumPy version.
+    """
     shapes = param_shapes(n, m, r)
     if not 0.0 < init_scale < math.inf:
         raise ConfigurationError("init_scale must be finite and > 0")
     check_seed(seed)
     A = make_stable_A(n, "scaled_identity", alpha_A)
-    rng = np.random.default_rng(seed)
-    # drawn in param_shapes' order: U, W, V, Dft
+    trained = {name: shape for name, shape in shapes.items() if name != "A"}
+    # the matrices take their entries from the stream in turn; b and c none
+    sizes = [math.prod(shape) if len(shape) == 2 else 0 for shape in trained.values()]
+    draws = np.split(uniform_noise(split_seed(seed), (sum(sizes),), init_scale),
+                     np.cumsum(sizes)[:-1])
     return BrnnParams(A=A, sigma=sigma, **{
-        name: rng.uniform(-init_scale, init_scale, shape) if len(shape) == 2
-        else np.zeros(shape)
-        for name, shape in shapes.items() if name != "A"})
+        name: draw.reshape(shape) if len(shape) == 2 else np.zeros(shape)
+        for (name, shape), draw in zip(trained.items(), draws)})
 
 
 def epoch_gradient(params: BrnnParams, traj: Trajectory, costates: CostateSeq,

@@ -1,5 +1,9 @@
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +180,51 @@ def test_train_initialises_through_init_params(tmp_path):
                       LossWeights())
     save_checkpoint(tmp_path / "lib.txt", params)
     assert ckpt.read_bytes() == (tmp_path / "lib.txt").read_bytes()
+
+
+def test_train_on_a_lag_task_draws_no_copy_of_its_inputs(monkeypatch, tmp_path):
+    # one --seed feeds the dataset noise and the initial draw; the draw's
+    # stream is split off the noise's, so U is no scaled copy of s
+    from brnn.trainer import train
+    seen = []
+    monkeypatch.setattr(cli, "train", lambda config, seq, params0, *rest:
+                        seen.append((seq.s, params0.U)) or train(config, seq, params0, *rest))
+    assert run("train", "--task", "lag", "--N", "30", "--n", "4", "--seed", "7",
+               "--epochs", "1", "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 0
+    (s, U), = seen
+    ratio = U.ravel() / s.ravel()[:U.size]
+    assert not np.allclose(ratio, ratio[0])
+
+
+# Runs brnn.cli.main on each argv of the JSON list in argv[1], in a fresh
+# interpreter, and prints per command [command, exit code, whether
+# numpy.random is unloaded afterwards or a bare `import numpy` loads it].
+FRESH_RUN = """
+import json, sys
+import numpy
+eager = "numpy.random" in sys.modules
+from brnn.cli import main
+print(json.dumps([[argv[0], main(argv), eager or "numpy.random" not in sys.modules]
+                  for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_generate_train_eval_and_stability_load_no_numpy_random(tmp_path):
+    # NumPy 2 loads numpy.random on first use, NumPy 1 at `import numpy`
+    argvs = [["generate", "--task", "lag", "--N", "40", "--out", "d.csv"],
+             ["train", "--data", "d.csv", "--n", "3", "--epochs", "2"],
+             ["eval", "--checkpoint", "checkpoint.txt", "--data", "d.csv"],
+             ["stability", "--checkpoint", "checkpoint.txt"]]
+    # the directory brnn was imported from, first on the child's path
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(argvs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        [argv[0], 0, True] for argv in argvs]
 
 
 def test_init_defaults_are_read_from_init_params():
@@ -530,6 +579,14 @@ def test_sizes_too_large_for_memory_exit_2(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sizes too large for memory: ") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_noise_of_2_to_the_64_values_exits_2(tmp_path, monkeypatch, capsys):
+    # 2^33 rows of 2^31 inputs: a count of values that int64 arithmetic
+    # wraps to 0
+    test_sizes_too_large_for_memory_exit_2(
+        ["generate", "--task", "lag", "--N", str(2 ** 33 - 1), "--m", str(2 ** 31)],
+        tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -897,9 +954,13 @@ def test_train_writes_the_same_bytes_with_and_without_shooting(monkeypatch, tmp_
     data = tmp_path / "data.csv"
     assert run("generate", "--task", "bandpass", "--N", "4999", "--m", "2", "--r", "2",
                "--out", str(data)) == 0
-    sweeps = []
-    sweep = model._sweep
+    sweeps, blocks = [], []
+    sweep, shooting_block = model._sweep, model.shooting_block
     monkeypatch.setattr(model, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+    # the block length forward finds for each epoch's params
+    monkeypatch.setattr(model, "shooting_block",
+                        lambda params, N: blocks.append(shooting_block(params, N))
+                        or blocks[-1])
     outputs = {}
     for regime in ("shooting", "loop"):
         if regime == "loop":
@@ -907,10 +968,18 @@ def test_train_writes_the_same_bytes_with_and_without_shooting(monkeypatch, tmp_
         capsys.readouterr()
         sweeps.clear()
         metrics, ckpt = tmp_path / f"{regime}.csv", tmp_path / f"{regime}.txt"
-        assert run("train", "--data", str(data), "--n", "8", "--epochs", "2",
-                   "--metrics-out", str(metrics), "--checkpoint-out", str(ckpt)) == 0
+        # mean, as CI's 5001-row run: the total falls. Under sum this run
+        # diverges, its total growing 2e4-fold by epoch 3, whose params are
+        # outside the shooting regime
+        assert run("train", "--data", str(data), "--n", "8", "--agg", "mean",
+                   "--epochs", "2", "--metrics-out", str(metrics),
+                   "--checkpoint-out", str(ckpt)) == 0
         stdout = capsys.readouterr().out.replace(str(tmp_path / regime), "")
         outputs[regime] = (metrics.read_bytes(), ckpt.read_bytes(), stdout, len(sweeps))
-    # two sweeps per epoch's rollout in one regime, none in the other
+    totals = [float(row.split(",")[1])
+              for row in outputs["shooting"][0].decode().splitlines()[1:]]
+    assert len(totals) == 2 and totals[1] < totals[0]
+    # every epoch's rollout in the shooting regime: two sweeps each
+    assert len(blocks) == 2 and all(L > 0 for L in blocks)
     assert outputs["shooting"][3] == 4 and outputs["loop"][3] == 0
     assert outputs["shooting"][:3] == outputs["loop"][:3]

@@ -5,8 +5,8 @@ import pytest
 
 from brnn.errors import ConfigurationError, DatasetFormatError
 from brnn.model import Sequence
-from brnn.tasks import (_GAMMA, _MASK64, _MIX1, _MIX2, TaskSpec, _filter,
-                        _parse_bulk, _parse_rows, gen_task, read_csv,
+from brnn.tasks import (_CHUNK_ROWS, _GAMMA, _MASK64, _MIX1, _MIX2, TaskSpec,
+                        _filter, _parse_bulk, _parse_rows, gen_task, read_csv,
                         uniform_noise, write_csv)
 
 
@@ -273,8 +273,11 @@ def test_write_csv_bytes_equal_the_csv_writer_reference(tmp_path):
     s[:, 1] = special
     d = rng.standard_normal((len(special), 2)) * 10.0 ** rng.integers(-20, 20, (len(special), 2))
     d[::-1, 0] = special
+    # the last: three chunks of rows, the third one row long
     seqs = [Sequence(s=s, d=d),
-            gen_task(TaskSpec(kind="bandpass_filter", N=300, m=2, r=1, seed=4))]
+            gen_task(TaskSpec(kind="bandpass_filter", N=300, m=2, r=1, seed=4)),
+            gen_task(TaskSpec(kind="lag_copy", N=2 * _CHUNK_ROWS, m=2, r=1,
+                              seed=5))]
     for i, seq in enumerate(seqs):
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
         write_csv(seq, got)

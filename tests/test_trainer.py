@@ -10,6 +10,8 @@ from brnn.model import BrnnParams, Sequence, forward
 from brnn.tasks import TaskSpec, gen_task
 from brnn.trainer import (DIVERGENCE_RATIO, GradSet, TrainConfig, aggregate,
                           apply_update, epoch_gradient, init_params, train)
+# the one-draw-at-a-time generator that uniform_noise is checked against
+from test_tasks import splitmix64
 
 
 def gradseq_with_dU(values, N=None, n=1, m=1, r=1):
@@ -343,12 +345,20 @@ def test_init_params():
     p = init_params(4, 2, 3, sigma="logistic", init_scale=0.2, alpha_A=0.7, seed=9)
     assert (p.A == 0.7 * np.eye(4)).all()
     assert (p.b == 0).all() and (p.c == 0).all()
+    # U, W, V, Dft in turn: one splitmix64 stream, seeded with the first
+    # output of the stream that the seed itself seeds
+    gen = splitmix64(next(splitmix64(9)))
     for name in ("U", "W", "V", "Dft"):
         arr = getattr(p, name)
-        assert np.abs(arr).max() <= 0.2
-        assert np.abs(arr).max() > 0
+        u = np.array([(next(gen) >> 11) * 2.0 ** -53 for _ in range(arr.size)])
+        assert np.array_equal(arr, (0.2 * (2.0 * u - 1.0)).reshape(arr.shape)), name
+        assert ((-0.2 <= arr) & (arr < 0.2)).all() and np.abs(arr).max() > 0
     p2 = init_params(4, 2, 3, sigma="logistic", init_scale=0.2, alpha_A=0.7, seed=9)
     assert (p.U == p2.U).all()
+    # the seed is taken modulo 2^64
+    p3 = init_params(4, 2, 3, sigma="logistic", init_scale=0.2, alpha_A=0.7,
+                     seed=2 ** 64 + 9)
+    assert all((getattr(p3, name) == getattr(p, name)).all() for name in ("U", "Dft"))
 
 
 def test_config_validation():
