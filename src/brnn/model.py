@@ -23,9 +23,10 @@ brnn.stability) takes its row through nonlinearity(name), which raises
 ConfigurationError for a name without one; the CLI's --sigma choices are
 its keys, NONLINEARITIES. PARAM_DIMS names the seven parameters A, U, W,
 b, V, Dft, c in order with their shapes; param_shapes gives them at sizes
-(n, m, r) and is the size rule (every size >= 1), and BrnnParams, the
-checkpoint file and the random initializers follow it. check_seed is the
-rule for the seed of every random draw.
+(n, m, r), and BrnnParams, the checkpoint file and the random
+initializers follow it. check_sizes is the rule for every size (>= 1) and
+check_seed the rule for every seed (>= 0); each is called wherever such a
+value enters.
 
 The state recursion is nonlinear in x and runs as a loop over k (for a
 long horizon, see multiple shooting below). `forward` makes each step one
@@ -225,15 +226,21 @@ def check_seed(seed: int) -> None:
 PARAM_DIMS = {"A": "nn", "U": "nn", "W": "nm", "b": "n", "V": "rn", "Dft": "rm", "c": "r"}
 
 
+def check_sizes(**sizes) -> None:
+    """The one rule for a size (n, m, r, the horizon N): it must be >= 1.
+    Raises ConfigurationError naming the first size below 1, in argument
+    order."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1")
+
+
 def param_shapes(n: int, m: int, r: int, batch: tuple = ()) -> dict:
     """Each parameter's shape at sizes (n, m, r), in PARAM_DIMS' order. The
     trainable ones carry the batch axes of stacked params in front; A, which
-    the members share, never does. This is the size rule: a size below 1
-    is a ConfigurationError."""
+    the members share, never does. The sizes are checked by check_sizes."""
     size = {"n": n, "m": m, "r": r}
-    for name, value in size.items():
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1")
+    check_sizes(**size)
     return {name: (() if name == "A" else batch) + tuple(map(size.get, dims))
             for name, dims in PARAM_DIMS.items()}
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnboundedRegionError
-from .model import BrnnParams, check_seed, nonlinearity, spectral_norm, step_rate
+from .model import (BrnnParams, check_seed, check_sizes, nonlinearity, spectral_norm,
+                    step_rate)
 
 A_SCHEMES = ("scaled_identity", "random_diagonal", "random_orthogonal_scaled")
 
@@ -59,8 +60,7 @@ def make_stable_A(n: int, scheme: str = "scaled_identity",
     """
     if not 0.0 < alpha_A <= 1.0:
         raise ConfigurationError("alpha_A must be in (0, 1]")
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
+    check_sizes(n=n)
     check_seed(seed)
     if scheme == "scaled_identity":
         return alpha_A * np.eye(n)

@@ -9,10 +9,10 @@ Noise comes from the SplitMix 64-bit generator (Steele, Lea and Flood,
 2014) so datasets are reproducible across implementations: state advances
 by the golden-gamma constant, the output is finalized by two xor-multiply
 rounds, and the top 53 bits are mapped to [0, 1). Uniform noise in
-[-amp, amp) is amp*(2u - 1). The seed is taken modulo 2^64, so any integer
-is a valid seed. split_seed(seed) is the seed of a second stream split off
-the one seeded with `seed`: that stream's first output, as the split of
-Steele et al. takes it. brnn.trainer.init_params draws the initial
+[-amp, amp) is amp*(2u - 1). The seed (>= 0, brnn.model.check_seed) is
+taken modulo 2^64. split_seed(seed) is the seed of a second stream split
+off the one seeded with `seed`: that stream's first output, as the split
+of Steele et al. takes it. brnn.trainer.init_params draws the initial
 parameters from the stream seeded with split_seed(seed), so `train --task
 lag|bandpass`, which feeds one seed to the dataset noise and to that draw,
 gets initial weights that are not a scaled copy of its inputs.
@@ -30,7 +30,7 @@ from itertools import count, repeat
 import numpy as np
 
 from .errors import ConfigurationError, DatasetFormatError
-from .model import Sequence
+from .model import Sequence, check_seed, check_sizes
 
 TASK_KINDS = ("sine_track", "bandpass_filter", "lag_copy")
 
@@ -87,25 +87,25 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the fields in brnn.cli.KEYS' order; coeffs under every kind, also
+        # one that does not read them
         if self.kind not in TASK_KINDS:
             raise ConfigurationError(f"unknown task kind {self.kind!r}")
-        if self.N < 1:
-            raise ConfigurationError("N must be >= 1")
-        if self.m < 1 or self.r < 1:
-            raise ConfigurationError("m and r must be >= 1")
+        check_sizes(N=self.N, m=self.m, r=self.r)
+        if len(self.coeffs) != 3 or not all(map(math.isfinite, self.coeffs)):
+            raise ConfigurationError(
+                f"coeffs must be three finite numbers, got {self.coeffs!r}")
         if self.kind == "lag_copy" and not 0 <= self.lag < self.N:
             raise ConfigurationError(f"lag must satisfy 0 <= lag < N, got {self.lag}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ConfigurationError(f"noise must be finite and >= 0, got {self.noise!r}")
+        check_seed(self.seed)
         if self.kind in ("lag_copy", "bandpass_filter") and self.r > self.m:
             raise ConfigurationError(f"{self.kind} requires r <= m")
-        if not 0.0 <= self.noise < np.inf:
-            raise ConfigurationError(f"noise must be finite and >= 0, got {self.noise!r}")
         if self.kind == "bandpass_filter":
-            if len(self.coeffs) != 3 or not np.isfinite(self.coeffs).all():
-                raise ConfigurationError(
-                    f"coeffs must be three finite numbers, got {self.coeffs!r}")
             a1, a2, _ = self.coeffs
             roots = np.roots([1.0, -a1, -a2])
-            if roots.size and np.abs(roots).max() >= 1.0:
+            if np.abs(roots).max() >= 1.0:
                 raise ConfigurationError(
                     f"filter poles {roots} not strictly inside the unit circle")
 

@@ -55,8 +55,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.eta < math.inf:
             raise ConfigurationError("eta must be finite and > 0")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be >= 0")
+        # a run of no epochs has no cost to report and trains nothing
+        if self.epochs < 1:
+            raise ConfigurationError("epochs must be >= 1")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigurationError(f"unknown aggregation {self.aggregation!r}")
         if math.isnan(self.stop_tol):

@@ -25,7 +25,8 @@ import numpy as np
 from .adjoint import PARAM_GROUPS, GradSet, backward_costates, summed_gradients
 from .errors import ConfigurationError
 from .loss import LossWeights, total_cost
-from .model import BrnnParams, Sequence, check_seed, forward, param_shapes
+from .model import (BrnnParams, Sequence, check_seed, check_sizes, forward,
+                    param_shapes)
 
 SMOOTH_SIGMAS = ("tanh", "logistic", "identity")
 SMOOTH_STATE_LOSSES = ("none", "tanh_approx")
@@ -166,8 +167,7 @@ def random_instance(seed: int, n: int = 4, m: int = 2, r: int = 2, N: int = 10,
     """Seeded random (params, seq, x0, weights) tuple for gradient checks.
     The sizes and the seed are checked before the first draw."""
     shapes = param_shapes(n, m, r)
-    if N < 1:
-        raise ConfigurationError("N must be >= 1")
+    check_sizes(N=N)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     A = np.diag(rng.uniform(-0.8, 0.8, n))

@@ -17,7 +17,7 @@ from brnn.errors import (CheckpointFormatError, ConfigurationError,
 from brnn.loss import LossWeights, total_cost
 from brnn.model import BrnnParams, Sequence, forward
 from brnn.stability import make_stable_A
-from brnn.tasks import read_csv, write_csv
+from brnn.tasks import TaskSpec, gen_task, read_csv, write_csv
 
 
 def run(*argv):
@@ -146,7 +146,7 @@ def test_non_finite_train_values_exit_2(flag, value, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("epochs, message", [("0", "epochs must be >= 1"),
-                                            ("-1", "epochs must be >= 0")])
+                                            ("-1", "epochs must be >= 1")])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_train_with_fewer_than_1_epoch_exits_2(epochs, message, source, tmp_path, capsys):
     metrics, checkpoint = tmp_path / "m.csv", tmp_path / "c.txt"
@@ -166,7 +166,6 @@ def test_train_with_fewer_than_1_epoch_exits_2(epochs, message, source, tmp_path
 
 
 def test_train_initialises_through_init_params(tmp_path):
-    from brnn.tasks import TaskSpec, gen_task
     from brnn.trainer import TrainConfig, init_params, train
     ckpt = tmp_path / "c.txt"
     assert run("train", "--N", "20", "--n", "3", "--epochs", "3",
@@ -228,7 +227,6 @@ def test_generate_train_eval_and_stability_load_no_numpy_random(tmp_path):
 
 
 def test_init_defaults_are_read_from_init_params():
-    from brnn.tasks import TaskSpec
     from brnn.trainer import init_params
     defaults = init_params.__kwdefaults__
     assert cli.KEYS["init_scale"][1] == defaults["init_scale"]
@@ -318,6 +316,9 @@ def test_config_file_key_equals_its_flag(key, tmp_path, capsys):
             for f in (f"--{k}", v)] + extra
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {value}\n")
+    # the same file behind a UTF-8 byte-order mark, as some editors save it
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
 
     def outputs(tag, *argv):
         metrics, ckpt = tmp_path / f"m_{tag}.csv", tmp_path / f"c_{tag}.txt"
@@ -327,7 +328,17 @@ def test_config_file_key_equals_its_flag(key, tmp_path, capsys):
 
     by_flag = outputs("flag", "--" + key.replace("_", "-"), value)
     assert outputs("file", "--config", str(config)) == by_flag
+    assert outputs("bom", "--config", str(bom)) == by_flag
     assert outputs("default") != by_flag  # the value is not the default
+
+
+def test_a_flag_value_that_starts_with_a_minus_takes_the_equals_form(tmp_path):
+    # argparse reads `--coeffs -1.2,-0.72,1` as a flag without its value
+    out = tmp_path / "d.csv"
+    assert run("generate", "--task", "bandpass", "--N", "20", "--coeffs=-1.2,-0.72,1",
+               "--out", str(out)) == 0
+    want = gen_task(TaskSpec("bandpass_filter", 20, coeffs=(-1.2, -0.72, 1.0)))
+    assert (read_csv(out).d == want.d).all()
 
 
 def test_non_number_coeffs_exits_2(tmp_path, capsys):
@@ -378,11 +389,13 @@ def test_bad_noise_exits_2(command, task, noise, tmp_path, capsys):
     (["train", "--task", "sine", "--coeffs", "nan,0,1", "--epochs", "1"], "coeffs"),
     (["generate", "--task", "sine", "--coeffs", "nan,0,1"], "coeffs"),
     (["generate", "--task", "lag", "--coeffs", "inf,0,1"], "coeffs"),
+    (["train", "--data", "s.csv", "--task", "lag", "--lag", "99", "--epochs", "1"],
+     "lag"),
 ])
 def test_bad_task_values_exit_2_for_every_kind_and_under_data(argv, key, tmp_path,
                                                               capsys):
-    # coeffs and noise are checked as they are resolved, whether or not the
-    # task kind reads them and whether or not a task is generated at all
+    # TaskSpec checks coeffs and noise whether or not the task kind reads
+    # them, and train builds one under --data too, where no task is generated
     data = tmp_path / "s.csv"
     assert run("generate", "--task", "lag", "--N", "12", "--out", str(data)) == 0
     outs = {"generate": ["--out", str(tmp_path / "d.csv")],
@@ -392,7 +405,7 @@ def test_bad_task_values_exit_2_for_every_kind_and_under_data(argv, key, tmp_pat
     capsys.readouterr()
     assert run(*argv, *outs) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be")
+    assert err.startswith(f"error: {key} must ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
 
@@ -590,19 +603,21 @@ def test_noise_of_2_to_the_64_values_exits_2(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "-1"],
     ["train", "--seed", "-1", "--epochs", "1"],
     ["train", "--data", "data.csv", "--seed", "-1"],
     ["gradcheck", "--seed", "-1"],
     ["stability", "--seed", "-1", "--scheme", "random_diagonal"]], ids=" ".join)
 def test_negative_seeds_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    # the dataset seed is taken modulo 2^64, so generate accepts any integer
-    assert run("generate", "--task", "lag", "--N", "10", "--seed", "-1",
+    # the dataset seed is taken modulo 2^64: 2^64 - 1 is the largest seed
+    # with a stream of its own
+    assert run("generate", "--task", "lag", "--N", "10", "--seed", str(2 ** 64 - 1),
                "--out", "data.csv") == 0
     capsys.readouterr()
     assert run(*argv) == 2
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
-    assert not (tmp_path / "metrics.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 def huge_target_dataset(path):

@@ -8,6 +8,7 @@ from brnn.errors import ConfigurationError, StateOverflowError
 from brnn.model import (DIAGONAL_MIN_N, BrnnParams, Sequence, diagonal_A,
                         forward, nonlinearity_derivative)
 from brnn.stability import bibo_bound, make_stable_A
+from brnn.tasks import TaskSpec
 
 
 TRAINABLE = ("U", "W", "b", "V", "Dft", "c")
@@ -593,12 +594,22 @@ def test_bibo_rollout_property():
     assert (np.linalg.norm(traj.x, axis=1) <= bound).all()
 
 
-@pytest.mark.parametrize("name", ["n", "m", "r"])
+@pytest.mark.parametrize("name", ["n", "m", "r", "N"])
 @pytest.mark.parametrize("size", [0, -1])
 def test_param_shapes_is_the_size_rule(name, size):
-    sizes = {"n": 1, "m": 1, "r": 1, name: size}
-    with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1$"):
-        model.param_shapes(**sizes)
+    from brnn.verify import random_instance
+    # each caller of the rule, with the sizes it takes
+    callers = [
+        ("nmr", lambda n, m, r, N: model.param_shapes(n, m, r)),
+        ("Nmr", lambda n, m, r, N: TaskSpec("sine_track", N, m, r)),
+        ("nmrN", lambda n, m, r, N: random_instance(0, n=n, m=m, r=r, N=N)),
+        ("n", lambda n, m, r, N: make_stable_A(n)),
+    ]
+    sizes = {"n": 1, "m": 1, "r": 1, "N": 5, name: size}
+    for names, call in callers:
+        if name in names:
+            with pytest.raises(ConfigurationError, match=f"^{name} must be >= 1$"):
+                call(**sizes)
     assert model.param_shapes(1, 1, 1)["W"] == (1, 1)
 
 
@@ -631,13 +642,15 @@ def test_every_reader_of_the_sigma_table_refuses_an_unknown_sigma(reader):
         call()
 
 
-@pytest.mark.parametrize("draw", ["make_stable_A", "init_params", "random_instance"])
+@pytest.mark.parametrize("draw", ["make_stable_A", "init_params", "random_instance",
+                                  "TaskSpec"])
 def test_one_seed_rule(draw):
     from brnn.trainer import init_params
     from brnn.verify import random_instance
     call = {"make_stable_A": lambda: make_stable_A(3, "random_diagonal", seed=-1),
             "init_params": lambda: init_params(3, 1, 1, seed=-1),
-            "random_instance": lambda: random_instance(-1)}[draw]
+            "random_instance": lambda: random_instance(-1),
+            "TaskSpec": lambda: TaskSpec("lag_copy", 10, seed=-1)}[draw]
     with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
         call()
 

@@ -221,12 +221,8 @@ def test_exploding_but_finite_cost_raises_divergence():
 
 
 def test_train_zero_epochs():
-    params = scalar_params()
-    seq = Sequence(s=np.zeros((3, 1)), d=np.zeros((3, 1)))
-    cfg = TrainConfig(epochs=0)
-    out, history = train(cfg, seq, params, [0.0], LossWeights())
-    assert history == []
-    assert out is params
+    with pytest.raises(ConfigurationError, match="^epochs must be >= 1$"):
+        TrainConfig(epochs=0)
 
 
 @pytest.mark.parametrize("fault", ["non-finite", "shape"])
