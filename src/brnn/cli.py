@@ -7,10 +7,12 @@ configuration errors and sizes too large for memory, 3 numerical
 explosion/divergence or no stability certificate, 4 I/O and format errors.
 
 A config file (one "key = value" per line, # comments allowed) can seed
-the train subcommand; explicit command-line flags win over file values.
-KEYS is the one place where these keys are declared: the flags of
-generate, train and eval, the keys a config file may set (an unknown or
-repeated key is a configuration error) and every default come from it.
+the train subcommand: each pair is parsed as the flag --key=value placed
+ahead of the command line's own flags, so it gets the flag's cast, choices
+and messages, and a flag given on the command line wins. KEYS is the one
+place where these keys are declared: the flags of generate, train and
+eval, with their casts, choices and defaults, and the keys a config file
+may set (an unknown or repeated key is a configuration error) come from it.
 """
 
 import argparse
@@ -40,11 +42,15 @@ TASK_ALIASES = {"sine": "sine_track", "bandpass": "bandpass_filter",
 
 
 def _parse_coeffs(text):
-    """'a1,a2,b0' (or space-separated) as three floats; TaskSpec checks them."""
+    """'a1,a2,b0' as three floats, for argparse; TaskSpec checks their values.
+    Fields are split at commas, at whitespace, or at a comma with whitespace
+    around it, so an empty field (",," or a leading or trailing comma) is
+    one of the fields and the value is refused."""
     try:
-        a1, a2, b0 = map(float, text.replace(",", " ").split())
+        a1, a2, b0 = map(float, re.split(r"\s*,\s*|\s+", text.strip()))
     except ValueError:
-        raise ConfigurationError(f"coeffs must be 'a1,a2,b0', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"coeffs must be 'a1,a2,b0', got {text!r}") from None
     return a1, a2, b0
 
 
@@ -105,7 +111,8 @@ def save_checkpoint(path, params: BrnnParams) -> None:
 
 def load_checkpoint(path) -> BrnnParams:
     try:
-        with open(path) as f:
+        # utf-8-sig: a byte-order mark is not part of the magic
+        with open(path, encoding="utf-8-sig") as f:
             lines = [ln for ln in (raw.strip() for raw in f) if ln]
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError(f"{path}: not a text file ({exc})") from None
@@ -191,71 +198,45 @@ def load_config_file(path) -> dict:
 
 # --------------------------------------------------------------- subcommands
 
-def _resolver(args, config: dict):
-    """key -> its flag, else its config-file value (cast, and checked
-    against the key's choices), else its default."""
-    def value(key):
-        cast, default, choices, _ = KEYS[key]
-        flag = getattr(args, key)
-        raw = flag if flag is not None else config.get(key)
-        if raw is None:
-            return default
-        try:
-            out = cast(raw)
-        except ConfigurationError:
-            raise
-        except ValueError:
-            raise ConfigurationError(
-                f"config value {key} = {raw!r} is not a valid "
-                f"{cast.__name__}") from None
-        if choices is not None and out not in choices:
-            raise ConfigurationError(
-                f"config value {key} = {raw!r} is not one of {', '.join(choices)}")
-        return out
-    return value
-
-
-def _command_keys(value, command) -> dict:
-    """The keys `command` takes as flags, each resolved and checked."""
-    return {key: value(key) for key, (*_, commands) in KEYS.items()
+def _command_keys(args, command) -> dict:
+    """The values of the keys `command` takes as flags, by key."""
+    return {key: getattr(args, key) for key, (*_, commands) in KEYS.items()
             if command in commands}
 
 
-def _task_spec(value) -> TaskSpec:
-    keys = _command_keys(value, "generate")
+def _task_spec(args) -> TaskSpec:
+    keys = _command_keys(args, "generate")
     kind = keys.pop("task")
     return TaskSpec(TASK_ALIASES.get(kind, kind), **keys)
 
 
 def cmd_generate(args) -> int:
-    seq = gen_task(_task_spec(_resolver(args, {})))
+    seq = gen_task(_task_spec(args))
     write_csv(seq, args.out)
     print(f"wrote {seq.N + 1} rows (m={seq.m}, r={seq.r}) to {args.out}")
     return 0
 
 
-def _loss_weights(value) -> LossWeights:
-    keys = _command_keys(value, "eval")
+def _loss_weights(args) -> LossWeights:
+    keys = _command_keys(args, "eval")
     keys["state_loss_kind"] = keys.pop("state_loss")
     return LossWeights(**keys)
 
 
 def cmd_train(args) -> int:
-    value = _resolver(args, load_config_file(args.config) if args.config else {})
-    # only a missing data key means "generate"; an empty path is a path
-    data = value("data")
     # built under --data too, where it goes unused: a task value that
     # generate refuses is refused here as well
-    spec = _task_spec(value)
-    seq = read_csv(data) if data is not None else gen_task(spec)
+    spec = _task_spec(args)
+    # only a missing data key means "generate"; an empty path is a path
+    seq = read_csv(args.data) if args.data is not None else gen_task(spec)
 
-    tc = TrainConfig(eta=value("eta"), epochs=value("epochs"), aggregation=value("agg"),
-                     stop_tol=value("stop_tol"))
-    w = _loss_weights(value)
+    tc = TrainConfig(eta=args.eta, epochs=args.epochs, aggregation=args.agg,
+                     stop_tol=args.stop_tol)
+    w = _loss_weights(args)
 
-    params0 = init_params(value("n"), seq.m, seq.r, sigma=value("sigma"),
-                          init_scale=value("init_scale"), alpha_A=value("alphaA"),
-                          seed=value("seed"))
+    params0 = init_params(args.n, seq.m, seq.r, sigma=args.sigma,
+                          init_scale=args.init_scale, alpha_A=args.alphaA,
+                          seed=args.seed)
     params, history = train(tc, seq, params0, np.zeros(params0.n), w)
 
     write_metrics_csv(args.metrics_out, history)
@@ -270,7 +251,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     seq = read_csv(args.data)
-    w = _loss_weights(_resolver(args, {}))
+    w = _loss_weights(args)
     traj = forward(params, seq, np.zeros(params.n))
     cost = total_cost(traj, seq, params, w)
     if not math.isfinite(cost.total):
@@ -353,6 +334,10 @@ def cmd_stability(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+def _flag(key) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brnn",
@@ -361,12 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_key_flags(p, command):
-        # argparse's default None tells the resolver no flag was given;
-        # coeffs stays a string for the resolver to parse (own error message)
-        for key, (cast, _, choices, commands) in KEYS.items():
+        for key, (cast, default, choices, commands) in KEYS.items():
             if command in commands:
-                p.add_argument("--" + key.replace("_", "-"), choices=choices,
-                               type=cast if isinstance(cast, type) else None)
+                p.add_argument(_flag(key), type=cast, default=default, choices=choices)
 
     def add_command(name, func, text):
         # a subcommand's flags, like the program's, are spelled in full
@@ -422,12 +404,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's pairs as flags ahead of the command line's own: the
+            # last value of a flag wins, and the --key=value form keeps a
+            # value that starts with "-" a value
+            at = argv.index(args.command) + 1
+            argv[at:at] = [f"{_flag(key)}={value}"
+                           for key, value in load_config_file(args.config).items()]
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -188,7 +188,8 @@ def read_csv(path) -> Sequence:
     accepts the same files and names the line of the first error.
     """
     try:
-        with open(path, newline="") as f:
+        # utf-8-sig: a byte-order mark is not part of the header's "k"
+        with open(path, newline="", encoding="utf-8-sig") as f:
             parsed = _parse_bulk(f.read())
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not a text file ({exc})") from None
@@ -243,7 +244,7 @@ def _csv_rows(f):
 def _parse_rows(path):
     """(m, data), one row at a time; raises DatasetFormatError naming the
     line of the first error."""
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = _csv_rows(f)
         try:
             header = next(reader)

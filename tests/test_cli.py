@@ -343,15 +343,46 @@ def test_a_flag_value_that_starts_with_a_minus_takes_the_equals_form(tmp_path):
 
 def test_non_number_coeffs_exits_2(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("coeffs = a,b,c\n")
     outs = ["--metrics-out", str(tmp_path / "m.csv"),
             "--checkpoint-out", str(tmp_path / "c.txt")]
-    for argv in (["generate", "--coeffs", "a,b,c", "--out", str(tmp_path / "d.csv")],
-                 ["train", "--coeffs", "a,b,c", *outs],
-                 ["train", "--config", str(config), *outs]):
-        assert run(*argv) == 2
-        assert "coeffs must be 'a1,a2,b0', got 'a,b,c'" in capsys.readouterr().err
+    # an empty field is a field, so each of the last three has four
+    for coeffs in ("a,b,c", "0.5,,-0.1,1", "0.5,-0.1,1,", ",0.5,-0.1,1"):
+        config.write_text(f"coeffs = {coeffs}\n")
+        for argv in (["generate", "--coeffs", coeffs, "--out", str(tmp_path / "d.csv")],
+                     ["train", "--coeffs", coeffs, *outs],
+                     ["train", "--config", str(config), *outs]):
+            assert run(*argv) == 2
+            assert (f"coeffs must be 'a1,a2,b0', got {coeffs!r}"
+                    in capsys.readouterr().err)
     assert not (tmp_path / "d.csv").exists() and not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("coeffs", ["0.5, -0.1, 1", "0.5 -0.1 1", " 0.5,-0.1 , 1 "])
+def test_coeffs_fields_split_at_commas_or_whitespace(coeffs, tmp_path):
+    out = tmp_path / "d.csv"
+    assert run("generate", "--task", "bandpass", "--N", "20", f"--coeffs={coeffs}",
+               "--out", str(out)) == 0
+    want = gen_task(TaskSpec("bandpass_filter", 20, coeffs=(0.5, -0.1, 1.0)))
+    assert (read_csv(out).d == want.d).all()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", "abc"), ("noise", "abc"), ("coeffs", "a,b,c"), ("sigma", "softsign"),
+    ("task", "foo")])
+def test_bad_value_by_flag_and_by_config_gives_one_message(key, value, tmp_path,
+                                                           capsys):
+    # a config value is parsed as its flag: same cast, choices and message
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    outs = ["--metrics-out", str(tmp_path / "m.csv"),
+            "--checkpoint-out", str(tmp_path / "c.txt")]
+    errs = []
+    for argv in ([f"--{key}={value}"], ["--config", str(config)]):
+        assert run("train", *argv, *outs) == 2
+        errs.append(capsys.readouterr().err.splitlines()[-1])
+    assert errs[0] == errs[1]
+    assert f"argument --{key}: " in errs[0] and repr(value) in errs[0]
+    assert not any(p.suffix != ".cfg" for p in tmp_path.iterdir())
 
 
 def task_argv(command, tmp_path, *flags):
@@ -419,9 +450,9 @@ def test_malformed_task_values_under_data_exit_2(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     for text, argv, msg in (
             (None, ["--coeffs", "a,b,c"], "got 'a,b,c'"),
-            ("N = abc\n", [], "N = 'abc'"),
+            ("N = abc\n", [], "invalid int value: 'abc'"),
             ("coeffs = a,b,c\n", [], "got 'a,b,c'"),
-            ("task = foo\n", [], "task = 'foo'")):
+            ("task = foo\n", [], "invalid choice: 'foo'")):
         if text is not None:
             config.write_text(text)
             argv = ["--config", str(config)]
@@ -500,6 +531,31 @@ def test_malformed_dataset_exits_4(tmp_path, capsys):
                "--checkpoint-out", str(tmp_path / "c.txt")) == 4
     err = capsys.readouterr().err
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("tail", [b"", b"\r\n"], ids=["bulk parse", "row parse"])
+def test_dataset_and_checkpoint_behind_a_bom_read_as_the_plain_files(
+        tail, tmp_path, monkeypatch, capsys):
+    # a UTF-8 byte-order mark, as some editors save a file, is not part of
+    # the first field; a blank line sends the dataset to the row-by-row parse
+    monkeypatch.chdir(tmp_path)
+    assert run("generate", "--task", "lag", "--N", "12", "--out", "d.csv") == 0
+    bom = b"\xef\xbb\xbf"
+    (tmp_path / "bom.csv").write_bytes(bom + (tmp_path / "d.csv").read_bytes() + tail)
+
+    def outputs(data):
+        assert run("train", "--data", data, "--n", "3", "--epochs", "2",
+                   "--metrics-out", f"m_{data}", "--checkpoint-out", f"c_{data}") == 0
+        return (tmp_path / f"m_{data}").read_bytes(), (tmp_path / f"c_{data}").read_bytes()
+
+    assert outputs("bom.csv") == outputs("d.csv")
+    (tmp_path / "bom.txt").write_bytes(bom + (tmp_path / "c_d.csv").read_bytes())
+    capsys.readouterr()
+    evals = []
+    for ckpt in ("c_d.csv", "bom.txt"):
+        assert run("eval", "--checkpoint", ckpt, "--data", "bom.csv") == 0
+        evals.append(capsys.readouterr().out)
+    assert evals[0] == evals[1]
 
 
 @pytest.mark.parametrize("argv, code", [
