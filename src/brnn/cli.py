@@ -29,7 +29,7 @@ from .errors import (CheckpointFormatError, ConfigurationError,
 from .loss import STATE_LOSS_KINDS, LossWeights, total_cost
 from .model import (PARAM_DIMS, BrnnParams, NONLINEARITIES, forward, param_shapes,
                     step_rate)
-from .tasks import TaskSpec, gen_task, read_csv, write_csv
+from .tasks import TaskSpec, gen_task, read_csv, read_text, write_csv
 from .trainer import AGGREGATIONS, TrainConfig, init_params, train
 from .verify import (SMOOTH_SIGMAS, SMOOTH_STATE_LOSSES, format_report,
                      gradcheck, random_instance)
@@ -110,12 +110,8 @@ def save_checkpoint(path, params: BrnnParams) -> None:
 
 
 def load_checkpoint(path) -> BrnnParams:
-    try:
-        # utf-8-sig: a byte-order mark is not part of the magic
-        with open(path, encoding="utf-8-sig") as f:
-            lines = [ln for ln in (raw.strip() for raw in f) if ln]
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not a text file ({exc})") from None
+    text = read_text(path, CheckpointFormatError)
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
     if not lines:
         raise CheckpointFormatError("empty checkpoint file")
     head = lines[0].split()
@@ -171,12 +167,7 @@ def load_config_file(path) -> dict:
     starts a comment at the start of a line or after whitespace, so a value
     such as run#1.csv keeps its #. A key not in KEYS, or one given twice,
     is an error."""
-    try:
-        # utf-8-sig: a byte-order mark is not part of the first key
-        with open(path, encoding="utf-8-sig") as f:
-            raws = f.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not a text file ({exc})") from None
+    raws = read_text(path, ConfigurationError).split("\n")
     out, lines = {}, {}
     for lineno, raw in enumerate(raws, start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()

@@ -1,4 +1,4 @@
-"""Synthetic sequence-regression tasks and the CSV interchange format.
+r"""Synthetic sequence-regression tasks and the CSV interchange format.
 
 Three generators:
   sine_track      s_k = sin(omega*k + phase) (+ noise), d_k = sin(omega*(k+1) + phase)
@@ -19,10 +19,13 @@ gets initial weights that are not a scaled copy of its inputs.
 
 CSV schema: header "k,s1..sm,d1..dr" (csv_header, which write_csv writes
 and read_csv checks), one row per step k = 0..N, floats printed with full
-round-trip precision.
+round-trip precision. read_csv's grammar: a line ends at \r\n, \r or \n
+and nowhere else (\v, \f, \x85 or \u2028 in a field is whitespace to
+float()), empty lines are skipped, every comma splits fields (there is no
+quoting), k counts the rows from 0, and each value is read as float()
+reads it and must be finite. The first line that breaks a rule is named.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import count, repeat
@@ -170,7 +173,7 @@ def write_csv(seq: Sequence, path) -> None:
 
 def _parse_header(fields):
     """(m, r) of a header that csv_header(m, r) gives, m and r >= 1."""
-    if not fields or fields[0] != "k":
+    if fields[0] != "k":
         raise DatasetFormatError("header must start with 'k'", line=1)
     m = sum(field.startswith("s") for field in fields)
     r = len(fields) - 1 - m
@@ -180,42 +183,42 @@ def _parse_header(fields):
     return m, r
 
 
+def read_text(path, error) -> str:
+    r"""The text of the file at `path`: UTF-8, whose byte-order mark is not
+    part of the text, with \r\n, \r and \n each read as \n. Bytes that do
+    not decode raise `error` "not a text file"."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a text file ({exc})") from None
+
+
 def read_csv(path) -> Sequence:
     """Parse a dataset written by write_csv; errors carry the line number.
 
-    The body is parsed in bulk. A file the bulk parse does not accept
-    (quoting, blank lines, any error) is parsed again row by row, which
-    accepts the same files and names the line of the first error.
+    The body is parsed in bulk. A body the bulk parse does not accept
+    (blank lines, any error) is parsed again line by line, which names the
+    line of the first error.
     """
-    try:
-        # utf-8-sig: a byte-order mark is not part of the header's "k"
-        with open(path, newline="", encoding="utf-8-sig") as f:
-            parsed = _parse_bulk(f.read())
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not a text file ({exc})") from None
-    m, data = parsed if parsed is not None else _parse_rows(path)
+    lines = read_text(path, DatasetFormatError).split("\n")
+    if not lines[-1]:
+        lines.pop()         # the break that ends the last line
+    if not lines:
+        raise DatasetFormatError("empty file", line=1)
+    m, r = _parse_header(lines[0].split(","))
+    body = lines[1:]
+    data = _parse_bulk(body, m, r)
+    if data is None:
+        data = _parse_lines(body, m, r)
     return Sequence(s=data[:, :m].copy(), d=data[:, m:].copy())
 
 
-# line breaks str.splitlines honours and csv.reader does not
-_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _parse_bulk(text):
-    """(m, data) of a well-formed file without quoting or blank lines, with
-    the fields read_csv's row-by-row parse would see; else None."""
-    if '"' in text or any(c in text for c in _OTHER_LINE_BREAKS):
-        return None
-    lines = text.splitlines()
-    try:
-        m, r = _parse_header(lines[0].split(","))
-    except (IndexError, DatasetFormatError):
-        return None
-    body = lines[1:]
+def _parse_bulk(body, m, r):
+    """The rows of a body of at least 2 rows without blank lines or errors,
+    as an array; else None."""
     if len(body) < 2 or set(map(str.count, body, repeat(","))) != {m + r}:
         return None
-    if max(map(len, body)) > csv.field_size_limit():
-        return None         # may hold a field csv.reader refuses
     data = np.empty((len(body), m + r))
     for lo in range(0, len(body), _CHUNK_ROWS):
         chunk = body[lo:lo + _CHUNK_ROWS]
@@ -228,50 +231,32 @@ def _parse_bulk(text):
         except ValueError:
             return None
         data[lo:lo + len(chunk)] = values.reshape(len(chunk), m + r)
-    return (m, data) if np.isfinite(data).all() else None
+    return data if np.isfinite(data).all() else None
 
 
-def _csv_rows(f):
-    """csv.reader's rows; its errors (such as a field longer than
-    csv.field_size_limit()) as DatasetFormatError naming the line."""
-    reader = csv.reader(f)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DatasetFormatError(str(exc), line=reader.line_num) from None
-
-
-def _parse_rows(path):
-    """(m, data), one row at a time; raises DatasetFormatError naming the
-    line of the first error."""
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = _csv_rows(f)
+def _parse_lines(body, m, r):
+    """The rows of the body, one line at a time, as an array; raises
+    DatasetFormatError naming the line of the first error."""
+    rows = []
+    for lineno, line in enumerate(body, start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 1 + m + r:
+            raise DatasetFormatError(
+                f"expected {1 + m + r} columns, got {len(fields)}", line=lineno)
+        k = len(rows)     # blank lines are skipped, so not lineno - 2
+        if fields[0] != str(k):
+            raise DatasetFormatError(
+                f"expected k={k}, got {fields[0]!r}", line=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError("empty file", line=1) from None
-        m, r = _parse_header(header)
-        rows, linenos = [], []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != 1 + m + r:
-                raise DatasetFormatError(
-                    f"expected {1 + m + r} columns, got {len(fields)}", line=lineno)
-            k = len(rows)     # blank lines are skipped, so not lineno - 2
-            if fields[0] != str(k):
-                raise DatasetFormatError(
-                    f"expected k={k}, got {fields[0]!r}", line=lineno)
-            try:
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError as exc:
-                raise DatasetFormatError(str(exc), line=lineno) from None
-            linenos.append(lineno)
-    data = np.array(rows, dtype=float).reshape(-1, m + r)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise DatasetFormatError("non-finite value", line=linenos[bad[0]])
+            row = [float(v) for v in fields[1:]]
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc), line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise DatasetFormatError("non-finite value", line=lineno)
+        rows.append(row)
     if len(rows) < 2:
         raise DatasetFormatError(
             f"need at least 2 rows (N >= 1), got {len(rows)}", line=len(rows) + 1)
-    return m, data
+    return np.array(rows)

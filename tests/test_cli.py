@@ -495,13 +495,16 @@ def test_eval_loss_flags_set_the_weights(tmp_path, capsys):
     assert f"total = {expect!r}" in out.splitlines()
 
 
-def test_dataset_field_over_the_csv_limit_exits_4(tmp_path, capsys):
+def test_dataset_field_of_200001_digits_trains(tmp_path):
+    # a numeral has no length limit: the field is read as float() reads it
+    field = "0." + "1" * 200_000
     data = tmp_path / "d.csv"
-    data.write_text("k,s1,d1\n0,1.0,2.0\n1,0." + "0" * 200_000 + "1,2.0\n")
+    data.write_text(f"k,s1,d1\n0,1.0,2.0\n1,{field},2.0\n")
     assert run("train", "--data", str(data), "--epochs", "1",
                "--metrics-out", str(tmp_path / "m.csv"),
-               "--checkpoint-out", str(tmp_path / "c.txt")) == 4
-    assert "line 3: field larger than field limit" in capsys.readouterr().err
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 0
+    assert read_csv(data).s.tolist() == [[1.0], [float(field)]]
+    assert (tmp_path / "c.txt").exists()
 
 
 def test_missing_dataset_exits_4(tmp_path, capsys):

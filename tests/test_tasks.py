@@ -1,12 +1,15 @@
 import csv
+import random
+import re
 
 import numpy as np
 import pytest
 
+from brnn import tasks
 from brnn.errors import ConfigurationError, DatasetFormatError
 from brnn.model import Sequence
 from brnn.tasks import (_CHUNK_ROWS, _GAMMA, _MASK64, _MIX1, _MIX2, TaskSpec,
-                        _filter, _parse_bulk, _parse_rows, gen_task, read_csv,
+                        _filter, _parse_bulk, gen_task, read_csv, read_text,
                         uniform_noise, write_csv)
 
 
@@ -285,23 +288,42 @@ def test_write_csv_bytes_equal_the_csv_writer_reference(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
-def parse_outcome(parse, path):
-    """(m, s, d) of a parse, or the message and line of its error."""
-    try:
-        m, data = parse(path)
-    except DatasetFormatError as exc:
-        return str(exc), exc.line
-    return m, data[:, :m].tolist(), data[:, m:].tolist()
+def read_outcome(path, per_line=False):
+    """(m, s, d) that read_csv returns, or the message and line of its
+    error; per_line: with the bulk parse turned off, so that the per-line
+    pass, the reference, reads every body."""
+    with pytest.MonkeyPatch.context() as mp:
+        if per_line:
+            mp.setattr(tasks, "_parse_bulk", lambda body, m, r: None)
+        try:
+            seq = read_csv(path)
+        except DatasetFormatError as exc:
+            return str(exc), exc.line
+    return seq.m, seq.s.tolist(), seq.d.tolist()
 
+
+def bulk_parse(path, m, r):
+    """_parse_bulk of a file that ends in a line break: the lines between
+    its header and that break."""
+    return _parse_bulk(read_text(path, DatasetFormatError).split("\n")[1:-1], m, r)
+
+
+LONG_FIELD = "0." + "0" * 200_000 + "1"
 
 BULK_CASES = {
     "crlf": "k,s1,s2,d1\r\n0,0.5,-1e-300,2.5\r\n1,0.1,0.2,0.3\r\n",
     "lf, no final break": "k,s1,d1\n0,1.0,2.0\n1,3.0,4.0",
     "cr": "k,s1,d1\r0,1.0,2.0\r1,3.0,4.0\r",
+    "lone cr mid-file": "k,s1,d1\r\n0,1.0,2.0\r1,3.0,4.0\r\n",
     "quoted": 'k,s1,d1\r\n0,"1.5",2.0\r\n1,1.0,2.0\r\n',
     "quoted comma": 'k,s1,d1\r\n0,"1,5",2.0\r\n1,1.0,2.0\r\n',
     "underscore and spaces": "k,s1,d1\n0,1_0, 2.5 \n1,-0.0,1e22\n",
+    # str.splitlines() would end a line at each of these; float() reads
+    # them as whitespace
     "form feed": "k,s1,d1\n0,1.0\f,2.0\n1,1.0,2.0\n",
+    "next line in a field": "k,s1,d1\n0,1.0\x85,2.0\n1,3.0,4.0\n",
+    "line separator in a field": "k,s1,d1\n0,\u20281.0,2.0\n1,3.0,4.0\n",
+    "vertical tab in a field": "k,s1,d1\n0,1.0\v,2.0\n1,3.0,4.0\n",
     "k written as float": "k,s1,d1\n0.0,1.0,2.0\n1,1.0,2.0\n",
     "k with space": "k,s1,d1\n0,1.0,2.0\n 1,1.0,2.0\n",
     # the k column lines up again after the short row: only the per-line
@@ -310,14 +332,27 @@ BULK_CASES = {
     "trailing blank lines": "k,s1,d1\n0,1.0,2.0\n1,1.0,2.0\n\n\n",
     "whitespace line": "k,s1,d1\n0,1.0,2.0\n \n1,1.0,2.0\n",
     "nan": "k,s1,d1\n0,1.0,2.0\n1,nan,2.0\n",
+    "nan before a bad float": "k,s1,d1\n0,1.0,2.0\n1,nan,2.0\n2,oops,2.0\n",
     "infinity spelled out": "k,s1,d1\n0,1.0,2.0\n1,1.0,-Infinity\n",
     "one row": "k,s1,d1\n0,1.0,2.0\n",
     "header only": "k,s1,d1\r\n",
     "bad header": "k,s1,e1\n0,1.0,2.0\n1,1.0,2.0\n",
     "empty": "",
-    # longer than csv.field_size_limit() (131072): csv.reader refuses the
-    # field, so both parses must report it
-    "long field": "k,s1,d1\n0,1.0,2.0\n1,0." + "0" * 200_000 + "1,2.0\n",
+    "long field": f"k,s1,d1\n0,1.0,2.0\n1,{LONG_FIELD},2.0\n",
+}
+
+# the outcomes the grammar decides: no quoting, the line breaks, no length
+# limit on a field, and the first bad line in file order
+BULK_CASE_OUTCOMES = {
+    "lone cr mid-file": (1, [[1.0], [3.0]], [[2.0], [4.0]]),
+    "quoted": ("line 2: could not convert string to float: '\"1.5\"'", 2),
+    "quoted comma": ("line 2: expected 3 columns, got 4", 2),
+    "form feed": (1, [[1.0], [1.0]], [[2.0], [2.0]]),
+    "next line in a field": (1, [[1.0], [3.0]], [[2.0], [4.0]]),
+    "line separator in a field": (1, [[1.0], [3.0]], [[2.0], [4.0]]),
+    "vertical tab in a field": (1, [[1.0], [3.0]], [[2.0], [4.0]]),
+    "nan before a bad float": ("line 3: non-finite value", 3),
+    "long field": (1, [[1.0], [float(LONG_FIELD)]], [[2.0], [2.0]]),
 }
 
 
@@ -325,22 +360,19 @@ BULK_CASES = {
 def test_read_csv_equals_the_row_by_row_parse(tmp_path, name):
     path = tmp_path / "d.csv"
     path.write_bytes(BULK_CASES[name].encode())
-
-    def read(p):
-        seq = read_csv(p)
-        return seq.m, np.hstack([seq.s, seq.d])
-
-    assert parse_outcome(read, path) == parse_outcome(_parse_rows, path)
+    got = read_outcome(path)
+    assert got == read_outcome(path, per_line=True)
+    if name in BULK_CASE_OUTCOMES:
+        assert got == BULK_CASE_OUTCOMES[name]
 
 
 def test_write_csv_output_is_parsed_in_bulk(tmp_path):
     seq = gen_task(TaskSpec(kind="bandpass_filter", N=300, m=2, r=2, seed=4))
     path = tmp_path / "d.csv"
     write_csv(seq, path)
-    with open(path, newline="") as f:
-        m, data = _parse_bulk(f.read())
-    assert m == 2
-    assert np.array_equal(data, np.hstack([seq.s, seq.d]))
+    assert np.array_equal(bulk_parse(path, 2, 2), np.hstack([seq.s, seq.d]))
+    assert read_outcome(path) == read_outcome(path, per_line=True) == (
+        2, seq.s.tolist(), seq.d.tolist())
 
 
 @pytest.mark.parametrize("fault", ["none", "bad k", "bad float", "nan", "short row"])
@@ -362,14 +394,46 @@ def test_read_csv_of_several_bulk_chunks_equals_the_row_by_row_parse(tmp_path, f
         del row[3]
     lines[4500 + 1] = b",".join(row)
     path.write_bytes(b"\r\n".join(lines))
-    with open(path, newline="") as f:
-        bulk = _parse_bulk(f.read())
+    bulk = bulk_parse(path, 2, 1)
     assert (bulk is None) == (fault != "none")
     if bulk is not None:
-        assert np.array_equal(bulk[1], np.hstack([seq.s, seq.d]))
+        assert np.array_equal(bulk, np.hstack([seq.s, seq.d]))
+    assert read_outcome(path) == read_outcome(path, per_line=True)
 
-    def read(p):
-        got = read_csv(p)
-        return got.m, np.hstack([got.s, got.d])
 
-    assert parse_outcome(read, path) == parse_outcome(_parse_rows, path)
+def test_byte_mutations_read_as_the_per_line_pass_reads_them(tmp_path):
+    # seeded replace, insert and delete of the bytes a damaged or hand-edited
+    # dataset shows: each read returns the per-line pass's Sequence or
+    # raises DatasetFormatError naming a line of the file (none for bytes
+    # that are not UTF-8); any other exception fails the test
+    seq = gen_task(TaskSpec(kind="bandpass_filter", N=6, m=2, r=1, seed=3))
+    path = tmp_path / "d.csv"
+    write_csv(seq, path)
+    original = path.read_bytes()
+    alphabet = b'0123456789+-.e,"\r\n\x00\xffinfa'
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(1000):
+        data = bytearray(original)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(data))
+            op = rng.choice(("replace", "insert", "delete"))
+            if op == "delete":
+                del data[at]
+            elif op == "insert":
+                data.insert(at, rng.choice(alphabet))
+            else:
+                data[at] = rng.choice(alphabet)
+        path.write_bytes(data)
+        got = read_outcome(path)
+        assert got == read_outcome(path, per_line=True)
+        if isinstance(got[0], str):
+            message, line = got
+            try:
+                lines = re.split(r"\r\n?|\n", data.decode("utf-8-sig"))
+            except UnicodeDecodeError:
+                assert line is None and "not a text file" in message
+            else:
+                assert 1 <= line <= len(lines) - (lines[-1] == "")
+        outcomes.add(isinstance(got[0], str))
+    assert outcomes == {False, True}
