@@ -51,8 +51,8 @@ class LossWeights:
 
 @dataclass
 class CostBreakdown:
-    """Each field is a float, or a (B,) array of one value per member for
-    params stacked along a batch axis of length B."""
+    """Each field is a float, or an array of shape `batch` (one value per
+    member) for stacked params (see BrnnParams.batch)."""
 
     phi_N: float        # 1/2 ||e_N||^2
     output_sum: float   # sum_{k<N} 1/2 ||e_k||^2
@@ -64,11 +64,11 @@ class CostBreakdown:
 
 
 def _penalty(kind: str, alpha: float, z: np.ndarray) -> np.ndarray:
-    """P summed over the last two (step, unit) axes. kind is l1 or
+    """P summed over the leading (step, unit) axes. kind is l1 or
     tanh_approx: the callers return before calling it for none."""
     if kind == "l1":
-        return np.abs(z).sum(axis=(-2, -1))
-    return (z * np.tanh(alpha * z)).sum(axis=(-2, -1))
+        return np.abs(z).sum(axis=(0, 1))
+    return (z * np.tanh(alpha * z)).sum(axis=(0, 1))
 
 
 def _penalty_grad(kind: str, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -98,33 +98,35 @@ def state_loss_grad(w: LossWeights, x_k, h_k, sigma_prime_k) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def total_cost(traj: Trajectory, seq: Sequence, params: BrnnParams,
                w: LossWeights) -> CostBreakdown:
-    """Evaluate the full cost of a trajectory, per member for stacked params."""
+    """Evaluate the full cost of a trajectory, per member for stacked params.
+    Every sum runs over the leading (step, unit) axes, which for one model
+    are all its axes."""
     N = seq.N
-    if traj.x.shape[-2] != N + 1 or traj.e.shape[-2:] != seq.d.shape:
+    if traj.x.shape[0] != N + 1 or traj.e.shape[:2] != seq.d.shape:
         raise ConfigurationError("trajectory does not match sequence length")
 
     e = traj.e
-    phi_N = 0.5 * (e[..., N, :] ** 2).sum(axis=-1)
-    output_sum = 0.5 * (e[..., :N, :] ** 2).sum(axis=(-2, -1))
+    phi_N = 0.5 * (e[N] ** 2).sum(axis=0)
+    output_sum = 0.5 * (e[:N] ** 2).sum(axis=(0, 1))
 
     state_sum = hidden_sum = np.zeros(params.batch)
     if w.state_loss_kind != "none":
         kind, alpha = w.state_loss_kind, w.alpha_ent
         if w.beta != 0.0:
-            state_sum = w.beta * _penalty(kind, alpha, traj.x[..., :N, :])
+            state_sum = w.beta * _penalty(kind, alpha, traj.x[:N])
         if w.beta0 != 0.0:
-            hidden_sum = w.beta0 * _penalty(kind, alpha, traj.h[..., :N, :])
+            hidden_sum = w.beta0 * _penalty(kind, alpha, traj.h[:N])
 
     # a term whose weight is 0 is not formed: 0 * ||theta||^2 would be NaN
     # for params whose squares overflow, although the weighted cost is finite
     reg_theta = reg_nu = np.zeros(params.batch)
     if w.gamma1 != 0.0:
-        theta_sq = ((params.U ** 2).sum(axis=(-2, -1)) + (params.W ** 2).sum(axis=(-2, -1))
-                    + (params.b ** 2).sum(axis=-1))
+        theta_sq = ((params.U ** 2).sum(axis=(0, 1)) + (params.W ** 2).sum(axis=(0, 1))
+                    + (params.b ** 2).sum(axis=0))
         reg_theta = w.gamma1 * N * 0.5 * theta_sq
     if w.gamma2 != 0.0:
-        nu_sq = ((params.V ** 2).sum(axis=(-2, -1)) + (params.Dft ** 2).sum(axis=(-2, -1))
-                 + (params.c ** 2).sum(axis=-1))
+        nu_sq = ((params.V ** 2).sum(axis=(0, 1)) + (params.Dft ** 2).sum(axis=(0, 1))
+                 + (params.c ** 2).sum(axis=0))
         reg_nu = w.gamma2 * (N + 1) * 0.5 * nu_sq
     fields = dict(phi_N=phi_N, output_sum=output_sum, state_sum=state_sum,
                   hidden_sum=hidden_sum, reg_theta=reg_theta, reg_nu=reg_nu)

@@ -3,9 +3,13 @@
 The oracle perturbs every scalar entry of U, W, b, V, Dft, c by +/-eps and
 central-differences the total cost; it never touches the multiplier code
 path, so agreement certifies the backward recursion. All perturbed models
-are stacked along a batch axis and run as one batched rollout (in chunks
-of bounded memory). Valid only for smooth configurations: sigma in
-{tanh, logistic, identity} and state loss in {none, tanh_approx}.
+are stacked along a trailing member axis and run as one batched rollout
+(in chunks of bounded memory): each chunk's members are the columns of one
+(P, C) array, so each parameter group is a run of its rows, a view of
+shape + (C,). A member's arithmetic does not depend on how many members
+share its chunk, so the chunked oracle gives the one-chunk oracle's bits.
+Valid only for smooth configurations: sigma in {tanh, logistic, identity}
+and state loss in {none, tanh_approx}.
 
 analytic_gradient and numeric_gradient each validate their one model once;
 the stacked members are built from it, and no rollout validates again.
@@ -37,8 +41,8 @@ ORACLE_CHUNK_BYTES = 8 << 20
 
 
 def cost_value(params: BrnnParams, seq: Sequence, x0, w: LossWeights):
-    """Total cost of one forward pass: a float, or a (B,) array for params
-    stacked along a batch axis of length B."""
+    """Total cost of one forward pass: a float, or an array of shape
+    `batch` (one value per member) for stacked params."""
     traj = forward(params, seq, x0)
     return total_cost(traj, seq, params, w).total
 
@@ -59,9 +63,9 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
     """Central finite differences of the total cost over every parameter entry.
 
     The P trainable entries, in PARAM_GROUPS order, form one vector theta.
-    Rows 2i and 2i+1 of the stacked models are theta with entry i moved by
-    +eps and -eps; each chunk of rows is one cost_value call. params are
-    validated once, before the stacked models are built from them.
+    Columns 2i and 2i+1 of the stacked models are theta with entry i moved
+    by +eps and -eps; each chunk of columns is one cost_value call. params
+    are validated once, before the stacked models are built from them.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ConfigurationError(f"eps={eps} outside [1e-7, 1e-3]")
@@ -82,22 +86,27 @@ def numeric_gradient(params: BrnnParams, seq: Sequence, x0, w: LossWeights,
         layout.append((gname, pname, start, stop, shape))
     theta = np.concatenate([getattr(params, pname).ravel() for _, pname in PARAM_GROUPS])
     P = theta.size
-    # floats one perturbed member holds: its parameters, and its x, h, y, e
-    # with temporaries of the same size
-    member_bytes = 8 * (P + 4 * (seq.N + 1) * (params.n + params.r))
+    # floats one perturbed member holds: its parameters, its columns of
+    # forward's M (D, n) and Z (N+1, D), and its x, h, y, e with temporaries
+    # of the same size
+    n, D = params.n, 2 * params.n + params.m + 1
+    member_bytes = 8 * (P + n * D + (seq.N + 1) * (D + 4 * (n + params.r)))
     chunk = max(1, ORACLE_CHUNK_BYTES // (2 * member_bytes))
 
     grad = np.empty(P)
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
-        rows = np.repeat(theta[None, :], 2 * (hi - lo), axis=0)
-        # entry lo + j is element lo + j (2P + 1) of the flat rows in row 2j,
-        # and P elements on in row 2j + 1: two strided slices, no index arrays
-        flat = rows.reshape(-1)
-        flat[lo::2 * P + 1] += eps
-        flat[lo + P::2 * P + 1] -= eps
+        C = 2 * (hi - lo)
+        cols = np.repeat(theta[:, None], C, axis=1)
+        # entry lo + j is element (lo + j) C + 2j of the flat (P, C) columns
+        # in column 2j, and the next element in column 2j + 1: two strided
+        # slices, no index arrays
+        flat = cols.reshape(-1)
+        flat[lo * C:hi * C:C + 2] += eps
+        flat[lo * C + 1:hi * C:C + 2] -= eps
+        # each group is a run of rows: a view of shape + (C,), no copy
         stacked = BrnnParams(A=params.A, sigma=params.sigma, **{
-            pname: rows[:, start:stop].reshape((len(rows),) + shape)
+            pname: cols[start:stop].reshape(shape + (C,))
             for _, pname, start, stop, shape in layout})
         J = cost_value(stacked, seq, x0, w)
         grad[lo:hi] = (J[0::2] - J[1::2]) / (2.0 * eps)

@@ -118,10 +118,13 @@ def test_total_is_sum_of_components():
 def test_stacked_total_cost_matches_single_models(state_loss_kind):
     rng = np.random.default_rng(19)
     B, n, m, r, N = 4, 3, 2, 2, 9
-    params = BrnnParams(A=0.5 * np.eye(n), U=rng.uniform(-0.5, 0.5, (B, n, n)),
-                        W=rng.uniform(-1, 1, (B, n, m)), b=rng.uniform(-1, 1, (B, n)),
-                        V=rng.uniform(-1, 1, (B, r, n)), Dft=rng.uniform(-1, 1, (B, r, m)),
-                        c=rng.uniform(-1, 1, (B, r)), sigma="tanh")
+    # drawn with the member axis first, re-laid with it last
+    params = BrnnParams(A=0.5 * np.eye(n), sigma="tanh", **{
+        k: np.moveaxis(v, 0, -1) for k, v in dict(
+            U=rng.uniform(-0.5, 0.5, (B, n, n)),
+            W=rng.uniform(-1, 1, (B, n, m)), b=rng.uniform(-1, 1, (B, n)),
+            V=rng.uniform(-1, 1, (B, r, n)), Dft=rng.uniform(-1, 1, (B, r, m)),
+            c=rng.uniform(-1, 1, (B, r))).items()})
     seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
     x0 = rng.uniform(-1, 1, n)
     w = LossWeights(beta=0.3, beta0=0.2, gamma1=0.05, gamma2=0.01,
@@ -129,7 +132,7 @@ def test_stacked_total_cost_matches_single_models(state_loss_kind):
     stacked = total_cost(forward(params, seq, x0), seq, params, w)
     fields = [f.name for f in dataclasses.fields(stacked)]
     for i in range(B):
-        one = dataclasses.replace(params, **{k: getattr(params, k)[i]
+        one = dataclasses.replace(params, **{k: getattr(params, k)[..., i]
                                              for k in ("U", "W", "b", "V", "Dft", "c")})
         single = total_cost(forward(one, seq, x0), seq, one, w)
         for name in fields:
@@ -172,10 +175,12 @@ def test_zero_weight_regularizer_is_not_formed():
     # stacked: one 0 per member
     B = 3
     stacked = dataclasses.replace(params, **{
-        name: np.broadcast_to(getattr(params, name), (B,) + getattr(params, name).shape)
+        name: np.moveaxis(np.broadcast_to(getattr(params, name),
+                                          (B,) + getattr(params, name).shape), 0, -1)
         for name in ("U", "W", "b", "V", "Dft", "c")})
     btraj = traj_with_errors(np.full((N + 1, 1), 0.5))
-    btraj = Trajectory(**{k: np.broadcast_to(v, (B,) + v.shape) for k, v in vars(btraj).items()})
+    btraj = Trajectory(**{k: np.moveaxis(np.broadcast_to(v, (B,) + v.shape), 0, -1)
+                          for k, v in vars(btraj).items()})
     cost = total_cost(btraj, seq, stacked, LossWeights())
     assert cost.reg_theta.shape == cost.reg_nu.shape == (B,)
     assert (cost.total == 0.75).all()

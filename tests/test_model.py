@@ -16,7 +16,14 @@ TRAINABLE = ("U", "W", "b", "V", "Dft", "c")
 
 def member(params, i):
     """Model i of stacked params."""
-    return dataclasses.replace(params, **{k: getattr(params, k)[i] for k in TRAINABLE})
+    return dataclasses.replace(params, **{k: getattr(params, k)[..., i] for k in TRAINABLE})
+
+
+def members_last(params):
+    """Stacked params drawn with the member axis first, re-laid with it last,
+    where BrnnParams keeps it."""
+    return dataclasses.replace(params, **{k: np.moveaxis(getattr(params, k), 0, -1)
+                                          for k in TRAINABLE})
 
 
 def apply_nonlinearity(kind, x):
@@ -182,20 +189,50 @@ def test_trajectory_invariants_exact(sigma):
 def test_stacked_forward_matches_single_models(sigma):
     rng = np.random.default_rng(31)
     B, n, m, r, N = 5, 4, 2, 3, 25
-    params = BrnnParams(A=0.6 * np.eye(n), U=rng.uniform(-0.4, 0.4, (B, n, n)),
-                        W=rng.uniform(-1, 1, (B, n, m)), b=rng.uniform(-0.2, 0.2, (B, n)),
-                        V=rng.uniform(-1, 1, (B, r, n)), Dft=rng.uniform(-1, 1, (B, r, m)),
-                        c=rng.uniform(-1, 1, (B, r)), sigma=sigma)
+    params = members_last(BrnnParams(
+        A=0.6 * np.eye(n), U=rng.uniform(-0.4, 0.4, (B, n, n)),
+        W=rng.uniform(-1, 1, (B, n, m)), b=rng.uniform(-0.2, 0.2, (B, n)),
+        V=rng.uniform(-1, 1, (B, r, n)), Dft=rng.uniform(-1, 1, (B, r, m)),
+        c=rng.uniform(-1, 1, (B, r)), sigma=sigma))
     assert params.batch == (B,) and (params.n, params.m, params.r) == (n, m, r)
     seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
     x0 = rng.uniform(-1, 1, n)
     stacked = forward(params, seq, x0)
-    assert stacked.x.shape == (B, N + 1, n) and stacked.N == N
+    assert stacked.x.shape == (N + 1, n, B) and stacked.N == N
     for i in range(B):
         single = forward(member(params, i), seq, x0)
         for name in ("x", "h", "y", "e"):
-            np.testing.assert_allclose(getattr(stacked, name)[i], getattr(single, name),
+            np.testing.assert_allclose(getattr(stacked, name)[..., i], getattr(single, name),
                                        rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_every_slice_of_a_stack_rolls_out_to_the_stacks_bits(sigma):
+    # a member's sums do not depend on the other members, so any slice of a
+    # stack, down to one member, gives each member the stack's own bits, and
+    # so does the stack laid out along two batch axes
+    rng = np.random.default_rng(37)
+    B, n, m, r, N = 6, 4, 2, 3, 20
+    params = members_last(BrnnParams(
+        A=0.6 * np.eye(n), U=rng.uniform(-0.4, 0.4, (B, n, n)),
+        W=rng.uniform(-1, 1, (B, n, m)), b=rng.uniform(-0.2, 0.2, (B, n)),
+        V=rng.uniform(-1, 1, (B, r, n)), Dft=rng.uniform(-1, 1, (B, r, m)),
+        c=rng.uniform(-1, 1, (B, r)), sigma=sigma))
+    seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
+    x0 = rng.uniform(-1, 1, n)
+    whole = forward(params, seq, x0)
+    for i in range(B):
+        for j in range(i + 1, B + 1):
+            part = forward(dataclasses.replace(
+                params, **{k: getattr(params, k)[..., i:j] for k in TRAINABLE}), seq, x0)
+            for name in ("x", "h", "y", "e"):
+                assert np.array_equal(getattr(part, name), getattr(whole, name)[..., i:j])
+    grid = forward(dataclasses.replace(params, **{
+        k: getattr(params, k).reshape(getattr(params, k).shape[:-1] + (2, 3))
+        for k in TRAINABLE}), seq, x0)
+    for name in ("x", "h", "y", "e"):
+        assert np.array_equal(getattr(grid, name).reshape(getattr(whole, name).shape),
+                              getattr(whole, name))
 
 
 def forward_reference(params, seq, x0):
@@ -223,13 +260,15 @@ def test_forward_matches_the_per_step_reference(sigma, B):
                         c=rng.uniform(-1, 1, lead + (r,)), sigma=sigma)
     seq = Sequence(s=rng.uniform(-1, 1, (N + 1, m)), d=rng.uniform(-1, 1, (N + 1, r)))
     x0 = rng.uniform(-1, 1, n)
+    if B is not None:
+        params = members_last(params)
     traj = forward(params, seq, x0)
-    assert traj.x.shape == lead + (N + 1, n)
+    assert traj.x.shape == (N + 1, n) + lead
     assert traj.x.flags.c_contiguous and traj.h.flags.c_contiguous
     for i in range(B or 1):
         one = params if B is None else member(params, i)
         x, h = forward_reference(one, seq, x0)
-        got_x, got_h = (traj.x, traj.h) if B is None else (traj.x[i], traj.h[i])
+        got_x, got_h = (traj.x, traj.h) if B is None else (traj.x[..., i], traj.h[..., i])
         np.testing.assert_allclose(got_x, x, rtol=1e-13, atol=1e-13 * np.abs(x).max())
         np.testing.assert_allclose(got_h, h, rtol=1e-13, atol=1e-13 * np.abs(h).max())
 
@@ -562,13 +601,14 @@ def test_stacked_overflow_names_the_first_k_of_any_member():
     # k = 2, U = 1e150 at k = 3 and U = 0.1 never
     seq = Sequence(s=np.ones((6, 1)), d=np.zeros((6, 1)))
     ones = np.ones((3, 1, 1))
-    params = BrnnParams(A=[[0.0]], U=np.array([0.1, 1e150, 1e200])[:, None, None],
-                        W=0 * ones, b=np.zeros((3, 1)), V=ones, Dft=0 * ones,
-                        c=np.zeros((3, 1)), sigma="identity")
+    params = members_last(BrnnParams(
+        A=[[0.0]], U=np.array([0.1, 1e150, 1e200])[:, None, None],
+        W=0 * ones, b=np.zeros((3, 1)), V=ones, Dft=0 * ones,
+        c=np.zeros((3, 1)), sigma="identity"))
     with pytest.raises(StateOverflowError) as single:
         forward(member(params, 1), seq, [1.0])
     assert single.value.k == 3
-    pair = dataclasses.replace(params, **{k: getattr(params, k)[:2] for k in TRAINABLE})
+    pair = dataclasses.replace(params, **{k: getattr(params, k)[..., :2] for k in TRAINABLE})
     with pytest.raises(StateOverflowError) as stacked:
         forward(pair, seq, [1.0])
     assert stacked.value.k == 3
@@ -671,6 +711,6 @@ def test_params_validation():
         params.validate()
     # stacked params: every trainable array carries the same batch axes
     params = scalar_params()
-    params.U = np.zeros((3, 1, 1))
+    params.U = np.moveaxis(np.zeros((3, 1, 1)), 0, -1)
     with pytest.raises(ConfigurationError):
         params.validate()

@@ -166,27 +166,34 @@ def test_numeric_gradient_matches_per_entry_loop(kwargs):
 def test_chunked_oracle_equals_one_batch(monkeypatch):
     params, seq, x0, w = random_instance(5, n=5, m=3, N=12,
                                          state_loss_kind="tanh_approx")
-    calls = []
-    counted = lambda *args: calls.append(1) or cost_value(*args)
+    widths = []
+    counted = lambda stacked, *args: (widths.append(stacked.batch[0])
+                                      or cost_value(stacked, *args))
     monkeypatch.setattr(verify, "cost_value", counted)
     whole = numeric_gradient(params, seq, x0, w)
-    assert len(calls) == 1
     P = sum(getattr(params, pname).size for _, pname in PARAM_GROUPS)
-    # one entry per chunk; several entries per chunk with a shorter last one
-    for budget in (1, verify.ORACLE_CHUNK_BYTES // 200):
+    assert widths == [2 * P]
+    # one entry per chunk; several entries per chunk, where one budget leaves
+    # a shorter last chunk
+    shorter_last = []
+    for budget in (1, verify.ORACLE_CHUNK_BYTES // 200, verify.ORACLE_CHUNK_BYTES // 150):
         monkeypatch.setattr(verify, "ORACLE_CHUNK_BYTES", budget)
-        calls.clear()
+        widths.clear()
         chunked = numeric_gradient(params, seq, x0, w)
-        assert 1 < len(calls) <= P
+        assert 1 < len(widths) <= P and sum(widths) == 2 * P
+        assert len(set(widths[:-1])) <= 1 and widths[-1] <= widths[0]
+        shorter_last.append(widths[-1] < widths[0])
+        # a member's arithmetic does not depend on how many share its chunk
         for gname, _ in PARAM_GROUPS:
-            np.testing.assert_allclose(getattr(chunked, gname), getattr(whole, gname),
-                                       rtol=0, atol=1e-9)
+            assert np.array_equal(getattr(chunked, gname), getattr(whole, gname))
+    assert any(shorter_last)
 
 
 def test_one_model_paths_reject_stacked_params():
     params, seq, x0, w = random_instance(2)
     stacked = dataclasses.replace(params, **{
-        pname: np.stack([getattr(params, pname)] * 2) for _, pname in PARAM_GROUPS})
+        pname: np.moveaxis(np.stack([getattr(params, pname)] * 2), 0, -1)
+        for _, pname in PARAM_GROUPS})
     assert cost_value(stacked, seq, x0, w).shape == (2,)
     traj = forward(stacked, seq, x0)
     with pytest.raises(ConfigurationError):
