@@ -15,13 +15,12 @@ from .errors import (CheckpointFormatError, ConfigurationError,
                      DivergenceError, NumericalError, StateOverflowError,
                      UnboundedRegionError)
 from .loss import CostBreakdown, LossWeights, state_loss_grad, total_cost
-from .model import (BrnnParams, NONLINEARITIES, Sequence, Trajectory, forward,
-                    nonlinearity_derivative, step_rate)
+from .model import BrnnParams, NONLINEARITIES, Sequence, Trajectory, forward, step_rate
 from .stability import (LyapunovRegion, StabilityReport, bibo_bound,
                         lyapunov_region, make_stable_A, stability_report)
 from .tasks import TaskSpec, gen_task, read_csv, write_csv
 from .trainer import (AGGREGATIONS, EpochMetrics, TrainConfig, aggregate,
-                      apply_update, epoch_gradient, init_params, train)
+                      apply_update, init_params, train)
 from .verify import (GradCheckReport, compare_gradients, gradcheck,
                      numeric_gradient, random_instance)
 

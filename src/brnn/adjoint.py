@@ -99,8 +99,11 @@ themselves. reduce_step_blocks forms them with the step axis last, so
 that the reduction over k runs along contiguous memory, one row of a
 parameter at a time in one buffer that a row block fills at most
 (n (N+1) values, 1.3 MB at N = 20000, n = 8, where the whole dU block
-would take 10 MB), from factors transposed once each; per_step_gradients
-presents copies of the same blocks step-first, as a GradSet.
+would take 10 MB), from factors transposed once each. Training reduces
+these blocks through trainer.aggregate and never forms a step-first array;
+per_step_gradients presents copies of the same blocks step-first, as a
+GradSet, and is kept as the reference that the tests reduce over k to
+check trainer.aggregate against.
 """
 
 import math
@@ -127,10 +130,11 @@ class CostateSeq:
 
 @dataclass
 class GradSet:
-    """One gradient array per parameter group: each of a parameter's shape,
-    or, from per_step_gradients, every step's contribution stacked along a
-    leading step axis, k = 0..N-1 for the state-equation groups (N, ...) and
-    k = 0..N for the output-equation ones (N+1, ...)."""
+    """One gradient array per parameter group, each of its parameter's
+    shape. per_step_gradients alone, the step-first reference, stacks every
+    step's contribution along a leading step axis instead: k = 0..N-1 for
+    the state-equation groups (N, ...), k = 0..N for the output-equation
+    ones (N+1, ...)."""
 
     dU: np.ndarray   # (n, n)
     dW: np.ndarray   # (n, m)

@@ -19,15 +19,14 @@ which the co-state recursion reads from a trajectory's h; sup sigma' over
 the real line, which sets step_rate and so the co-state decay rate; and
 whether every h_i lies in [-1, 1], so that ||h||_2 <= sqrt(n), which the
 BIBO bound of brnn.stability uses. Every reader (forward, step_rate,
-nonlinearity_derivative, BrnnParams.validate, brnn.adjoint,
-brnn.stability) takes its row through nonlinearity(name), which raises
-ConfigurationError for a name without one; the CLI's --sigma choices are
-its keys, NONLINEARITIES. PARAM_DIMS names the seven parameters A, U, W,
-b, V, Dft, c in order with their shapes; param_shapes gives them at sizes
-(n, m, r), and BrnnParams, the checkpoint file and the random
-initializers follow it. check_sizes is the rule for every size (>= 1) and
-check_seed the rule for every seed (>= 0); each is called wherever such a
-value enters.
+BrnnParams.validate, brnn.adjoint, brnn.stability) takes its row through
+nonlinearity(name), which raises ConfigurationError for a name without
+one; the CLI's --sigma choices are its keys, NONLINEARITIES. PARAM_DIMS
+names the seven parameters A, U, W, b, V, Dft, c in order with their
+shapes; param_shapes gives them at sizes (n, m, r), and BrnnParams, the
+checkpoint file and the random initializers follow it. check_sizes is the
+rule for every size (>= 1) and check_seed the rule for every seed (>= 0);
+each is called wherever such a value enters.
 
 The state recursion is nonlinear in x and runs as a loop over k (for a
 long horizon, see multiple shooting below). `forward` makes each step one
@@ -223,12 +222,6 @@ def step_rate(params) -> float:
     factor q per step) and the co-states decay at rate q."""
     return (spectral_norm(params.A)
             + nonlinearity(params.sigma).prime_sup * spectral_norm(params.U))
-
-
-def nonlinearity_derivative(kind: str, x) -> np.ndarray:
-    """Diagonal of sigma'(x), stored as a vector for Hadamard application."""
-    sigma = nonlinearity(kind)
-    return sigma.prime_of_h(sigma.f(np.asarray(x, dtype=float)))
 
 
 def check_seed(seed: int) -> None:

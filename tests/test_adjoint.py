@@ -11,10 +11,14 @@ from brnn.adjoint import (backward_costates, per_step_gradients, step_norms,
 from brnn.errors import CostateExplosionError
 from brnn.loss import LossWeights, state_loss_grad
 from brnn.model import (DIAGONAL_MIN_N, NONLINEARITIES, BrnnParams, Sequence,
-                        Trajectory, forward, nonlinearity_derivative)
+                        Trajectory, forward)
 from brnn.stability import make_stable_A, spectral_norm
-from brnn.trainer import aggregate, epoch_gradient
+from brnn.trainer import aggregate
 from brnn.verify import random_instance
+# sigma'(x) read from the nonlinearity table, and the step-first reduction
+# over k that trainer.aggregate is checked against
+from test_model import nonlinearity_derivative
+from test_trainer import aggregate_steps
 
 GROUPS = ("dU", "dW", "db", "dV", "dD", "dc")
 
@@ -600,7 +604,7 @@ def test_step_counts_are_the_per_step_lengths():
 def test_summed_gradients_and_max_step_norm_match_per_step(case):
     ref = per_step_gradients(*case)
     fused = summed_gradients(*case)
-    summed = aggregate(ref, "sum")
+    summed = aggregate_steps(ref, "sum")
     for name in GROUPS:
         want = getattr(summed, name)
         err = np.abs(getattr(fused, name) - want).max()
@@ -613,7 +617,7 @@ def test_mean_is_the_summed_gradient_over_the_step_counts():
     for params, traj, cs, seq, w in equivalence_instances():
         N = traj.N
         fused = summed_gradients(params, traj, cs, seq, w)
-        mean = epoch_gradient(params, traj, cs, seq, w, "mean")
+        mean = aggregate(params, traj, cs, seq, w, "mean")
         for name in GROUPS:
             count = N if name in ("dU", "dW", "db") else N + 1
             assert (getattr(mean, name) == getattr(fused, name) / count).all(), name
@@ -622,8 +626,8 @@ def test_mean_is_the_summed_gradient_over_the_step_counts():
 def test_median_and_min_abs_equal_aggregated_per_step_blocks():
     for case in equivalence_instances():
         for mode in ("median", "min_abs"):
-            want = aggregate(per_step_gradients(*case), mode)
-            got = epoch_gradient(*case, mode)
+            want = aggregate_steps(per_step_gradients(*case), mode)
+            got = aggregate(*case, mode)
             for name in GROUPS:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (mode, name)
 
@@ -634,8 +638,8 @@ def test_median_and_min_abs_equal_numpy_over_step_first_blocks():
     # 7..11, so both step counts take both parities
     for case in equivalence_instances():
         ref = per_step_gradients(*case)
-        med = epoch_gradient(*case, "median")
-        low = epoch_gradient(*case, "min_abs")
+        med = aggregate(*case, "median")
+        low = aggregate(*case, "min_abs")
         for name in GROUPS:
             a = np.ascontiguousarray(getattr(ref, name))
             assert np.array_equal(getattr(med, name), np.median(a, axis=0)), name
@@ -648,7 +652,7 @@ def test_no_two_groups_share_memory():
     # reduce_step_blocks builds every row block in one buffer: what the
     # median, min_abs and per-step results keep must not be views of it
     for case in equivalence_instances():
-        for gset in (epoch_gradient(*case, "median"), epoch_gradient(*case, "min_abs"),
+        for gset in (aggregate(*case, "median"), aggregate(*case, "min_abs"),
                      per_step_gradients(*case)):
             for a, b in itertools.combinations(GROUPS, 2):
                 assert not np.shares_memory(getattr(gset, a), getattr(gset, b)), (a, b)

@@ -5,8 +5,7 @@ import pytest
 
 from brnn import model
 from brnn.errors import ConfigurationError, StateOverflowError
-from brnn.model import (DIAGONAL_MIN_N, BrnnParams, Sequence, diagonal_A,
-                        forward, nonlinearity_derivative)
+from brnn.model import DIAGONAL_MIN_N, BrnnParams, Sequence, diagonal_A, forward
 from brnn.stability import bibo_bound, make_stable_A
 from brnn.tasks import TaskSpec
 
@@ -98,6 +97,13 @@ def test_hidden_values():
     np.testing.assert_array_equal(h0("identity", x), x)
 
 
+def nonlinearity_derivative(kind, x):
+    """sigma'(x) from the nonlinearity table: its prime_of_h column at
+    h = sigma(x), with the table's ConfigurationError for an unknown kind."""
+    sigma = model.nonlinearity(kind)
+    return sigma.prime_of_h(sigma.f(np.asarray(x, dtype=float)))
+
+
 def test_nonlinearity_derivative_values():
     d = nonlinearity_derivative("tanh", np.array([1.0]))
     assert d[0] == pytest.approx(0.419974, abs=1e-6)
@@ -111,8 +117,8 @@ def test_nonlinearity_derivative_values():
 
 
 def kept_nonlinearity_derivative(kind, x):
-    """sigma'(x) as nonlinearity_derivative computed it from x before it read
-    the prime_of_h column of model.SIGMAS at h = sigma(x); kept to pin that
+    """sigma'(x) computed from x, as brnn computed it before it read the
+    prime_of_h column of model.SIGMAS at h = sigma(x); kept to pin that
     column's bits."""
     x = np.asarray(x, dtype=float)
     if kind == "tanh":
@@ -199,11 +205,15 @@ def test_stacked_forward_matches_single_models(sigma):
     x0 = rng.uniform(-1, 1, n)
     stacked = forward(params, seq, x0)
     assert stacked.x.shape == (N + 1, n, B) and stacked.N == N
+    # the two paths sum in different orders (einsum against BLAS dot), and
+    # e = y - d cancels, so e is checked within each path, bit for bit
+    assert stacked.e.tobytes() == (stacked.y - seq.d[..., None]).tobytes()
     for i in range(B):
         single = forward(member(params, i), seq, x0)
-        for name in ("x", "h", "y", "e"):
+        for name in ("x", "h", "y"):
             np.testing.assert_allclose(getattr(stacked, name)[..., i], getattr(single, name),
                                        rtol=1e-13, atol=0)
+        assert single.e.tobytes() == (single.y - seq.d).tobytes()
 
 
 @pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
@@ -664,7 +674,6 @@ def _softsign_reader(reader):
     return {
         "forward": lambda: forward(params, seq, x0),
         "step_rate": lambda: model.step_rate(params),
-        "nonlinearity_derivative": lambda: nonlinearity_derivative(params.sigma, x0),
         "validate": params.validate,
         "backward_costates": lambda: adjoint.backward_costates(params, traj, w),
         "hidden_sup": lambda: stability.hidden_sup(params, 1.0),
@@ -674,8 +683,8 @@ def _softsign_reader(reader):
 
 
 @pytest.mark.parametrize("reader", [
-    "forward", "step_rate", "nonlinearity_derivative", "validate",
-    "backward_costates", "hidden_sup", "m_sup_bound", "bibo_bound"])
+    "forward", "step_rate", "validate", "backward_costates", "hidden_sup",
+    "m_sup_bound", "bibo_bound"])
 def test_every_reader_of_the_sigma_table_refuses_an_unknown_sigma(reader):
     call = _softsign_reader(reader)
     with pytest.raises(ConfigurationError, match="^unknown nonlinearity 'softsign'$"):

@@ -3,13 +3,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from brnn import adjoint, trainer
 from brnn.adjoint import backward_costates, per_step_gradients
 from brnn.errors import ConfigurationError, DivergenceError
 from brnn.loss import LossWeights, total_cost
 from brnn.model import BrnnParams, Sequence, forward
 from brnn.tasks import TaskSpec, gen_task
-from brnn.trainer import (DIVERGENCE_RATIO, GradSet, TrainConfig, aggregate,
-                          apply_update, epoch_gradient, init_params, train)
+from brnn.trainer import (AGGREGATIONS, DIVERGENCE_RATIO, GradSet, TrainConfig,
+                          aggregate, apply_update, init_params, train)
 # the one-draw-at-a-time generator that uniform_noise is checked against
 from test_tasks import splitmix64
 
@@ -25,33 +26,49 @@ def gradseq_with_dU(values, N=None, n=1, m=1, r=1):
     return g
 
 
+def aggregate_steps(grads, mode):
+    """The step-first reference for trainer.aggregate: contributions as
+    per_step_gradients returns them, collapsed over k, the leading axis of
+    each array (which is not modified). Counts differ by group: N for the
+    state-equation parameters, N+1 for the output-equation ones. median and
+    min_abs run the library's own selection, trainer._select, on a step-last
+    copy."""
+    def reduce(a):
+        if mode == "sum":
+            return a.sum(axis=0)
+        if mode == "mean":
+            return a.sum(axis=0) / a.shape[0]
+        return trainer._select(np.moveaxis(a, 0, -1).copy(), mode)
+    return GradSet(**{name: reduce(a) for name, a in vars(grads).items()})
+
+
 def test_aggregate_two_element_example():
     g = gradseq_with_dU([1.0, 3.0])
-    assert aggregate(g, "sum").dU[0, 0] == 4.0
-    assert aggregate(g, "mean").dU[0, 0] == 2.0
-    assert aggregate(g, "median").dU[0, 0] == 2.0
-    assert aggregate(g, "min_abs").dU[0, 0] == 1.0
+    assert aggregate_steps(g, "sum").dU[0, 0] == 4.0
+    assert aggregate_steps(g, "mean").dU[0, 0] == 2.0
+    assert aggregate_steps(g, "median").dU[0, 0] == 2.0
+    assert aggregate_steps(g, "min_abs").dU[0, 0] == 1.0
 
 
 def test_aggregate_skew_example():
     # mean can be small while individual changes are large
     g = gradseq_with_dU([-5.0, 1.0, 2.0])
-    assert aggregate(g, "mean").dU[0, 0] == pytest.approx(-2.0 / 3.0)
-    assert aggregate(g, "median").dU[0, 0] == 1.0
-    assert aggregate(g, "min_abs").dU[0, 0] == 1.0
+    assert aggregate_steps(g, "mean").dU[0, 0] == pytest.approx(-2.0 / 3.0)
+    assert aggregate_steps(g, "median").dU[0, 0] == 1.0
+    assert aggregate_steps(g, "min_abs").dU[0, 0] == 1.0
 
 
 def test_aggregate_zero_for_every_mode():
     g = gradseq_with_dU([0.0, 0.0, 0.0])
     for mode in ("sum", "mean", "median", "min_abs"):
-        out = aggregate(g, mode)
+        out = aggregate_steps(g, mode)
         for name in ("dU", "dW", "db", "dV", "dD", "dc"):
             assert (getattr(out, name) == 0).all()
 
 
 def test_min_abs_preserves_sign():
-    assert aggregate(gradseq_with_dU([-1.0, 2.0]), "min_abs").dU[0, 0] == -1.0
-    assert aggregate(gradseq_with_dU([-3.0, -2.0, 4.0]), "min_abs").dU[0, 0] == -2.0
+    assert aggregate_steps(gradseq_with_dU([-1.0, 2.0]), "min_abs").dU[0, 0] == -1.0
+    assert aggregate_steps(gradseq_with_dU([-3.0, -2.0, 4.0]), "min_abs").dU[0, 0] == -2.0
 
 
 def test_mean_counts_differ_per_group():
@@ -60,12 +77,12 @@ def test_mean_counts_differ_per_group():
     g = gradseq_with_dU(np.zeros(N))
     g.dU[:, 0, 0] = 1.0
     g.dV[:, 0, 0] = 1.0
-    out = aggregate(g, "mean")
+    out = aggregate_steps(g, "mean")
     assert out.dU[0, 0] == 1.0
     assert out.dV[0, 0] == 1.0
     g.dU[:, 0, 0] = np.arange(N)          # sum 6, mean 6/4
     g.dV[:, 0, 0] = np.arange(N + 1)      # sum 10, mean 10/5
-    out = aggregate(g, "mean")
+    out = aggregate_steps(g, "mean")
     assert out.dU[0, 0] == pytest.approx(6 / 4)
     assert out.dV[0, 0] == pytest.approx(10 / 5)
 
@@ -106,9 +123,9 @@ def test_median_and_min_abs_equal_the_numpy_references(N):
         # two middle values near 1e308 of equal sign overflow when averaged:
         # the same inf as np.median's
         with np.errstate(over="ignore", invalid="ignore"):
-            med = aggregate(g, "median")
+            med = aggregate_steps(g, "median")
             want_med = {name: np.median(getattr(g, name), axis=0) for name in GROUPS}
-        low = aggregate(g, "min_abs")
+        low = aggregate_steps(g, "min_abs")
         for name in GROUPS:
             assert np.array_equal(getattr(med, name), want_med[name],
                                   equal_nan=True), (name, seed)
@@ -120,7 +137,7 @@ def test_median_of_a_column_with_nan_is_nan():
     g = gradseq_with_dU([1.0, np.nan, 3.0, 4.0, 5.0])
     g.dW[:, 0, 0] = [5.0, 4.0, 2.0, 1.0, np.nan]
     want = {name: np.median(getattr(g, name), axis=0) for name in GROUPS}
-    out = aggregate(g, "median")
+    out = aggregate_steps(g, "median")
     for name in GROUPS:
         assert np.array_equal(getattr(out, name), want[name], equal_nan=True), name
     assert np.isnan(out.dU[0, 0]) and np.isnan(out.dW[0, 0])
@@ -138,12 +155,12 @@ def test_aggregate_leaves_its_input_unchanged():
         before = {name: getattr(g, name).copy() for name in GROUPS}
         for mode in ("sum", "mean", "median", "min_abs"):
             with np.errstate(over="ignore", invalid="ignore"):
-                aggregate(g, mode)
+                aggregate_steps(g, mode)
             for name in GROUPS:
                 assert np.array_equal(getattr(g, name), before[name]), (mode, name)
 
 
-def test_epoch_gradient_leaves_its_inputs_unchanged():
+def test_aggregate_leaves_the_rollout_costates_and_params_unchanged():
     # n = 1 and r = 1 make the transposed factors views of the trajectory
     # and the costates rather than copies
     from brnn.verify import random_instance
@@ -158,9 +175,33 @@ def test_epoch_gradient_leaves_its_inputs_unchanged():
                    for name in ("A", "U", "W", "b", "V", "Dft", "c")}}
         before = {key: a.copy() for key, a in held.items()}
         for mode in ("sum", "mean", "median", "min_abs"):
-            epoch_gradient(params, traj, cs, seq, w, mode)
+            aggregate(params, traj, cs, seq, w, mode)
             for key, a in held.items():
                 assert np.array_equal(a, before[key]), (mode, key)
+
+
+@pytest.mark.parametrize("mode", AGGREGATIONS)
+def test_train_runs_aggregate_once_an_epoch_and_no_step_first_path(mode, monkeypatch):
+    # the benchmark traces trainer.aggregate by name: train must look it up
+    # there, once an epoch, and never form the step-first contributions
+    from brnn.verify import random_instance
+    params, seq, x0, w = random_instance(13, n=3, m=2, r=2, N=12)
+    calls = []
+    real = trainer.aggregate
+    monkeypatch.setattr(trainer, "aggregate",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train formed the step-first contributions")
+    monkeypatch.setattr(adjoint, "per_step_gradients", refuse)
+    monkeypatch.setattr(trainer, "per_step_gradients", refuse, raising=False)
+    _, history = train(TrainConfig(eta=0.01, epochs=3, aggregation=mode),
+                       seq, params, x0, w)
+    assert len(history) == 3 and calls == [mode] * 3
+    traj = forward(params, seq, x0)
+    cs = backward_costates(params, traj, w)
+    with pytest.raises(ConfigurationError, match="^unknown aggregation 'bogus'$"):
+        real(params, traj, cs, seq, w, "bogus")
 
 
 def scalar_params(U=1.0, sigma="tanh"):
@@ -279,7 +320,7 @@ def test_params_frozen_within_epoch():
     assert history[0].cost.total == total_cost(traj0, seq, params0, w).total
     # epoch 2 metrics must reflect exactly one applied update
     cs = backward_costates(params0, traj0, w)
-    g = aggregate(per_step_gradients(params0, traj0, cs, seq, w), "sum")
+    g = aggregate(params0, traj0, cs, seq, w, "sum")
     params1 = apply_update(params0, g, cfg.eta)
     traj1 = forward(params1, seq, np.zeros(n))
     assert history[1].cost.total == total_cost(traj1, seq, params1, w).total
@@ -293,7 +334,7 @@ def test_monotone_first_step():
         base = total_cost(forward(params, seq, x0), seq, params, w).total
         traj = forward(params, seq, x0)
         cs = backward_costates(params, traj, w)
-        g = aggregate(per_step_gradients(params, traj, cs, seq, w), "sum")
+        g = aggregate(params, traj, cs, seq, w, "sum")
         eta, ok = 0.1, False
         for _ in range(20):
             try:
@@ -325,9 +366,8 @@ def test_sum_mean_update_equivalence_bitwise():
 
     w = LossWeights(beta=0.5, state_loss_kind="tanh_approx")
     cs = backward_costates(params, traj, w)
-    gseq = per_step_gradients(params, traj, cs, seq, w)
-    gsum = aggregate(gseq, "sum")
-    gmean = aggregate(gseq, "mean")
+    gsum = aggregate(params, traj, cs, seq, w, "sum")
+    gmean = aggregate(params, traj, cs, seq, w, "mean")
     assert np.abs(gsum.dU).max() > 0  # the check is live
 
     eta0 = 1.0 / 128.0

@@ -7,10 +7,12 @@ from brnn import verify
 from brnn.errors import ConfigurationError
 from brnn.loss import LossWeights
 from brnn.model import BrnnParams, Sequence, forward
-from brnn.trainer import GradSet, aggregate
+from brnn.trainer import GradSet
 from brnn.adjoint import backward_costates, per_step_gradients
 from brnn.verify import (PARAM_GROUPS, analytic_gradient, compare_gradients,
                          cost_value, gradcheck, numeric_gradient, random_instance)
+# the step-first reduction over k that trainer.aggregate is checked against
+from test_trainer import aggregate_steps
 
 
 def numeric_gradient_per_entry(params, seq, x0, w, eps=1e-5):
@@ -129,7 +131,7 @@ def test_median_aggregation_is_not_the_gradient():
     traj = forward(params, seq, x0)
     cs = backward_costates(params, traj, w)
     gseq = per_step_gradients(params, traj, cs, seq, w)
-    med = aggregate(gseq, "median")
+    med = aggregate_steps(gseq, "median")
     oracle = numeric_gradient(params, seq, x0, w)
     report = compare_gradients(med, oracle, tol=1e-5)
     assert report.max_rel_err > 1e-2
