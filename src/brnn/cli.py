@@ -293,7 +293,7 @@ def cmd_stability(args) -> int:
     design = {"n": args.n, "scheme": args.scheme, "alpha_A": args.alphaA,
               "seed": args.seed}
     given = {name: value for name, value in design.items() if value is not None}
-    if args.checkpoint:
+    if args.checkpoint is not None:
         # a checkpoint brings its own A
         if given:
             flags = ("--alphaA" if name == "alpha_A" else "--" + name for name in given)
@@ -310,12 +310,12 @@ def cmd_stability(args) -> int:
         m_sup = args.Msup if args.Msup is not None else 1.0
     report = stab.stability_report(A, m_sup)
     fields = _format_stability(report)
-    if args.checkpoint:
+    if args.checkpoint is not None:
         fields.append(("step_rate", step_rate(params)))
     print(f"n = {A.shape[0]}")
     for key, value in fields:
         print(f"{key} = {value!r}")
-    if args.csv_out:
+    if args.csv_out is not None:
         with open(args.csv_out, "w", newline="") as f:
             f.write(",".join(key for key, _ in fields) + "\n")
             f.write(",".join(repr(v) for _, v in fields) + "\n")
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
+        if getattr(args, "config", None) is not None:
             # the file's pairs as flags ahead of the command line's own: the
             # last value of a flag wins, and the --key=value form keeps a
             # value that starts with "-" a value

@@ -47,6 +47,12 @@ AGGREGATIONS = ("sum", "mean", "median", "min_abs")
 DIVERGENCE_RATIO = 1e6
 
 
+def _check_eta(eta: float) -> None:
+    """The learning-rate rule: finite and > 0."""
+    if not 0.0 < eta < math.inf:
+        raise ConfigurationError("eta must be finite and > 0")
+
+
 @dataclass
 class TrainConfig:
     eta: float = 0.01
@@ -55,8 +61,7 @@ class TrainConfig:
     stop_tol: float = 0.0      # stop once total cost drops below this
 
     def __post_init__(self):
-        if not 0.0 < self.eta < math.inf:
-            raise ConfigurationError("eta must be finite and > 0")
+        _check_eta(self.eta)
         # a run of no epochs has no cost to report and trains nothing
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
@@ -113,8 +118,7 @@ def aggregate(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
 
 def apply_update(params: BrnnParams, g: GradSet, eta: float) -> BrnnParams:
     """Gradient step p <- p - eta*dp for every trainable group; A unchanged."""
-    if eta <= 0.0:
-        raise ConfigurationError("eta must be > 0")
+    _check_eta(eta)
     out = BrnnParams(A=params.A, sigma=params.sigma, **{
         pname: getattr(params, pname) - eta * getattr(g, gname)
         for gname, pname in PARAM_GROUPS})

@@ -18,6 +18,7 @@ from brnn.loss import LossWeights, total_cost
 from brnn.model import BrnnParams, Sequence, forward
 from brnn.stability import make_stable_A
 from brnn.tasks import TaskSpec, gen_task, read_csv, write_csv
+from brnn.trainer import AGGREGATIONS
 
 
 def run(*argv):
@@ -32,12 +33,17 @@ def test_generate_writes_dataset(tmp_path, capsys):
     assert "wrote 21 rows" in capsys.readouterr().out
 
 
-def test_train_eval_checkpoint_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--n", "4"], ["--n", "4", "--sigma", "relu"], ["--n", "4", "--sigma", "logistic"],
+    # from DIAGONAL_MIN_N on, the step products leave a diagonal A out
+    ["--n", str(model.DIAGONAL_MIN_N), "--init-scale", "0.02", "--eta", "1e-3"]],
+    ids=["tanh", "relu", "logistic", "diagonal A"])
+def test_train_eval_checkpoint_round_trip(flags, tmp_path, capsys):
     data = tmp_path / "data.csv"
     metrics = tmp_path / "metrics.csv"
     ckpt = tmp_path / "model.txt"
     assert run("generate", "--task", "sine", "--N", "30", "--out", str(data)) == 0
-    assert run("train", "--data", str(data), "--n", "4", "--epochs", "3",
+    assert run("train", "--data", str(data), *flags, "--epochs", "3",
                "--metrics-out", str(metrics), "--checkpoint-out", str(ckpt)) == 0
     capsys.readouterr()
 
@@ -54,15 +60,20 @@ def test_train_eval_checkpoint_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     total_line = [ln for ln in out.splitlines() if ln.startswith("total =")][0]
     assert float(total_line.split("=")[1]) == expect
+    # the trained model gets its certificate: for relu the small-gain bound,
+    # for the logistic one with sup sigma' = 1/4
+    assert run("stability", "--checkpoint", str(ckpt)) == 0
+    assert "bibo_bound = " in capsys.readouterr().out
 
 
-def test_metrics_deterministic_across_runs(tmp_path):
+@pytest.mark.parametrize("agg", AGGREGATIONS)
+def test_metrics_deterministic_across_runs(agg, tmp_path):
     paths = []
     for tag in ("a", "b"):
         metrics = tmp_path / f"metrics_{tag}.csv"
         ckpt = tmp_path / f"ckpt_{tag}.txt"
         assert run("train", "--task", "sine", "--N", "25", "--n", "4",
-                   "--epochs", "4", "--seed", "3",
+                   "--epochs", "4", "--seed", "3", "--agg", agg,
                    "--metrics-out", str(metrics), "--checkpoint-out", str(ckpt)) == 0
         paths.append((metrics, ckpt))
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
@@ -288,7 +299,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 # that make that value change the run (coeffs only shapes the bandpass task)
 KEY_VALUES = {
     "task": ("bandpass", []), "N": ("9", []), "m": ("2", []), "r": ("2", []),
-    "omega": ("0.7", []), "phase": ("0.4", []),
+    # a value that starts with "-" and is no plain negative number to argparse
+    "omega": ("0.7", []), "phase": ("-1e-3", []),
     "coeffs": ("0.5,-0.1,2.0", ["--task", "bandpass"]),
     "lag": ("3", ["--task", "lag"]), "noise": ("0.2", []), "seed": ("5", []),
     "data": ("d.csv", []), "n": ("5", []), "sigma": ("logistic", []),
@@ -326,7 +338,7 @@ def test_config_file_key_equals_its_flag(key, tmp_path, capsys):
                    "--checkpoint-out", str(ckpt)) == 0
         return metrics.read_bytes(), ckpt.read_bytes()
 
-    by_flag = outputs("flag", "--" + key.replace("_", "-"), value)
+    by_flag = outputs("flag", f"--{key.replace('_', '-')}={value}")
     assert outputs("file", "--config", str(config)) == by_flag
     assert outputs("bom", "--config", str(bom)) == by_flag
     assert outputs("default") != by_flag  # the value is not the default
@@ -526,14 +538,36 @@ def test_empty_data_path_is_a_path_not_generate(spelling, tmp_path, monkeypatch,
     assert not (tmp_path / "checkpoint.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [["train", "--config", "", "--epochs", "1"],
+                                  ["stability", "--checkpoint", ""],
+                                  ["stability", "--csv-out", ""]],
+                         ids=["train --config", "stability --checkpoint",
+                              "stability --csv-out"])
+def test_every_empty_path_flag_is_a_path(argv, tmp_path, monkeypatch, capsys):
+    # as for --data: an empty path is neither a flag left out (train on the
+    # defaults, certify the default A, write no CSV) nor a readable file
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 4
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_malformed_dataset_exits_4(tmp_path, capsys):
+    # the dataset grammar has no quoting: a quoted number is no number
+    ckpt = tmp_path / "c.txt"
+    save_checkpoint(ckpt, BrnnParams(A=[[0.5]], U=[[0.0]], W=[[1.0]], b=[0.0],
+                                     V=[[1.0]], Dft=[[0.0]], c=[0.0]))
     bad = tmp_path / "bad.csv"
-    bad.write_text("k,s1,d1\n0,1.0,2.0\n1,zzz,2.0\n")
-    assert run("train", "--data", str(bad),
-               "--metrics-out", str(tmp_path / "m.csv"),
-               "--checkpoint-out", str(tmp_path / "c.txt")) == 4
-    err = capsys.readouterr().err
-    assert "line 3" in err
+    for text, line in (("k,s1,d1\n0,1.0,2.0\n1,zzz,2.0\n", 3),
+                       ('k,s1,d1\n0,"1.5",2.0\n1,1.0,2.0\n', 2)):
+        bad.write_text(text)
+        for argv in (["train", "--data", str(bad), "--metrics-out", str(tmp_path / "m.csv"),
+                      "--checkpoint-out", str(tmp_path / "out.txt")],
+                     ["eval", "--checkpoint", str(ckpt), "--data", str(bad)]):
+            assert run(*argv) == 4
+            captured = capsys.readouterr()
+            assert f"line {line}" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "c.txt"]
 
 
 @pytest.mark.parametrize("tail", [b"", b"\r\n"], ids=["bulk parse", "row parse"])
@@ -782,9 +816,12 @@ def test_finite_but_exploding_training_exits_3(tmp_path, capsys):
     assert "times the first epoch's" in err and "epoch" in err
 
 
-def test_gradcheck_cli_passes(capsys):
-    assert run("gradcheck", "--n", "4", "--m", "2", "--r", "2", "--N", "10",
-               "--sigma", "tanh", "--tol", "1e-5") == 0
+@pytest.mark.parametrize("flags", [
+    ["--n", "4", "--m", "2", "--r", "2", "--N", "10", "--sigma", "tanh", "--tol", "1e-5"],
+    ["--instances", "20", "--sigma", "logistic", "--state-loss", "tanh_approx",
+     "--gamma1", "0.01", "--gamma2", "0.02"]], ids=["sizes", "instance flags"])
+def test_gradcheck_cli_passes(flags, capsys):
+    assert run("gradcheck", *flags) == 0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -825,6 +862,17 @@ def test_stability_without_certificate_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert run("stability", "--checkpoint", str(ckpt)) == 3
     assert capsys.readouterr().err.startswith("numerical failure: spectral norm of A is")
+
+
+@pytest.mark.parametrize("argv, code", [(["stability", "--n", "2"], 0),
+                                        (["gradcheck", "--n", "0"], 2)],
+                         ids=["stability", "gradcheck"])
+def test_entry_exits_with_the_code_main_returns(argv, code, monkeypatch, capsys):
+    # the console script's entry point: main on sys.argv, its code the exit status
+    monkeypatch.setattr(sys, "argv", ["brnn", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == code
 
 
 def test_stability_cli_scalar_example(tmp_path, capsys):
@@ -1042,18 +1090,21 @@ def test_train_writes_the_same_bytes_with_and_without_shooting(monkeypatch, tmp_
         capsys.readouterr()
         sweeps.clear()
         metrics, ckpt = tmp_path / f"{regime}.csv", tmp_path / f"{regime}.txt"
-        # mean, as CI's 5001-row run: the total falls. Under sum this run
-        # diverges, its total growing 2e4-fold by epoch 3, whose params are
-        # outside the shooting regime
+        # mean: the total falls. Under sum this run diverges, its total
+        # growing 2e4-fold by epoch 3, whose params are outside the shooting
+        # regime
         assert run("train", "--data", str(data), "--n", "8", "--agg", "mean",
                    "--epochs", "2", "--metrics-out", str(metrics),
                    "--checkpoint-out", str(ckpt)) == 0
+        # eval's rollout of the trained params
+        assert run("eval", "--checkpoint", str(ckpt), "--data", str(data)) == 0
         stdout = capsys.readouterr().out.replace(str(tmp_path / regime), "")
         outputs[regime] = (metrics.read_bytes(), ckpt.read_bytes(), stdout, len(sweeps))
     totals = [float(row.split(",")[1])
               for row in outputs["shooting"][0].decode().splitlines()[1:]]
     assert len(totals) == 2 and totals[1] < totals[0]
-    # every epoch's rollout in the shooting regime: two sweeps each
-    assert len(blocks) == 2 and all(L > 0 for L in blocks)
-    assert outputs["shooting"][3] == 4 and outputs["loop"][3] == 0
+    # every rollout in the shooting regime, two epochs' and eval's: two
+    # sweeps each
+    assert len(blocks) == 3 and all(L > 0 for L in blocks)
+    assert outputs["shooting"][3] == 6 and outputs["loop"][3] == 0
     assert outputs["shooting"][:3] == outputs["loop"][:3]

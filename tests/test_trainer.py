@@ -245,6 +245,17 @@ def test_apply_update_divergence():
         apply_update(params, g, 0.1)
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.1, np.nan, np.inf])
+def test_apply_update_refuses_the_etas_train_config_refuses(eta):
+    # one rule and message: a NaN or infinite eta is a configuration error,
+    # not a divergence of the update it would make non-finite
+    with pytest.raises(ConfigurationError) as config:
+        TrainConfig(eta=eta)
+    with pytest.raises(ConfigurationError) as update:
+        apply_update(scalar_params(), zero_gradset(), eta)
+    assert str(update.value) == str(config.value) == "eta must be finite and > 0"
+
+
 def test_exploding_but_finite_cost_raises_divergence():
     # lag copy with eta = 5: the total grows from 2.9 by orders of magnitude
     # per epoch while every parameter stays finite
