@@ -18,6 +18,7 @@ may set (an unknown or repeated key is a configuration error) come from it.
 import argparse
 import inspect
 import math
+import os
 import re
 import sys
 
@@ -230,8 +231,13 @@ def cmd_train(args) -> int:
                           seed=args.seed)
     params, history = train(tc, seq, params0, np.zeros(params0.n), w)
 
-    write_metrics_csv(args.metrics_out, history)
+    # a run whose outputs cannot all be written leaves none of them
     save_checkpoint(args.checkpoint_out, params)
+    try:
+        write_metrics_csv(args.metrics_out, history)
+    except OSError:
+        os.remove(args.checkpoint_out)
+        raise
     first, last = history[0].cost.total, history[-1].cost.total
     print(f"trained {len(history)} epochs: total {first!r} -> {last!r}")
     print(f"metrics: {args.metrics_out}")
@@ -312,14 +318,15 @@ def cmd_stability(args) -> int:
     fields = _format_stability(report)
     if args.checkpoint is not None:
         fields.append(("step_rate", step_rate(params)))
-    print(f"n = {A.shape[0]}")
-    for key, value in fields:
-        print(f"{key} = {value!r}")
+    lines = [f"n = {A.shape[0]}"] + [f"{key} = {value!r}" for key, value in fields]
+    # the CSV is written before anything prints, so a failed write prints no
+    # report
     if args.csv_out is not None:
         with open(args.csv_out, "w", newline="") as f:
             f.write(",".join(key for key, _ in fields) + "\n")
             f.write(",".join(repr(v) for _, v in fields) + "\n")
-        print(f"csv: {args.csv_out}")
+        lines.append(f"csv: {args.csv_out}")
+    print("\n".join(lines))
     return 0
 
 
@@ -413,12 +420,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        where = []
-        if exc.epoch is not None:
-            where.append(f"epoch {exc.epoch}")
-        if exc.k is not None:
-            where.append(f"step k={exc.k}")
-        suffix = f" ({', '.join(where)})" if where else ""
+        # an error that knows its step k names it in its message
+        suffix = f" (epoch {exc.epoch})" if exc.epoch is not None else ""
         print(f"numerical failure: {exc}{suffix}", file=sys.stderr)
         return 3
     except (DatasetFormatError, CheckpointFormatError, OSError) as exc:

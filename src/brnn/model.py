@@ -92,18 +92,19 @@ different states close in by a factor q per step, so a rollout started
 from 0 has forgotten its start after L(q) steps, the smallest L with
 q^L < 2^-64. In floating point it then has the true rollout's bits, and
 keeps them, since the arithmetic that follows is the same. The steps
-k < B L are cut into B blocks of L steps; block 0 starts at x0 and every
-other block at 0. A sweep runs every block at once, one step per
-iteration: sigma on the (B, n) view of the blocks' rows, then one
-np.matmul over the rows and the shared M, which makes the one gemv per row
-that ndarray.dot makes for one row (so does each row of sigma's call).
-Block j is final when block j-1 is final and block j's start has the bits
-of block j-1's end: its rows are then the loop's, step for step. A second
-sweep restarts every open block from the first sweep's end of the block
-before it. After at most two sweeps the step loop runs on from the end of
-the last final block, over whatever is open and the N - B L steps after
-the blocks. The result is the loop's in every case; only the time
-depends on how many blocks are final.
+k < B L are cut into B blocks of L steps. A sweep runs every block at
+once, one step per iteration: sigma on the (B, n) view of the blocks'
+rows, then one np.matmul over the rows and the shared M, which makes the
+one gemv per row that ndarray.dot makes for one row (so does each row of
+sigma's call). Two sweeps run, always: the first runs block 0 from x0 and
+every other block from 0, and the second restarts blocks 1.. from the
+first sweep's end of the block before each. Block 0 is then final, and so
+is block 1, restarted from block 0's end; block j >= 2 is final when block
+j-1 is final and block j restarted from the bits the second sweep ended
+block j-1 with: its rows are then the loop's, step for step. The step
+loop runs on from the end of the last final block, over whatever is open
+and the N - B L steps after the blocks. The result is the loop's in every
+case; only the time depends on how many blocks are final.
 
 2^-53 (float64's unit roundoff) in place of 2^-64 left blocks open at
 small q, since a state's norm can exceed its entries by some bits: in 36
@@ -443,21 +444,18 @@ def _rollout(params, s, x0, sigma):
     # ndarray.dot's vector-matrix path costs less per call than the
     # np.matmul gufunc (and than np.dot, which adds a Python-level dispatch)
     product = np.ndarray.dot
-    # the loop goes on from step k0; before it X[0..k0] and H[:k0] hold its
-    # own bits
-    k0 = 0
     if a is None:
         L = shooting_block(params, N)
-        if L:
-            k0 = _shoot(Z, M, sigma, n, L)
-    x_k = X[k0]
-    if a is None:
+        # the loop goes on from step k0; before it X[0..k0] and H[:k0] hold
+        # its own bits
+        k0 = _shoot(Z, M, sigma, n, L) if L else 0
+        x_k = X[k0]
         for z_k, h_k, x_next in zip(Z[k0:N], H[k0:N], X[k0 + 1:]):
             sigma(x_k, h_k)
             product(z_k, M, x_next)
             x_k = x_next
     else:
-        ax = np.empty(n)
+        ax, x_k = np.empty(n), X[0]
         # x_{k+1} = [h_k, s_k, 1] @ [U^T; W^T; b] + a * x_k
         for z_k, h_k, x_next in zip(Z[:N, n:], H[:N], X[1:]):
             sigma(x_k, h_k)
@@ -531,28 +529,26 @@ def _shoot(Z, M, sigma, n, L) -> int:
     """Fill the first blocks of L steps of forward's buffer Z with the step
     loop's own bits; return the step k0 from which the loop goes on.
 
-    Z[:B*L] (B = (len(Z) - 1) // L) is cut into B blocks; block 0 starts
-    at x0 and every other block at 0. A block is final when the one before
-    it is final and its start has the bits of that block's end: its rows
-    are then the loop's, step for step. A second sweep restarts every open
-    block from the first sweep's end of the block before it. At most two
-    sweeps run; X[k0] is the end of the last final block.
+    Z[:B*L] (B = (len(Z) - 1) // L) is cut into B blocks. Sweep 1 runs
+    every block, block 0 from x0 and every other block from 0; sweep 2
+    restarts blocks 1.. from sweep 1's end of the block before each. Block
+    0 and then block 1 (started from block 0's end) are final, and block
+    j >= 2 is final when block j-1 is final and sweep 2 ended block j-1 with
+    the bits block j restarted from: its rows are then the loop's, step for
+    step. X[k0] is the end of the last final block. shooting_block's
+    N >= SHOOT_BLOCKS * L gives B >= 12, so the two blocks this counts as
+    final without a test exist.
     """
     B = (len(Z) - 1) // L
     Zb = Z[:B * L].reshape(B, L, -1)
     starts = Zb[:, 0, :n]
     starts[1:] = 0.0
     ends = np.empty((B, 1, n))
-    done = 0    # blocks 0..done-1 are final
-    for _ in range(2):
-        _sweep(Zb[done:], M, sigma, n, ends[done:])
-        # block `done` started from the end of a final block, so is final
-        same = (starts[done + 1:].view(np.uint64)
-                == ends[done:-1, 0].view(np.uint64)).all(axis=1)
-        done += 1 + int(np.logical_and.accumulate(same).sum())
-        if done == B:
-            break
-        starts[done:] = ends[done - 1:-1, 0]
+    _sweep(Zb, M, sigma, n, ends)
+    starts[1:] = ends[:-1, 0]
+    _sweep(Zb[1:], M, sigma, n, ends[1:])
+    same = (starts[2:].view(np.uint64) == ends[1:-1, 0].view(np.uint64)).all(axis=1)
+    done = 2 + int(np.logical_and.accumulate(same).sum())
     Z[done * L, :n] = ends[done - 1, 0]
     return done * L
 

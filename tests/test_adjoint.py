@@ -8,7 +8,7 @@ from brnn import adjoint
 from brnn import model
 from brnn.adjoint import (backward_costates, per_step_gradients, step_norms,
                           summed_gradients)
-from brnn.errors import CostateExplosionError
+from brnn.errors import ConfigurationError, CostateExplosionError
 from brnn.loss import LossWeights, state_loss_grad
 from brnn.model import (DIAGONAL_MIN_N, NONLINEARITIES, BrnnParams, Sequence,
                         Trajectory, forward)
@@ -421,6 +421,17 @@ def test_per_step_gradients_zero():
     g = per_step_gradients(params, traj, cs, seq, w)
     for name in ("dU", "dW", "db", "dV", "dD", "dc"):
         assert (getattr(g, name) == 0).all()
+
+
+def test_gradient_factors_refuse_a_sequence_of_another_length():
+    params = scalar_params()
+    seq = Sequence(s=np.zeros((5, 1)), d=np.zeros((5, 1)))
+    traj = forward(params, seq, [0.0])
+    w = LossWeights()
+    cs = backward_costates(params, traj, w)
+    longer = Sequence(s=np.zeros((6, 1)), d=np.zeros((6, 1)))
+    with pytest.raises(ConfigurationError, match="^costates/sequence length mismatch$"):
+        per_step_gradients(params, traj, cs, longer, w)
 
 
 def test_per_step_gradient_shapes_and_ranges():

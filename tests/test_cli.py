@@ -129,6 +129,29 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+# a checkpoint at n = 2, m = r = 1: the header, then A, U and W two rows
+# each and b, V, Dft and c one row each
+CHECKPOINT_2_1_1 = ("brnn-v1 2 1 1 tanh\n0.5 0.0\n0.0 0.5\n" + "0.0 0.0\n" * 2
+                    + "0.0\n" * 2 + "0.0 0.0\n" * 2 + "0.0\n" * 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty checkpoint file"),
+    (CHECKPOINT_2_1_1.replace("0.5 0.0\n", "0.5\n", 1),
+     "A row 0 has 1 values, expected 2"),
+    (CHECKPOINT_2_1_1.replace("0.5 0.0\n", "0.5 zero\n", 1),
+     "A row 0: could not convert string to float: 'zero'"),
+], ids=["empty file", "row one value short", "value not a number"])
+def test_malformed_checkpoint_rows_exit_4(text, message, tmp_path, capsys):
+    ckpt = tmp_path / "c.txt"
+    ckpt.write_text(CHECKPOINT_2_1_1)
+    assert run("stability", "--checkpoint", str(ckpt)) == 0
+    ckpt.write_text(text)
+    capsys.readouterr()
+    assert run("stability", "--checkpoint", str(ckpt)) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_unknown_subcommand_exits_2():
     assert run("explode") == 2
 
@@ -295,6 +318,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not metrics.exists()
 
 
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("N 20\n")
+    assert run("train", "--config", str(config),
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 2
+    assert capsys.readouterr().err == f"error: {config}: line 1: expected key = value\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
+
 # every key train takes -> a value other than its default, and the flags
 # that make that value change the run (coeffs only shapes the bandpass task)
 KEY_VALUES = {
@@ -425,6 +458,15 @@ def test_bad_noise_exits_2(command, task, noise, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("task, kind", [("lag", "lag_copy"), ("bandpass", "bandpass_filter")])
+def test_more_targets_than_inputs_exits_2(task, kind, tmp_path, capsys):
+    # lag and bandpass make each target from an input of its own
+    argv = task_argv("generate", tmp_path, "--task", task, "--m", "1", "--r", "2")
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {kind} requires r <= m\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, key", [
     (["train", "--data", "s.csv", "--noise", "nan", "--coeffs", "nan,0,1",
       "--epochs", "1"], "coeffs"),
@@ -550,6 +592,25 @@ def test_every_empty_path_flag_is_a_path(argv, tmp_path, monkeypatch, capsys):
     assert run(*argv) == 4
     assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint-out", "--metrics-out"])
+def test_train_that_cannot_write_an_output_leaves_none(flag, tmp_path, monkeypatch,
+                                                      capsys):
+    # the other output goes to its default path in the working directory
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "no" / "such" / "out"
+    assert run("train", "--N", "20", "--epochs", "1", flag, str(missing)) == 4
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_stability_that_cannot_write_its_csv_prints_nothing(tmp_path, capsys):
+    missing = tmp_path / "no" / "s.csv"
+    assert run("stability", "--n", "2", "--csv-out", str(missing)) == 4
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 def test_malformed_dataset_exits_4(tmp_path, capsys):
@@ -805,6 +866,16 @@ def test_numerical_explosion_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "epoch" in err
+
+
+def test_exit_3_names_the_step_once(tmp_path, capsys):
+    # the error's message names its k; cli.main adds only the epoch
+    assert run("train", "--task", "sine", "--N", "20", "--n", "2", "--sigma", "identity",
+               "--init-scale", "1e100", "--epochs", "1",
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite state at k=5 (epoch 1)\n")
 
 
 def test_finite_but_exploding_training_exits_3(tmp_path, capsys):

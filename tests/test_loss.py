@@ -41,6 +41,14 @@ def test_scalar_hand_example():
     assert cost.total == pytest.approx(0.025)
 
 
+def test_total_cost_refuses_a_trajectory_of_another_length():
+    seq = Sequence(s=np.zeros((2, 1)), d=np.zeros((2, 1)))
+    traj = traj_with_errors(np.zeros((3, 1)))
+    with pytest.raises(ConfigurationError,
+                       match="^trajectory does not match sequence length$"):
+        total_cost(traj, seq, zero_params(), LossWeights())
+
+
 def test_l1_state_sum_example():
     # one counted step (k=0) with x_0 = (0.5, -0.5) and zero errors
     seq = Sequence(s=np.zeros((2, 1)), d=np.zeros((2, 1)))

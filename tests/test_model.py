@@ -389,9 +389,27 @@ def test_shooting_regime_equals_the_matmul_step_form(monkeypatch, sigma, n):
             calls = spy_shoot(m)
             traj = forward(params, seq, x0)
         (k0, _), = calls["shoot"]
-        assert 1 <= calls["sweeps"] <= 2 and L <= k0 <= B * L
+        # blocks 0 and 1 are final after the two sweeps, whatever follows
+        assert calls["sweeps"] == 2 and 2 * L <= k0 <= B * L
         x, h = matmul_step_rollout(params, seq, x0)
         assert same_bits(traj.x, x) and same_bits(traj.h, h)
+
+
+def test_an_all_zero_rollout_makes_every_block_final(monkeypatch):
+    # x0 = 0, s = 0 and b = 0 keep every tanh state at 0: each block's zero
+    # start already has the bits of the end before it, the second sweep
+    # gives the same bits again, and every block counts as final
+    B = model.SHOOT_BLOCKS
+    L = model.shooting_block(contractive_instance(8, "tanh", 0.8, 1)[0], 10 ** 9)
+    params, seq, _ = contractive_instance(8, "tanh", 0.8, B * L + 77)
+    params.b[:] = 0.0
+    seq = Sequence(s=np.zeros_like(seq.s), d=seq.d)
+    x0 = np.zeros(params.n)
+    calls = spy_shoot(monkeypatch)
+    traj = forward(params, seq, x0)
+    assert calls["shoot"] == [(B * L, L)] and calls["sweeps"] == 2
+    x, h = matmul_step_rollout(params, seq, x0)
+    assert same_bits(traj.x, x) and same_bits(traj.h, h)
 
 
 def test_shooting_block_reads_N_n_and_the_rate():
@@ -711,6 +729,11 @@ def test_sequence_validation():
         Sequence(s=np.zeros((1, 1)), d=np.zeros((1, 1)))
     with pytest.raises(ConfigurationError):
         Sequence(s=np.array([[np.inf], [0.0]]), d=np.zeros((2, 1)))
+    # a vector is one column; an array of 3 or more axes is refused
+    with pytest.raises(ConfigurationError, match=r"^s must be a \(N\+1, dim\) array$"):
+        Sequence(s=np.zeros((3, 1, 1)), d=np.zeros((3, 1)))
+    with pytest.raises(ConfigurationError, match=r"^d must be a \(N\+1, dim\) array$"):
+        Sequence(s=np.zeros(3), d=np.zeros((3, 1, 1)))
 
 
 def test_params_validation():

@@ -64,6 +64,15 @@ def test_compare_constructed_perturbation_fails():
     assert report.groups["dU"].max_rel_err == pytest.approx(1e-3, rel=1e-2)
 
 
+def test_compare_refuses_groups_of_different_shapes():
+    params, seq, x0, w = random_instance(0)
+    g = analytic_gradient(params, seq, x0, w)
+    h = dataclasses.replace(g, dW=g.dW[:, :-1])
+    with pytest.raises(ConfigurationError) as refused:
+        compare_gradients(g, h, tol=1e-5)
+    assert str(refused.value) == "dW shapes differ: (4, 2) vs (4, 1)"
+
+
 def test_numeric_gradient_zero_at_perfect_fit():
     rng = np.random.default_rng(6)
     n, m, r, N = 3, 2, 1, 8
