@@ -30,13 +30,12 @@ from .errors import (CheckpointFormatError, ConfigurationError,
 from .loss import STATE_LOSS_KINDS, LossWeights, total_cost
 from .model import (PARAM_DIMS, BrnnParams, NONLINEARITIES, forward, param_shapes,
                     step_rate)
-from .tasks import TaskSpec, gen_task, read_csv, read_text, write_csv
+from .tasks import TaskSpec, gen_task, read_csv, read_text, remove_file, write_csv, write_text
 from .trainer import AGGREGATIONS, TrainConfig, init_params, train
 from .verify import (SMOOTH_SIGMAS, SMOOTH_STATE_LOSSES, format_report,
                      gradcheck, random_instance)
 
 CHECKPOINT_MAGIC = "brnn-v1"
-METRICS_HEADER = "epoch,total,phi_N,output_sum,state_sum,reg,grad_norm,lambda_max"
 
 TASK_ALIASES = {"sine": "sine_track", "bandpass": "bandpass_filter",
                 "lag": "lag_copy"}
@@ -101,13 +100,16 @@ def save_checkpoint(path, params: BrnnParams) -> None:
     """Plain-text checkpoint: header "brnn-v1 n m r sigma", then one
     whitespace-separated line per matrix row, the matrices in
     model.PARAM_DIMS' order; b and c are one line each."""
-    with open(path, "w") as f:
-        f.write(f"{CHECKPOINT_MAGIC} {params.n} {params.m} {params.r} {params.sigma}\n")
-        for name in PARAM_DIMS:
-            # row by row, each written as it is formatted: the whole text, or
-            # a whole n x n .tolist(), raises the peak RSS at n = 256
-            for row in np.atleast_2d(getattr(params, name)):
-                f.write(" ".join(map(repr, row.tolist())) + "\n")
+    write_text(path, _checkpoint_lines(params))
+
+
+def _checkpoint_lines(params: BrnnParams):
+    yield f"{CHECKPOINT_MAGIC} {params.n} {params.m} {params.r} {params.sigma}\n"
+    for name in PARAM_DIMS:
+        # row by row, each formatted as it is asked for: the whole text, or a
+        # whole n x n .tolist(), raises the peak RSS at n = 256
+        for row in np.atleast_2d(getattr(params, name)):
+            yield " ".join(map(repr, row.tolist())) + "\n"
 
 
 def load_checkpoint(path) -> BrnnParams:
@@ -122,27 +124,26 @@ def load_checkpoint(path) -> BrnnParams:
         shapes = param_shapes(*map(int, head[1:4]))
     except (ValueError, ConfigurationError):
         raise CheckpointFormatError(f"bad dimensions in header {lines[0]!r}") from None
-    # a vector's shape[:-1] is (): one row
+    # a vector's shape[:-1] is (): one row. The count comes from the shapes,
+    # before any array is made: a header may claim far more rows than the
+    # file has
     need = sum(math.prod(shape[:-1]) for shape in shapes.values())
     if len(lines) - 1 != need:
         raise CheckpointFormatError(
             f"expected {need} matrix rows, found {len(lines) - 1}")
-    blocks = {}
-    at = 1
-    for name, shape in shapes.items():
-        rows, cols = math.prod(shape[:-1]), shape[-1]
-        block = []
-        for i in range(rows):
-            fields = lines[at + i].split()
-            if len(fields) != cols:
-                raise CheckpointFormatError(
-                    f"{name} row {i} has {len(fields)} values, expected {cols}")
-            try:
-                block.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise CheckpointFormatError(f"{name} row {i}: {exc}") from None
-        at += rows
-        blocks[name] = np.array(block).reshape(shape)
+    blocks = {name: np.empty(shape) for name, shape in shapes.items()}
+    # one (name, row index, row) per text row, in save_checkpoint's order
+    table = [(name, i, row) for name, block in blocks.items()
+             for i, row in enumerate(np.atleast_2d(block))]
+    for line, (name, i, row) in zip(lines[1:], table):
+        fields = line.split()
+        if len(fields) != row.size:
+            raise CheckpointFormatError(
+                f"{name} row {i} has {len(fields)} values, expected {row.size}")
+        try:
+            row[:] = [float(v) for v in fields]
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{name} row {i}: {exc}") from None
     params = BrnnParams(**blocks, sigma=head[4])
     try:
         params.validate()
@@ -152,15 +153,14 @@ def load_checkpoint(path) -> BrnnParams:
 
 
 def write_metrics_csv(path, history) -> None:
-    rows = [METRICS_HEADER]
-    for em in history:
-        cost = em.cost
-        reg = cost.reg_theta + cost.reg_nu
-        rows.append(",".join([str(em.epoch)] + [
-            repr(v) for v in (cost.total, cost.phi_N, cost.output_sum,
-                              cost.state_sum, reg, em.grad_norm, em.lambda_max)]))
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(rows) + "\n")
+    """One row per epoch of `history` (at least one), under a header of the
+    rows' keys; reg is reg_theta + reg_nu."""
+    rows = [{"epoch": em.epoch, "total": em.cost.total, "phi_N": em.cost.phi_N,
+             "output_sum": em.cost.output_sum, "state_sum": em.cost.state_sum,
+             "reg": em.cost.reg_theta + em.cost.reg_nu,
+             "grad_norm": em.grad_norm, "lambda_max": em.lambda_max} for em in history]
+    write_text(path, [",".join(rows[0]) + "\n"]
+               + [",".join(map(repr, row.values())) + "\n" for row in rows])
 
 
 def load_config_file(path) -> dict:
@@ -216,6 +216,8 @@ def _loss_weights(args) -> LossWeights:
 
 
 def cmd_train(args) -> int:
+    if os.path.realpath(args.metrics_out) == os.path.realpath(args.checkpoint_out):
+        raise ConfigurationError("--metrics-out and --checkpoint-out name one file")
     # built under --data too, where it goes unused: a task value that
     # generate refuses is refused here as well
     spec = _task_spec(args)
@@ -236,7 +238,7 @@ def cmd_train(args) -> int:
     try:
         write_metrics_csv(args.metrics_out, history)
     except OSError:
-        os.remove(args.checkpoint_out)
+        remove_file(args.checkpoint_out)
         raise
     first, last = history[0].cost.total, history[-1].cost.total
     print(f"trained {len(history)} epochs: total {first!r} -> {last!r}")
@@ -279,19 +281,6 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _format_stability(report: stab.StabilityReport) -> list[tuple[str, float]]:
-    region = report.region
-    return [
-        ("spectral_radius", report.spectral_radius),
-        ("spectral_norm", report.spectral_norm),
-        ("M_sup", region.M_sup),
-        ("bibo_bound", report.bibo),
-        ("x_star2_norm", float(np.linalg.norm(region.x_star2))),
-        ("D_lyap", region.D_lyap),
-        ("radius", region.radius),
-    ]
-
-
 def cmd_stability(args) -> int:
     stab._check_bound("s_sup", args.s_sup)
     # the flags that design A, by make_stable_A's argument names; a flag
@@ -314,17 +303,16 @@ def cmd_stability(args) -> int:
         # the CLI's own
         A = stab.make_stable_A(given.pop("n", 1), **given)
         m_sup = args.Msup if args.Msup is not None else 1.0
-    report = stab.stability_report(A, m_sup)
-    fields = _format_stability(report)
+    # the report's fields are the table's columns, in their order
+    fields = list(vars(stab.stability_report(A, m_sup)).items())
     if args.checkpoint is not None:
         fields.append(("step_rate", step_rate(params)))
     lines = [f"n = {A.shape[0]}"] + [f"{key} = {value!r}" for key, value in fields]
     # the CSV is written before anything prints, so a failed write prints no
     # report
     if args.csv_out is not None:
-        with open(args.csv_out, "w", newline="") as f:
-            f.write(",".join(key for key, _ in fields) + "\n")
-            f.write(",".join(repr(v) for _, v in fields) + "\n")
+        write_text(args.csv_out, [",".join(key for key, _ in fields) + "\n",
+                                  ",".join(repr(v) for _, v in fields) + "\n"])
         lines.append(f"csv: {args.csv_out}")
     print("\n".join(lines))
     return 0

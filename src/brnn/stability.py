@@ -150,7 +150,6 @@ class LyapunovRegion:
     x_star2: np.ndarray    # worst-case ellipsoid center over ||M|| <= M_sup
     D_lyap: float          # M_sup^2 + ||x_star2||^2
     radius: float          # sqrt(D_lyap)
-    M_sup: float
 
 
 def lyapunov_region(A, M_sup: float) -> LyapunovRegion:
@@ -179,22 +178,32 @@ def lyapunov_region(A, M_sup: float) -> LyapunovRegion:
     if x_star2[j] < 0.0:
         x_star2 = -x_star2
     return LyapunovRegion(G=G, x_star2=x_star2, D_lyap=D_lyap,
-                          radius=float(np.sqrt(D_lyap)), M_sup=M_sup)
+                          radius=float(np.sqrt(D_lyap)))
 
 
 @dataclass
 class StabilityReport:
+    """The table `brnn stability` prints and writes to --csv-out: one
+    column per field, in field order."""
+
     spectral_radius: float
-    spectral_norm: float
-    bibo: float            # asymptotic bound on ||x_k||_2 (_bibo)
-    region: LyapunovRegion
+    spectral_norm: float   # ||A||_2
+    M_sup: float           # the forcing bound the other numbers assume
+    bibo_bound: float      # asymptotic bound on ||x_k||_2 (_bibo)
+    x_star2_norm: float    # ||x*_2||_2 of the Liapunov region
+    D_lyap: float
+    radius: float
 
 
 def stability_report(A, M_sup: float) -> StabilityReport:
-    """Diagnostics for a fixed A under forcing bounded by M_sup."""
+    """Diagnostics for a fixed A under forcing bounded by M_sup: the
+    spectral numbers of A, the BIBO bound of _bibo and the numbers of
+    lyapunov_region's certified exterior."""
     _check_bound("M_sup", M_sup)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     norm, bibo = _bibo(A, M_sup)
+    region = lyapunov_region(A, M_sup)
     return StabilityReport(
-        spectral_radius=spectral_radius(A), spectral_norm=norm, bibo=bibo,
-        region=lyapunov_region(A, M_sup))
+        spectral_radius=spectral_radius(A), spectral_norm=norm, M_sup=M_sup,
+        bibo_bound=bibo, x_star2_norm=float(np.linalg.norm(region.x_star2)),
+        D_lyap=region.D_lyap, radius=region.radius)

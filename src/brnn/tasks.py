@@ -27,6 +27,7 @@ reads it and must be finite. The first line that breaks a rule is named.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import count, repeat
 
@@ -160,15 +161,19 @@ def csv_header(m: int, r: int) -> list:
 
 def write_csv(seq: Sequence, path) -> None:
     """Write the dataset with full round-trip float precision."""
-    # the bytes csv.writer writes: no field needs quoting, rows end in \r\n;
-    # a chunk of rows at a time, each written as soon as it is formatted
-    with open(path, "w", newline="") as f:
-        f.write(",".join(csv_header(seq.m, seq.r)) + "\r\n")
-        for lo in range(0, seq.N + 1, _CHUNK_ROWS):
-            s = seq.s[lo:lo + _CHUNK_ROWS].tolist()
-            d = seq.d[lo:lo + _CHUNK_ROWS].tolist()
-            f.write("".join([",".join([str(k), *map(repr, s_k), *map(repr, d_k)])
-                             + "\r\n" for k, s_k, d_k in zip(count(lo), s, d)]))
+    write_text(path, _csv_chunks(seq))
+
+
+def _csv_chunks(seq: Sequence):
+    """The dataset's text, the header and then a chunk of rows at a time,
+    each formatted as it is asked for."""
+    # the bytes csv.writer writes: no field needs quoting, rows end in \r\n
+    yield ",".join(csv_header(seq.m, seq.r)) + "\r\n"
+    for lo in range(0, seq.N + 1, _CHUNK_ROWS):
+        s = seq.s[lo:lo + _CHUNK_ROWS].tolist()
+        d = seq.d[lo:lo + _CHUNK_ROWS].tolist()
+        yield "".join([",".join([str(k), *map(repr, s_k), *map(repr, d_k)])
+                       + "\r\n" for k, s_k, d_k in zip(count(lo), s, d)])
 
 
 def _parse_header(fields):
@@ -192,6 +197,27 @@ def read_text(path, error) -> str:
             return f.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file ({exc})") from None
+
+
+def write_text(path, pieces) -> None:
+    """Write the strings of `pieces` in turn to the file at `path`, newlines
+    as given. A write that fails (or a piece that raises) removes the file
+    (remove_file) before the error propagates, so no partial file is left."""
+    f = open(path, "w", newline="")
+    try:
+        with f:
+            for piece in pieces:
+                f.write(piece)
+    except BaseException:
+        remove_file(path)
+        raise
+
+
+def remove_file(path) -> None:
+    """Remove `path` if it is itself a regular file. A symlink, such as
+    /dev/stdout, or a device is never removed."""
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.remove(path)
 
 
 def read_csv(path) -> Sequence:

@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from brnn import cli, model
+from brnn import cli, model, tasks
 from brnn.cli import (load_checkpoint, main, save_checkpoint)
 from brnn.errors import (CheckpointFormatError, ConfigurationError,
                          CostateExplosionError, DatasetFormatError,
@@ -31,6 +32,12 @@ def test_generate_writes_dataset(tmp_path, capsys):
     seq = read_csv(out)
     assert seq.N == 20 and seq.m == 1 and seq.r == 1
     assert "wrote 21 rows" in capsys.readouterr().out
+
+
+def test_generate_to_a_device_exits_0(capsys):
+    # a path that is no regular file takes the dataset as a file does
+    assert run("generate", "--N", "20", "--out", os.devnull) == 0
+    assert capsys.readouterr().out == f"wrote 21 rows (m=1, r=1) to {os.devnull}\n"
 
 
 @pytest.mark.parametrize("flags", [
@@ -141,7 +148,11 @@ CHECKPOINT_2_1_1 = ("brnn-v1 2 1 1 tanh\n0.5 0.0\n0.0 0.5\n" + "0.0 0.0\n" * 2
      "A row 0 has 1 values, expected 2"),
     (CHECKPOINT_2_1_1.replace("0.5 0.0\n", "0.5 zero\n", 1),
      "A row 0: could not convert string to float: 'zero'"),
-], ids=["empty file", "row one value short", "value not a number"])
+    # a header's sizes are checked against the file before any row is stored
+    ("brnn-v1 1000000000000 1 1 tanh\n0.5\n",
+     "expected 3000000000004 matrix rows, found 1"),
+], ids=["empty file", "row one value short", "value not a number",
+        "header larger than the file"])
 def test_malformed_checkpoint_rows_exit_4(text, message, tmp_path, capsys):
     ckpt = tmp_path / "c.txt"
     ckpt.write_text(CHECKPOINT_2_1_1)
@@ -606,6 +617,64 @@ def test_train_that_cannot_write_an_output_leaves_none(flag, tmp_path, monkeypat
     assert not any(tmp_path.iterdir())
 
 
+def test_train_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("train", "--N", "20", "--epochs", "1", "--metrics-out", "x.txt",
+               "--checkpoint-out", "./x.txt") == 2
+    assert capsys.readouterr() == (
+        "", "error: --metrics-out and --checkpoint-out name one file\n")
+    assert not any(tmp_path.iterdir())
+
+
+def fill_disk_at(monkeypatch, name, room):
+    """Writes to a file called `name` fail with ENOSPC once `room`
+    characters are in it: the characters that fit reach the file first, as
+    on a disk that fills up mid-write."""
+    def limited_open(path, mode="r", **kwargs):
+        f = open(path, mode, **kwargs)
+        if os.path.basename(path) == name:
+            write, left = f.write, room
+
+            def write_some(text):
+                nonlocal left
+                if len(text) > left:
+                    write(text[:left])
+                    f.flush()
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                left -= len(text)
+                return write(text)
+            f.write = write_some
+        return f
+    for module in (cli, tasks):
+        monkeypatch.setattr(module, "open", limited_open, raising=False)
+
+
+@pytest.mark.parametrize("argv, name, room", [
+    (["generate", "--task", "bandpass", "--N", "20000", "--m", "2", "--r", "2"],
+     "dataset.csv", 100_000),
+    (["train", "--N", "20", "--epochs", "1"], "metrics.csv", 100),
+    (["train", "--N", "20", "--epochs", "1"], "checkpoint.txt", 100),
+    (["stability", "--n", "2", "--csv-out", "s.csv"], "s.csv", 50),
+], ids=["generate", "train metrics", "train checkpoint", "stability csv"])
+def test_a_write_that_fails_mid_file_leaves_no_output(argv, name, room, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    fill_disk_at(monkeypatch, name, room)
+    assert run(*argv) == 4
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_train_whose_metrics_cannot_be_written_keeps_a_checkpoint_link(tmp_path,
+                                                                       capsys):
+    # as /dev/stdout is a link: the checkpoint went through it, and it stays
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run("train", "--N", "20", "--epochs", "1", "--checkpoint-out", str(link),
+               "--metrics-out", str(tmp_path / "no" / "m.csv")) == 4
+    assert link.is_symlink() and target.exists()
+
+
 def test_stability_that_cannot_write_its_csv_prints_nothing(tmp_path, capsys):
     missing = tmp_path / "no" / "s.csv"
     assert run("stability", "--n", "2", "--csv-out", str(missing)) == 4
@@ -962,7 +1031,9 @@ def test_stability_cli_scalar_example(tmp_path, capsys):
     assert values["bibo_bound"] == 2.0
     assert values["D_lyap"] == pytest.approx(1.3333, abs=1e-3)
     header, row = csv_out.read_text().strip().splitlines()
-    assert "bibo_bound" in header.split(",")
+    # the column order README documents, on stdout after n and in the CSV
+    assert header == "spectral_radius,spectral_norm,M_sup,bibo_bound,x_star2_norm,D_lyap,radius"
+    assert list(values) == ["n", *header.split(",")]
     assert len(header.split(",")) == len(row.split(","))
 
 

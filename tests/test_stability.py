@@ -193,14 +193,14 @@ def test_small_gain_fails_without_a_certificate(sigma):
         with pytest.raises(UnboundedRegionError, match=r"\|\|A\|\|_2 \+ \|\|U\|\|_2 is"):
             bound(params, 1.0)
     # a given M_sup needs only ||A||_2 < 1
-    assert stability_report(params.A, 1.0).bibo == pytest.approx(2.0)
+    assert stability_report(params.A, 1.0).bibo_bound == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("sigma", ["tanh", "relu"])
 def test_bibo_bound_is_the_report_bound_at_m_sup(sigma):
     params = forcing_params(0.6 * np.eye(2), U=0.15, W=0.7, b=0.1, sigma=sigma)
     m_sup = m_sup_bound(params, 1.3)
-    assert bibo_bound(params, 1.3) == stability_report(params.A, m_sup).bibo
+    assert bibo_bound(params, 1.3) == stability_report(params.A, m_sup).bibo_bound
     # m_sup_bound's errors come first, as in `brnn stability --checkpoint`
     unstable = forcing_params(np.eye(2), U=0.3, sigma=sigma)
     with pytest.raises(ConfigurationError, match="s_sup must be finite"):
@@ -347,7 +347,7 @@ def test_stability_report_fields():
     A = random_stable(rng, 4, 0.6)
     report = stability_report(A, 1.0)
     assert report.spectral_radius <= report.spectral_norm + 1e-12
-    assert report.bibo == pytest.approx(1.0 / (1.0 - report.spectral_norm))
-    assert report.region.radius == pytest.approx(np.sqrt(report.region.D_lyap))
+    assert report.bibo_bound == pytest.approx(1.0 / (1.0 - report.spectral_norm))
+    assert report.radius == pytest.approx(np.sqrt(report.D_lyap))
     with pytest.raises(UnboundedRegionError):
         stability_report(np.eye(2), 1.0)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import random
 import re
 
@@ -10,7 +11,7 @@ from brnn.errors import ConfigurationError, DatasetFormatError
 from brnn.model import Sequence
 from brnn.tasks import (_CHUNK_ROWS, _GAMMA, _MASK64, _MIX1, _MIX2, TaskSpec,
                         _filter, _parse_bulk, gen_task, read_csv, read_text,
-                        uniform_noise, write_csv)
+                        uniform_noise, write_csv, write_text)
 
 
 def splitmix64(seed: int):
@@ -437,3 +438,20 @@ def test_byte_mutations_read_as_the_per_line_pass_reads_them(tmp_path):
                 assert 1 <= line <= len(lines) - (lines[-1] == "")
         outcomes.add(isinstance(got[0], str))
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
+def test_a_failed_write_removes_a_file_but_no_link(link, tmp_path):
+    target = tmp_path / "target.csv"
+    path = tmp_path / "link.csv" if link else target
+    if link:
+        path.symlink_to(target)
+
+    def pieces():
+        yield "k,s1,d1\r\n"
+        raise OSError(errno.ENOSPC, "No space left on device")
+    with pytest.raises(OSError, match="No space left"):
+        write_text(path, pieces())
+    # a link, as /dev/stdout is, stays; what it points to is not removed
+    assert path.is_symlink() == link
+    assert target.exists() == link
