@@ -415,11 +415,13 @@ def main(argv=None) -> int:
     except (DatasetFormatError, CheckpointFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (MemoryError, ValueError) as exc:
+    except (MemoryError, ValueError, OverflowError) as exc:
         # NumPy refuses a shape too large to address with a ValueError of
-        # its own; any other ValueError is a fault and surfaces
-        if isinstance(exc, ValueError) and not str(exc).startswith(
-                ("array is too big", "Maximum allowed")):
+        # its own, and Python a size too large for a float or a C long with
+        # an OverflowError; any other ValueError or OverflowError is a fault
+        # and surfaces
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(
+                ("array is too big", "Maximum allowed", "int too large", "Python int too large")):
             raise
         print(f"error: sizes too large for memory: {str(exc) or 'out of memory'}",
               file=sys.stderr)

@@ -91,11 +91,16 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # the fields in brnn.cli.KEYS' order; coeffs under every kind, also
-        # one that does not read them
+        # the fields in brnn.cli.KEYS' order; omega, phase and coeffs under
+        # every kind, also one that does not read them
         if self.kind not in TASK_KINDS:
             raise ConfigurationError(f"unknown task kind {self.kind!r}")
         check_sizes(N=self.N, m=self.m, r=self.r)
+        top = self.omega * (self.N + 1) + self.phase   # the largest sine argument
+        for name, value in (("omega", self.omega), ("phase", self.phase),
+                            ("omega * (N + 1) + phase", top)):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if len(self.coeffs) != 3 or not all(map(math.isfinite, self.coeffs)):
             raise ConfigurationError(
                 f"coeffs must be three finite numbers, got {self.coeffs!r}")

@@ -26,6 +26,17 @@ def run(*argv):
     return main(list(argv))
 
 
+def test_the_package_re_exports_nothing():
+    # every name is imported from its module: once the CLI has loaded them
+    # all, the package's public names are its submodules and nothing else
+    import brnn
+    public = {name: value for name, value in vars(brnn).items()
+              if not name.startswith("_")}
+    assert "cli" in public
+    for name, value in public.items():
+        assert inspect.ismodule(value) and value.__name__ == f"brnn.{name}", name
+
+
 def test_generate_writes_dataset(tmp_path, capsys):
     out = tmp_path / "data.csv"
     assert run("generate", "--task", "sine", "--N", "20", "--out", str(out)) == 0
@@ -487,11 +498,18 @@ def test_more_targets_than_inputs_exits_2(task, kind, tmp_path, capsys):
     (["generate", "--task", "lag", "--coeffs", "inf,0,1"], "coeffs"),
     (["train", "--data", "s.csv", "--task", "lag", "--lag", "99", "--epochs", "1"],
      "lag"),
+    (["generate", "--task", "lag", "--omega=nan"], "omega"),
+    (["generate", "--task", "sine", "--phase=inf"], "phase"),
+    (["train", "--data", "s.csv", "--phase=-inf", "--epochs", "1"], "phase"),
+    # the largest sine argument overflows
+    pytest.param(["generate", "--task", "sine", "--N", "10", "--omega", "1e308"],
+                 "omega * (N + 1) + phase", id="argv9-sine-argument"),
 ])
 def test_bad_task_values_exit_2_for_every_kind_and_under_data(argv, key, tmp_path,
                                                               capsys):
-    # TaskSpec checks coeffs and noise whether or not the task kind reads
-    # them, and train builds one under --data too, where no task is generated
+    # TaskSpec checks omega, phase, coeffs and noise whether or not the task
+    # kind reads them, and train builds one under --data too, where no task
+    # is generated
     data = tmp_path / "s.csv"
     assert run("generate", "--task", "lag", "--N", "12", "--out", str(data)) == 0
     outs = {"generate": ["--out", str(tmp_path / "d.csv")],
@@ -529,6 +547,17 @@ def test_malformed_task_values_under_data_exit_2(tmp_path, capsys):
     # shared with generate still works
     config.write_text("task = bandpass\nN = 40\ncoeffs = 0.5,-0.1,2.0\nomega = 0.2\n")
     assert run("train", "--config", str(config), *outs) == 0
+
+
+def test_eval_on_a_dataset_of_other_dims_exits_2(tmp_path, capsys):
+    data, checkpoint = tmp_path / "d.csv", tmp_path / "c.txt"
+    assert run("generate", "--task", "lag", "--N", "12", "--m", "2", "--r", "2",
+               "--out", str(data)) == 0
+    assert run(*task_argv("train", tmp_path)) == 0
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", str(checkpoint), "--data", str(data)) == 2
+    assert capsys.readouterr() == (
+        "", "error: sequence dims (m=2, r=2) do not match params (m=1, r=1)\n")
 
 
 def test_repeated_config_key_exits_2(tmp_path, capsys):
@@ -795,11 +824,13 @@ def test_each_error_class_exits_with_its_documented_code(error, code, prefix,
 
 
 def test_other_value_errors_surface(monkeypatch):
-    def command(args):
-        raise ValueError("a fault in brnn")
-    monkeypatch.setattr(cli, "cmd_stability", command)
-    with pytest.raises(ValueError, match="a fault in brnn"):
-        run("stability")
+    # also an OverflowError that is not an int too large for a size
+    for error in (ValueError, OverflowError):
+        def command(args):
+            raise error("a fault in brnn")
+        monkeypatch.setattr(cli, "cmd_stability", command)
+        with pytest.raises(error, match="a fault in brnn"):
+            run("stability")
 
 
 # 2^62 float64 values overflow the byte count NumPy can address, so NumPy
@@ -808,7 +839,12 @@ def test_other_value_errors_surface(monkeypatch):
     ["stability", "--n", str(2 ** 62)],
     ["generate", "--task", "sine", "--N", str(2 ** 62)],
     ["train", "--task", "sine", "--N", "10", "--n", str(2 ** 62), "--epochs", "1"],
-    ["gradcheck", "--n", str(2 ** 62)]], ids=lambda argv: argv[0])
+    ["gradcheck", "--n", str(2 ** 62)],
+    # too large for a C long, and for a float (the largest sine argument)
+    pytest.param(["generate", "--task", "sine", "--N", "10", "--m", str(10 ** 400)],
+                 id="generate-m-1e400"),
+    pytest.param(["generate", "--task", "sine", "--N", str(10 ** 400)],
+                 id="generate-N-1e400")], ids=lambda argv: argv[0])
 def test_sizes_too_large_for_memory_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 2
