@@ -15,31 +15,38 @@ CostateExplosionError naming the step.
 
 Everything that does not depend on lambda (sigma'_k and the forcing f_k)
 is computed for all k first; sigma'_k is read from h_k (the prime_of_h
-column of model.SIGMAS), not evaluated again from x_k. What is left is
-linear and time-varying, lambda_k = T_k lambda_{k+1} + f_k, and it is
-solved in one of two regimes, chosen from (N, n) alone (the loop's product
-also reads A's non-zero pattern):
+column of model.SIGMAS), not evaluated again from x_k, into the array
+that becomes the result: each step writes lambda_k over the sigma'_k it
+reads, so the multipliers take no (N+1, n) array of their own. What is
+left is linear and time-varying, lambda_k = T_k lambda_{k+1} + f_k, and
+it is solved in one of two regimes, chosen from (N, n) alone (the loop's
+product also reads A's non-zero pattern). Both step the recursion itself
+in one loop, _recur:
 
-  loop  one product per step, lambda_{k+1}^T [A | U] = [A^T lambda,
-        U^T lambda], followed by in-place elementwise work: N Python steps
-        of four NumPy calls each, every output array passed positionally
-        and the product called as ndarray.dot (np.dot adds a Python-level
-        dispatch per call; at small n a step costs the calls, not the
-        arithmetic). When model.diagonal_A says so (a diagonal A and
-        n >= model.DIAGONAL_MIN_N), the product leaves A out:
-        lambda_k = sp_k (.) (lambda_{k+1}^T U) + a (.) lambda_{k+1} + f_k,
-        a = diag A, five calls per step over a product half the size.
+  loop  one product per step, in column form, [A | U]^T lambda_{k+1} =
+        [A^T lambda, U^T lambda], followed by in-place elementwise work
+        over the row that holds sigma'_k: N Python steps of four NumPy
+        calls each, every output array passed positionally and the product
+        called as ndarray.dot (np.dot adds a Python-level dispatch per
+        call; at small n a step costs the calls, not the arithmetic). The
+        column product on [A | U]^T issues the same BLAS gemv, on the same
+        buffer, as the row product lambda_{k+1}^T [A | U] (the tests pin
+        its bits to the row form's). When
+        model.diagonal_A says so (a diagonal A and n >= model.DIAGONAL_MIN_N),
+        the product leaves A out: lambda_k = sp_k (.) (U^T lambda_{k+1})
+        + a (.) lambda_{k+1} + f_k, a = diag A, five calls per step over a
+        product half the size.
   scan  a blocked two-level scan: k = 0..N-1 is cut into B blocks of
         L ~ sqrt(N/2) steps (the N - B*L steps above them run as the loop).
         Pass 1 carries every block's transfer matrix Phi and zero-boundary
         response u (lambda_lo = lambda_hi @ Phi + u, row vectors), one
         product with [A | U] per step for all blocks at once; pass 2 steps
-        from block boundary to block boundary; pass 3 runs the true
-        recursion in all blocks at once from those boundaries. About
-        2L + B Python steps, but pass 1 costs O(N n^3) flops. Passes 1 and
-        3 keep the block axis last: [Phi; u] of all blocks is one
-        (n, n+1, B) array St and each step's product is [A | U]^T @ St, so
-        every elementwise call runs along contiguous rows of B values
+        from block boundary to block boundary; pass 3 runs _recur in all
+        blocks at once from those boundaries, lambda_k a (n, B) column
+        block. About 2L + B Python steps, but pass 1 costs O(N n^3) flops.
+        Passes 1 and 3 keep the block axis last: [Phi; u] of all blocks is
+        one (n, n+1, B) array St and each step's product is [A | U]^T @ St,
+        so every elementwise call runs along contiguous rows of B values
         rather than strided rows of n. sigma' and f are transposed once to
         that layout, pass 1 hands pass 2 one transposed copy, (B, n+1, n),
         and pass 3 writes lambda over sigma' and copies it back once.
@@ -182,25 +189,26 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
     The recursion is solved by the blocked scan when _scan_pays(N, n) says
     it is faster, else by the one-product-per-step loop; a blocked result
     with any non-finite value is discarded and the loop is run instead, on
-    its forcing computed again (the scan lets go of its own).
+    sigma' and the forcing computed again (the scan wrote lambda over
+    sigma'). The result is the array _forcing returned, sigma' overwritten.
     """
     if params.batch:
         raise ConfigurationError("backward_costates takes one model, not stacked params")
     N, n = traj.N, params.n
-    lam = np.empty((N + 1, n))
     blocked = _scan_pays(N, n)
     a = None if blocked else diagonal_A(params.A)
-    # lam[k+1] @ [A | U] is [A^T lam, U^T lam]: one product per step; with
-    # a diagonal A the product is lam[k+1] @ U and A^T lam is a * lam
-    AU = (np.concatenate([params.A, params.U], axis=1) if a is None
-          else np.ascontiguousarray(params.U))
+    # lam[k+1] @ [A | U] is [A | U]^T lam[k+1] = [A^T lam, U^T lam]: one
+    # product per step; with a diagonal A it is U^T lam, and A^T lam is a * lam
+    AUT = (np.concatenate([params.A, params.U], axis=1) if a is None
+           else np.ascontiguousarray(params.U)).T
     # explosion is detected after the recursion, so silence the warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if blocked:
-            _blocked_scan(lam, AU, params, traj, w)
+            lam, force = _forcing(params, traj, w)
+            _blocked_scan(lam, AUT, force)
         if not blocked or not np.isfinite(lam[:N]).all():
-            lam[N], sp, force = _forcing(params, traj, w)
-            _recur(lam[:N], lam[N], AU, sp, force, a)
+            lam, force = _forcing(params, traj, w)
+            _recur(lam[:N], lam[N], AUT, force, a)
     if not np.isfinite(lam).all():
         # the recursion runs downward in k, so the largest non-finite k is
         # the step at which it first blew up (N for a non-finite lam[N])
@@ -210,16 +218,18 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
 
 
 def _forcing(params: BrnnParams, traj: Trajectory, w: LossWeights):
-    """The boundary condition lambda_N = sigma'_N (.) (V^T e_N), and sigma'_k
-    and the forcing f_k, k = 0..N-1, as (N, n) arrays: every term of the
-    recursion that does not depend on lambda_k, k < N, for all k at once.
-    sigma' is read from h_0..h_N in one call (model.SIGMAS' prime_of_h)."""
+    """Every term of the recursion that does not depend on lambda_k, k < N,
+    for all k at once: lam, an (N+1, n) array whose rows k < N hold sigma'_k
+    and whose row N holds the boundary condition lambda_N = sigma'_N (.)
+    (V^T e_N), and the (N, n) forcing f_k, k = 0..N-1. sigma' is read from
+    h_0..h_N in one call (model.SIGMAS' prime_of_h, which returns an array
+    of its own), and the recursion writes each lambda_k over sigma'_k."""
     N = traj.N
-    x, h = traj.x[:N], traj.h[:N]
-    sp_all = nonlinearity(params.sigma).prime_of_h(traj.h)
-    sp = sp_all[:N]
-    lam_N = sp_all[N] * (params.V.T @ traj.e[N])
-    return lam_N, sp, sp * (traj.e[:N] @ params.V) + state_loss_grad(w, x, h, sp)
+    lam = nonlinearity(params.sigma).prime_of_h(traj.h)
+    sp = lam[:N]
+    force = sp * (traj.e[:N] @ params.V) + state_loss_grad(w, traj.x[:N], traj.h[:N], sp)
+    lam[N] *= params.V.T @ traj.e[N]
+    return lam, force
 
 
 # (largest n, smallest N) of each band of sizes in which the blocked scan
@@ -232,37 +242,33 @@ def _scan_pays(N: int, n: int) -> bool:
     return any(n <= n_max and N >= N_min for n_max, N_min in _SCAN_BANDS)
 
 
-def _recur(lam, top, AU, sp, force, a=None) -> None:
-    """Fill lam[i] = lam[i+1] @ (A + U diag sp[i]) + force[i] for
-    i = K-1..0 (K = len(lam)), with top as lam[K]. AU is [A | U]; given a,
-    A's diagonal (model.diagonal_A), AU is U alone and
-    lam[i] = sp[i] * (lam[i+1] @ U) + a * lam[i+1] + force[i]."""
-    n = AU.shape[0]
+def _recur(lam, top, AUT, force, a=None) -> None:
+    """Overwrite lam[i], which holds sp[i] on entry, with
+    lam[i] = (A + U diag sp[i])^T lam[i+1] + force[i] for i = K-1..0
+    (K = len(lam)), with top as lam[K]. lam[i] is (n,), or (n, B) for B
+    recursions at once. AUT is [A | U]^T; given a, A's diagonal
+    (model.diagonal_A), AUT is U^T and
+    lam[i] = sp[i] (.) (U^T lam[i+1]) + a (.) lam[i+1] + force[i]."""
+    n = top.shape[0]
     dot = np.ndarray.dot
+    t = np.empty((AUT.shape[0],) + top.shape[1:])
+    t_A, t_U = (t[:n], t[n:]) if a is None else (t, t)
     lam_next = top
     # each step reads the row the previous step wrote
-    if a is None:
-        t = np.empty(2 * n)
-        t_A, t_U = t[:n], t[n:]
-        for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
-            dot(lam_next, AU, t)
-            np.multiply(sp_k, t_U, lam_k)
-            lam_k += t_A
-            lam_k += force_k
-            lam_next = lam_k
-    else:
-        t = np.empty(n)
-        for lam_k, sp_k, force_k in zip(lam[::-1], sp[::-1], force[::-1]):
-            dot(lam_next, AU, t)
-            np.multiply(sp_k, t, lam_k)
-            np.multiply(a, lam_next, t)
-            lam_k += t
-            lam_k += force_k
-            lam_next = lam_k
+    for lam_k, force_k in zip(lam[::-1], force[::-1]):
+        dot(AUT, lam_next, t)
+        np.multiply(lam_k, t_U, lam_k)
+        if a is not None:
+            np.multiply(a, lam_next, t_A)
+        lam_k += t_A
+        lam_k += force_k
+        lam_next = lam_k
 
 
-def _blocked_scan(lam, AU, params, traj, w) -> None:
-    """Fill lam by a two-level scan over B blocks of L steps, from lam[N].
+def _blocked_scan(lam, AUT, force) -> None:
+    """Overwrite lam[k], k < N, which holds sigma'_k on entry, with lambda_k
+    by a two-level scan over B blocks of L steps, from lam[N] = lambda_N.
+    AUT is [A | U]^T and force the (N, n) forcing.
 
     The N - B*L steps above the last block run per step first. Pass 1
     carries, for all blocks at once, the transfer matrix Phi and the
@@ -270,23 +276,19 @@ def _blocked_scan(lam, AU, params, traj, w) -> None:
     transposed with the block axis last: St[:, i, j] is row i of block j's
     [Phi; u], and one product [A | U]^T @ St advances every block by a step.
     Pass 2 steps from block to block to get every block's lam_hi; pass 3
-    runs the recursion itself in all blocks at once from those boundaries,
-    in pass 1's block-last layout.
+    runs _recur in all blocks at once from those boundaries, in pass 1's
+    block-last layout.
     """
-    lam[-1], sp, force = _forcing(params, traj, w)
-    N, n = sp.shape
+    N, n = force.shape
     L = round(math.sqrt(N / 2))     # minimises the 2L + N/L Python steps
     B = N // L
     top = B * L
-    _recur(lam[top:N], lam[N], AU, sp[top:], force[top:])
+    _recur(lam[top:N], lam[N], AUT, force[top:])
     # sigma' and f in the block-last layout, (L, n, 1, B) and (L, n, B):
     # [i, :, ..., j] is step k = j*L + i, so every elementwise call runs along
-    # rows of B values, not n. Each step-first array is let go once copied,
-    # so the passes hold no more than the loop does.
-    spT = np.ascontiguousarray(sp[:top].reshape(B, L, n).transpose(1, 2, 0))[:, :, None]
-    del sp
+    # rows of B values, not n
+    spT = np.ascontiguousarray(lam[:top].reshape(B, L, n).transpose(1, 2, 0))[:, :, None]
     forceT = np.ascontiguousarray(force[:top].reshape(B, L, n).transpose(1, 2, 0))
-    del force
     dot = np.ndarray.dot
 
     # pass 1: per block, [Phi; u] advanced from lam_hi down to lam_lo
@@ -295,7 +297,6 @@ def _blocked_scan(lam, AU, params, traj, w) -> None:
     St2 = St.reshape(n, (n + 1) * B)
     TT = np.empty((2 * n, n + 1, B))
     TT2 = TT.reshape(2 * n, (n + 1) * B)
-    AUT = AU.T
     TT_A, TT_U, u = TT[:n], TT[n:], St[:, n]
     for sp_i, force_i in zip(spT[::-1], forceT[::-1]):
         dot(AUT, St2, TT2)
@@ -310,18 +311,10 @@ def _blocked_scan(lam, AU, params, traj, w) -> None:
         dot(lam[(j + 1) * L], S3[j, :n], lam[j * L])
         lam[j * L] += S3[j, n]
 
-    # pass 3: every block from its lam_hi, lam[L], lam[2L], ..., lam[top];
-    # each step's lambda overwrites the sigma' it is computed from
-    t = np.empty((2 * n, B))
-    t_A, t_U = t[:n], t[n:]
+    # pass 3: every block from its lam_hi, lam[L], lam[2L], ..., lam[top],
+    # over spT, then copied back once
     lamT = spT[:, :, 0]
-    lam_next = np.ascontiguousarray(lam[L:top + 1:L].T)
-    for lam_k, force_k in zip(lamT[::-1], forceT[::-1]):
-        dot(AUT, lam_next, t)
-        np.multiply(lam_k, t_U, lam_k)
-        lam_k += t_A
-        lam_k += force_k
-        lam_next = lam_k
+    _recur(lamT, np.ascontiguousarray(lam[L:top + 1:L].T), AUT, forceT)
     lam[:top].reshape(B, L, n)[...] = lamT.transpose(2, 0, 1)
 
 

@@ -215,9 +215,21 @@ def _loss_weights(args) -> LossWeights:
     return LossWeights(**keys)
 
 
+def _check_own_files(args, outputs, inputs) -> None:
+    """Refuse an output flag whose path names the file of a given input or
+    of an earlier output, compared by os.path.realpath (so a symlink names
+    its target): the run would write over a file it reads or writes."""
+    seen = {}
+    for flag in inputs + outputs:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is not None:
+            first = seen.setdefault(os.path.realpath(path), flag)
+            if first != flag and flag in outputs:
+                raise ConfigurationError(f"{first} and {flag} name one file")
+
+
 def cmd_train(args) -> int:
-    if os.path.realpath(args.metrics_out) == os.path.realpath(args.checkpoint_out):
-        raise ConfigurationError("--metrics-out and --checkpoint-out name one file")
+    _check_own_files(args, ("--metrics-out", "--checkpoint-out"), ("--data", "--config"))
     # built under --data too, where it goes unused: a task value that
     # generate refuses is refused here as well
     spec = _task_spec(args)
@@ -282,6 +294,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _check_own_files(args, ("--csv-out",), ("--checkpoint",))
     stab._check_bound("s_sup", args.s_sup)
     # the flags that design A, by make_stable_A's argument names; a flag
     # not given is None

@@ -102,6 +102,8 @@ def hidden_sup(params: BrnnParams, s_sup: float) -> float:
     return _forcing_sup(params, 0.0, s_sup) / (1.0 - rate)
 
 
+# an overflow gives inf (0 * inf nan), which m_sup_bound refuses: no warning
+@np.errstate(over="ignore", invalid="ignore")
 def _forcing_sup(params: BrnnParams, h_sup: float, s_sup: float) -> float:
     """||U||_2 h_sup + ||W||_2 s_sup + ||b||_2, a bound on ||U h + W s + b||_2
     when ||h||_2 <= h_sup and ||s||_2 <= s_sup. At h_sup = 0 it is the input

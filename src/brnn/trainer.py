@@ -116,6 +116,8 @@ def aggregate(params: BrnnParams, traj: Trajectory, costates: CostateSeq,
     return g
 
 
+# a non-finite result is refused below, so the overflow warnings are silenced
+@np.errstate(over="ignore", invalid="ignore")
 def apply_update(params: BrnnParams, g: GradSet, eta: float) -> BrnnParams:
     """Gradient step p <- p - eta*dp for every trainable group; A unchanged."""
     _check_eta(eta)

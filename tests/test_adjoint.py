@@ -553,7 +553,7 @@ def test_costates_obey_the_step_rate_certificate(regime, state_loss):
         assert q == pytest.approx(0.9, rel=1e-12)
         traj = forward(params, seq, x0)
         lam = backward_costates(params, traj, w).lam
-        F = float(np.linalg.norm(adjoint._forcing(params, traj, w)[2], axis=1).max())
+        F = float(np.linalg.norm(adjoint._forcing(params, traj, w)[1], axis=1).max())
         assert F > 0.0
         norms = np.linalg.norm(lam, axis=1)
         j = N - np.arange(N + 1)
@@ -589,7 +589,10 @@ def test_backward_costates_reads_sigma_prime_from_h(monkeypatch, sigma, N, n):
     params, seq, x0, w = random_instance(N + n, n=n, N=N, sigma=sigma,
                                          state_loss_kind="tanh_approx")
     traj = forward(params, seq, x0)
+    rollout = [a.tobytes() for a in (traj.x, traj.h, traj.e)]
     lam = backward_costates(params, traj, w).lam
+    # the recursion writes lambda over sigma', never over the h it read it from
+    assert [a.tobytes() for a in (traj.x, traj.h, traj.e)] == rollout
     calls = []
     for kind, row in model.SIGMAS.items():
         monkeypatch.setitem(model.SIGMAS, kind, row._replace(

@@ -646,13 +646,41 @@ def test_train_that_cannot_write_an_output_leaves_none(flag, tmp_path, monkeypat
     assert not any(tmp_path.iterdir())
 
 
-def test_train_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys):
+# case -> (argv, the two flags that name one file); every input named here
+# is written before the run: d.csv a dataset, c.cfg a config file, c.txt a
+# checkpoint, link a symlink to d.csv
+ONE_FILE_CASES = {
+    "metrics-out-checkpoint-out": (
+        ["train", "--N", "20", "--epochs", "1", "--metrics-out", "x.txt",
+         "--checkpoint-out", "./x.txt"], "--metrics-out and --checkpoint-out"),
+    "data-metrics-out": (["train", "--data", "d.csv", "--epochs", "1",
+                          "--metrics-out", "d.csv"], "--data and --metrics-out"),
+    "config-metrics-out": (["train", "--config", "c.cfg", "--metrics-out", "c.cfg"],
+                           "--config and --metrics-out"),
+    "data-checkpoint-out-symlink": (["train", "--data", "d.csv", "--epochs", "1",
+                                     "--checkpoint-out", "link"],
+                                    "--data and --checkpoint-out"),
+    "checkpoint-csv-out": (["stability", "--checkpoint", "c.txt", "--csv-out", "c.txt"],
+                           "--checkpoint and --csv-out"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_FILE_CASES)
+def test_an_output_may_not_name_an_input_or_another_output(case, tmp_path, monkeypatch,
+                                                           capsys):
+    # refused before any work: every input keeps its bytes and no file appears
     monkeypatch.chdir(tmp_path)
-    assert run("train", "--N", "20", "--epochs", "1", "--metrics-out", "x.txt",
-               "--checkpoint-out", "./x.txt") == 2
-    assert capsys.readouterr() == (
-        "", "error: --metrics-out and --checkpoint-out name one file\n")
-    assert not any(tmp_path.iterdir())
+    argv, flags = ONE_FILE_CASES[case]
+    assert run("generate", "--N", "20", "--out", "d.csv") == 0
+    (tmp_path / "c.cfg").write_text("N = 20\nepochs = 1\n")
+    save_checkpoint(tmp_path / "c.txt", BrnnParams(
+        A=[[0.5]], U=[[0.3]], W=[[1.0]], b=[0.0], V=[[1.0]], Dft=[[0.0]], c=[0.0]))
+    os.symlink("d.csv", tmp_path / "link")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flags} name one file\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def fill_disk_at(monkeypatch, name, room):
@@ -971,6 +999,13 @@ def test_numerical_explosion_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "epoch" in err
+    # an update that overflows is refused after it is formed, and its
+    # overflow warns nothing
+    assert run("train", "--N", "5", "--epochs", "2", "--eta", "1e308",
+               "--metrics-out", str(tmp_path / "m.csv"),
+               "--checkpoint-out", str(tmp_path / "c.txt")) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite Dft after update (epoch 1)\n")
 
 
 def test_exit_3_names_the_step_once(tmp_path, capsys):
@@ -1112,6 +1147,16 @@ def test_stability_overflowing_certificate_exits_3(flag, value, checkpoint,
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical failure: D_lyap overflows float64")
     assert len(captured.err.splitlines()) == 1 and "bibo_bound" not in captured.out
+    if checkpoint:
+        # a checkpoint whose ||b||_2 overflows: M_sup overflows first, and
+        # the norm's overflow warns nothing
+        params = BrnnParams(A=[[0.5]], U=[[0.3]], W=[[1.0]], b=[1e160], V=[[1.0]],
+                            Dft=[[0.0]], c=[0.0], sigma="tanh")
+        save_checkpoint(tmp_path / "ckpt.txt", params)
+        assert run("stability", "--checkpoint", str(tmp_path / "ckpt.txt")) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: M_sup overflows float64")
+        assert len(captured.err.splitlines()) == 1 and "bibo_bound" not in captured.out
 
 
 def relu_checkpoint(tmp_path, u):

@@ -146,7 +146,12 @@ def test_sigma_prime_of_h_equals_the_derivative_at_x_bit_for_bit(sigma, n):
     params, seq, x0 = rollout_instance(n, sigma, A)
     traj = forward(params, seq, x0)
     want = kept_nonlinearity_derivative(sigma, traj.x)
-    assert model.SIGMAS[sigma].prime_of_h(traj.h).tobytes() == want.tobytes()
+    p = model.SIGMAS[sigma].prime_of_h(traj.h)
+    assert p.tobytes() == want.tobytes()
+    # the co-state recursion writes each lambda_k over the sigma'_k that
+    # prime_of_h returned, so that array must be writable, C-contiguous and
+    # apart from h
+    assert p.flags.writeable and p.flags.c_contiguous and not np.shares_memory(p, traj.h)
     assert nonlinearity_derivative(sigma, traj.x).tobytes() == want.tobytes()
     edge = kept_nonlinearity_derivative(sigma, EDGE_X)
     assert nonlinearity_derivative(sigma, EDGE_X).tobytes() == edge.tobytes()
