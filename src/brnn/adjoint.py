@@ -19,9 +19,9 @@ column of model.SIGMAS), not evaluated again from x_k, into the array
 that becomes the result: each step writes lambda_k over the sigma'_k it
 reads, so the multipliers take no (N+1, n) array of their own. What is
 left is linear and time-varying, lambda_k = T_k lambda_{k+1} + f_k, and
-it is solved in one of two regimes, chosen from (N, n) alone (the loop's
-product also reads A's non-zero pattern). Both step the recursion itself
-in one loop, _recur:
+it is solved in one of three regimes, chosen from (N, n) and, for
+shooting, the step rate q (the loop's product also reads A's non-zero
+pattern). All of them step the recursion itself in one loop, _recur:
 
   loop  one product per step, in column form, [A | U]^T lambda_{k+1} =
         [A^T lambda, U^T lambda], followed by in-place elementwise work
@@ -50,11 +50,30 @@ in one loop, _recur:
         rather than strided rows of n. sigma' and f are transposed once to
         that layout, pass 1 hands pass 2 one transposed copy, (B, n+1, n),
         and pass 3 writes lambda over sigma' and copies it back once.
+  shooting  the scan's layout and pass 3 without passes 1 and 2, where the
+        model forgets: with q = model.step_rate < 1 the multipliers decay
+        by q per step, as the forward's states do, so a block run from a
+        wrong lambda_hi has forgotten it after model.shooting_block's L
+        steps (q^L < 2^-64) and ends with the bits it would end with from
+        the right one. Sweep 1 runs _recur in all B blocks of L steps at
+        once, block B-1 from lambda_{BL} and the others from 0; pass 3
+        restarts every block from sweep 1's lambda at the bottom of the
+        block above. Block B-1 is final, and block j is final when block
+        j+1 is final and pass 3 ended block j+1 with sweep 1's bits. Pass 3
+        runs model.SWEEP_TEST_ROWS rows at a time and stops once every
+        block has sweep 1's bits in one row, keeping sweep 1's rows below
+        it. About 2L Python steps, and O(N n^2) flops.
 
 The scan runs when n <= 12 and N >= 50, n <= 16 and N >= 150, or n <= 20
-and N >= 1000 (_SCAN_BANDS). Measured medians of 21 interleaved runs, one
-BLAS thread on a 2-vCPU VM (random_instance(3, scale=0.3), m = r = 1),
-with the number of runs in which the scan was the faster:
+and N >= 1000 (_SCAN_BANDS). Shooting takes its place wherever
+model.shooting_block(params, N) gives L > 0 (q < 1, n <= 16, N >= 512 and
+N >= 12 L): the rule that sends forward's rollout to multiple shooting,
+which lies inside the scan's bands. A shooting result with a block left
+open is discarded and the scan runs instead; a scan or shooting result
+with any non-finite value is discarded and the loop runs instead.
+Measured medians of 21 interleaved runs, one BLAS thread on a 2-vCPU VM
+(random_instance(3, scale=0.3), m = r = 1), with the number of runs in
+which the scan was the faster:
 
     N, n        loop      scan      scan faster  rule
     20000, 8    42.9 ms   8.16 ms   21/21        scan
@@ -86,16 +105,46 @@ Below N = 50 the scan is also faster at some small n, such as (40, 8) and
 gradient check's instances lie, to the loop. At N = 200, n = 256 the scan
 would take about 374 ms against the dense loop's 6-7 ms.
 
+Shooting against the scan and the loop, measured the same way (medians of
+21 interleaved runs, one BLAS thread pinned to one core of a 2-vCPU VM;
+random_instance(3, m=2, r=2, scale=0.3) with U scaled to q = 0.8, blocks
+of 199 steps, and the 5-epoch median-trained bandpass checkpoint of the
+20001-row CSV, q = 0.763, blocks of 164 steps), with the number of runs
+in which shooting was faster than the scan; every block was final in
+every run:
+
+    N, n             loop      scan      shooting  faster
+    20000, 8 (csv)   39.1 ms   7.26 ms   3.43 ms   21/21
+    20000, 8         38.7 ms   7.10 ms   3.27 ms   21/21
+    20000, 16        41.5 ms   30.7 ms   10.7 ms   21/21
+    5000, 12         9.62 ms   3.50 ms   1.62 ms   21/21
+
+At the csv checkpoint pass 3's early stop left the lowest 41% of every
+block's rows to sweep 1; it saved 6-15% of the shooting time at these
+sizes (31 interleaved runs each, the same bits). Where the
+multipliers decay with little forcing, as with relu and no state loss,
+a multiplier entry can fall far below the block's lambda_hi, whose
+remnant then shows in its last bits: with q = 0.5-0.9, n = 4-16, 1 to 5
+of 6 random instances left a block open, and paid for shooting and the
+scan. With tanh, logistic, identity, or relu with a state loss, none
+did. The rule's step rate costs two SVDs, about 40-50 us at n <= 16, in
+every backward pass in the scan's bands from N = 512 on, whether it
+shoots or not.
+
 The loop's two products, dense and diagonal, are timed in brnn.model's
 table (its co-state loop columns), which sets DIAGONAL_MIN_N for both.
 
-The scan agrees with the loop to rounding (last bits); the loop's results
-are the reference. Finiteness is checked once, after the recursion: the
-largest k with a non-finite lambda_k is the step at which the recursion
-blew up, the same k a per-step check would report. A scan result with any
-non-finite value is discarded and the loop is run instead, so an explosion
-names the same k in both regimes, and block products that overflow while
-the costates themselves stay finite cannot make up a failure.
+The scan and shooting agree with the loop to rounding (last bits), but
+not with each other bit for bit: in the shooting table's four cases,
+and at a second csv checkpoint (blocks of 173 steps), each came within
+1.1e-16 to 2.1e-16 of the loop, relative to the largest multiplier. The
+loop's results are the reference. Finiteness is checked once, after the
+recursion: the largest k with a non-finite lambda_k is the step at which
+the recursion blew up, the same k a per-step check would report. A scan
+or shooting result with any non-finite value is discarded and the loop
+is run instead, so an explosion names the same k in every regime, and
+block products that overflow while the costates themselves stay finite
+cannot make up a failure.
 
 Every per-step gradient contribution is a rank-one term plus a regularizer,
 a_k b_k^T + gamma P (for example lambda_{k+1} h_k^T + gamma1 U). The sum
@@ -120,7 +169,8 @@ import numpy as np
 
 from .errors import ConfigurationError, CostateExplosionError
 from .loss import LossWeights, state_loss_grad
-from .model import BrnnParams, Sequence, Trajectory, diagonal_A, nonlinearity
+from .model import (SWEEP_TEST_ROWS, BrnnParams, Sequence, Trajectory, diagonal_A,
+                    nonlinearity, shooting_block)
 
 
 @dataclass
@@ -186,11 +236,15 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
                       w: LossWeights) -> CostateSeq:
     """Run the multiplier recursion from k = N down to k = 0, for one model.
 
-    The recursion is solved by the blocked scan when _scan_pays(N, n) says
-    it is faster, else by the one-product-per-step loop; a blocked result
-    with any non-finite value is discarded and the loop is run instead, on
-    sigma' and the forcing computed again (the scan wrote lambda over
-    sigma'). The result is the array _forcing returned, sigma' overwritten.
+    Where _scan_pays(N, n) says the blocked scan is faster than the
+    one-product-per-step loop, it runs, by multiple shooting where
+    model.shooting_block says so (the module docstring). A shooting result
+    with a block left open is discarded and the scan's passes are run
+    instead; a blocked result with any non-finite value is discarded and
+    the loop is run instead. Each rerun starts from sigma' and the forcing
+    computed again (the blocked regimes write lambda over sigma' and
+    shooting writes over the forcing). The result is the array _forcing
+    returned, sigma' overwritten.
     """
     if params.batch:
         raise ConfigurationError("backward_costates takes one model, not stacked params")
@@ -203,11 +257,18 @@ def backward_costates(params: BrnnParams, traj: Trajectory,
            else np.ascontiguousarray(params.U)).T
     # explosion is detected after the recursion, so silence the warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        lam, force = _forcing(params, traj, w)
         if blocked:
-            lam, force = _forcing(params, traj, w)
-            _blocked_scan(lam, AUT, force)
-        if not blocked or not np.isfinite(lam[:N]).all():
-            lam, force = _forcing(params, traj, w)
+            L = shooting_block(params, N)
+            if L and not _blocked_scan(lam, AUT, force, L):
+                lam, force = _forcing(params, traj, w)
+                L = 0
+            if not L:
+                _blocked_scan(lam, AUT, force)
+            if not np.isfinite(lam[:N]).all():
+                lam, force = _forcing(params, traj, w)
+                blocked = False
+        if not blocked:
             _recur(lam[:N], lam[N], AUT, force, a)
     if not np.isfinite(lam).all():
         # the recursion runs downward in k, so the largest non-finite k is
@@ -221,13 +282,18 @@ def _forcing(params: BrnnParams, traj: Trajectory, w: LossWeights):
     """Every term of the recursion that does not depend on lambda_k, k < N,
     for all k at once: lam, an (N+1, n) array whose rows k < N hold sigma'_k
     and whose row N holds the boundary condition lambda_N = sigma'_N (.)
-    (V^T e_N), and the (N, n) forcing f_k, k = 0..N-1. sigma' is read from
-    h_0..h_N in one call (model.SIGMAS' prime_of_h, which returns an array
-    of its own), and the recursion writes each lambda_k over sigma'_k."""
+    (V^T e_N), and the (N, n) forcing f_k, k = 0..N-1, both arrays of their
+    own. sigma' is read from h_0..h_N in one call (model.SIGMAS'
+    prime_of_h, which returns an array of its own), and the recursion
+    writes each lambda_k over sigma'_k. The state loss's term is formed
+    only for a state loss other than "none", whose gradient is 0."""
     N = traj.N
     lam = nonlinearity(params.sigma).prime_of_h(traj.h)
     sp = lam[:N]
-    force = sp * (traj.e[:N] @ params.V) + state_loss_grad(w, traj.x[:N], traj.h[:N], sp)
+    force = traj.e[:N] @ params.V
+    force *= sp
+    if w.state_loss_kind != "none":
+        force += state_loss_grad(w, traj.x[:N], traj.h[:N], sp)
     lam[N] *= params.V.T @ traj.e[N]
     return lam, force
 
@@ -265,7 +331,7 @@ def _recur(lam, top, AUT, force, a=None) -> None:
         lam_next = lam_k
 
 
-def _blocked_scan(lam, AUT, force) -> None:
+def _blocked_scan(lam, AUT, force, L=0) -> bool:
     """Overwrite lam[k], k < N, which holds sigma'_k on entry, with lambda_k
     by a two-level scan over B blocks of L steps, from lam[N] = lambda_N.
     AUT is [A | U]^T and force the (N, n) forcing.
@@ -278,9 +344,22 @@ def _blocked_scan(lam, AUT, force) -> None:
     Pass 2 steps from block to block to get every block's lam_hi; pass 3
     runs _recur in all blocks at once from those boundaries, in pass 1's
     block-last layout.
+
+    Given L > 0 (model.shooting_block's block length), multiple shooting
+    takes the place of passes 1 and 2: sweep 1 runs _recur in all blocks at
+    once, block B-1 from lam[B*L] and every other block from 0, in force's
+    rows (force is not read once forceT is copied from it), and pass 3
+    restarts every block below B-1 from sweep 1's lambda at the bottom of
+    the block above. Block B-1 is final, and block j is final when block
+    j+1 is final and pass 3 ended block j+1 with sweep 1's bits, which
+    block j restarted from. Returns False, lam[:N] and force then
+    undefined, when a block is left open: that is, unless pass 3 ends every
+    block but block 0 with sweep 1's bits. True otherwise.
     """
     N, n = force.shape
-    L = round(math.sqrt(N / 2))     # minimises the 2L + N/L Python steps
+    shoot = L > 0
+    if not shoot:
+        L = round(math.sqrt(N / 2))     # minimises the 2L + N/L Python steps
     B = N // L
     top = B * L
     _recur(lam[top:N], lam[N], AUT, force[top:])
@@ -289,33 +368,56 @@ def _blocked_scan(lam, AUT, force) -> None:
     # rows of B values, not n
     spT = np.ascontiguousarray(lam[:top].reshape(B, L, n).transpose(1, 2, 0))[:, :, None]
     forceT = np.ascontiguousarray(force[:top].reshape(B, L, n).transpose(1, 2, 0))
-    dot = np.ndarray.dot
+    lamT = spT[:, :, 0]
 
-    # pass 1: per block, [Phi; u] advanced from lam_hi down to lam_lo
-    St = np.zeros((n, n + 1, B))
-    St[:, :n] = np.eye(n)[..., None]
-    St2 = St.reshape(n, (n + 1) * B)
-    TT = np.empty((2 * n, n + 1, B))
-    TT2 = TT.reshape(2 * n, (n + 1) * B)
-    TT_A, TT_U, u = TT[:n], TT[n:], St[:, n]
-    for sp_i, force_i in zip(spT[::-1], forceT[::-1]):
-        dot(AUT, St2, TT2)
-        np.multiply(sp_i, TT_U, St)
-        St += TT_A
-        u += force_i
-    # (B, n+1, n): block j's [Phi; u] as rows, for pass 2
-    S3 = np.ascontiguousarray(St.transpose(2, 1, 0))
+    if shoot:
+        # sweep 1 in force's rows, in the layout and from boundaries of
+        # pass 3's shape, so that block B-1 gets the same bits in both
+        first = force[:top].reshape(L, n, B)
+        first[...] = lamT
+        hi = np.zeros((n, B))
+        hi[:, -1] = lam[top]
+        _recur(first, hi, AUT, forceT)
+        lam[L:top:L] = first[0, :, 1:].T
+    else:
+        dot = np.ndarray.dot
+        # pass 1: per block, [Phi; u] advanced from lam_hi down to lam_lo
+        St = np.zeros((n, n + 1, B))
+        St[:, :n] = np.eye(n)[..., None]
+        St2 = St.reshape(n, (n + 1) * B)
+        TT = np.empty((2 * n, n + 1, B))
+        TT2 = TT.reshape(2 * n, (n + 1) * B)
+        TT_A, TT_U, u = TT[:n], TT[n:], St[:, n]
+        for sp_i, force_i in zip(spT[::-1], forceT[::-1]):
+            dot(AUT, St2, TT2)
+            np.multiply(sp_i, TT_U, St)
+            St += TT_A
+            u += force_i
+        # (B, n+1, n): block j's [Phi; u] as rows, for pass 2
+        S3 = np.ascontiguousarray(St.transpose(2, 1, 0))
 
-    # pass 2: lam_lo of block j is lam_hi of block j - 1
-    for j in range(B - 1, 0, -1):
-        dot(lam[(j + 1) * L], S3[j, :n], lam[j * L])
-        lam[j * L] += S3[j, n]
+        # pass 2: lam_lo of block j is lam_hi of block j - 1
+        for j in range(B - 1, 0, -1):
+            dot(lam[(j + 1) * L], S3[j, :n], lam[j * L])
+            lam[j * L] += S3[j, n]
 
     # pass 3: every block from its lam_hi, lam[L], lam[2L], ..., lam[top],
-    # over spT, then copied back once
-    lamT = spT[:, :, 0]
-    _recur(lamT, np.ascontiguousarray(lam[L:top + 1:L].T), AUT, forceT)
+    # over spT, then copied back once. After sweep 1 it runs SWEEP_TEST_ROWS
+    # rows at a time and stops once every block has sweep 1's bits in one
+    # row: the rows below it would repeat sweep 1's
+    rows = SWEEP_TEST_ROWS if shoot else L
+    hi = np.ascontiguousarray(lam[L:top + 1:L].T)
+    for i in range(L, 0, -rows):
+        lo = max(i - rows, 0)
+        _recur(lamT[lo:i], hi, AUT, forceT[lo:i])
+        hi = lamT[lo]
+        if shoot and lo and (hi.view(np.uint64) == first[lo].view(np.uint64)).all():
+            lamT[:lo] = first[:lo]
+            break
+    if shoot and (lamT[0, :, 1:].view(np.uint64) != first[0, :, 1:].view(np.uint64)).any():
+        return False
     lam[:top].reshape(B, L, n)[...] = lamT.transpose(2, 0, 1)
+    return True
 
 
 def _groups(params: BrnnParams, w: LossWeights, N: int) -> dict:

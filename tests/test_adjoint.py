@@ -238,6 +238,27 @@ def kept_recur(lam, top, AU, sp, force):
         lam_next = lam_k
 
 
+def kept_block_recur(lamT, lam_next, AU, spT, forceT):
+    """The per-step co-state loop in all blocks at once, from their lam_hi
+    lam_next (n, B), with the block axis last (lamT, spT and forceT are
+    (L, n, B)) and keyword `out` forms: the scan's pass 3 and both sweeps of
+    multiple shooting."""
+    n = AU.shape[0]
+    t = np.empty((2 * n,) + lam_next.shape[1:])
+    for i in range(len(lamT) - 1, -1, -1):
+        np.dot(AU.T, lam_next, out=t)
+        np.multiply(spT[i], t[n:], out=lamT[i])
+        lamT[i] += t[:n]
+        lamT[i] += forceT[i]
+        lam_next = lamT[i]
+
+
+def block_last(a, B, L):
+    """Rows k < B*L of a step-first (N, n) array as (L, n, B), [i, :, j]
+    step j*L + i."""
+    return np.ascontiguousarray(a[:B * L].reshape(B, L, -1).transpose(1, 2, 0))
+
+
 def kept_blocked_scan(lam, AU, sp, force):
     """adjoint._blocked_scan's three passes with keyword `out` forms and
     per-step views, kept to pin its bits. Its products are the same BLAS
@@ -247,11 +268,8 @@ def kept_blocked_scan(lam, AU, sp, force):
     B = N // L
     top = B * L
     kept_recur(lam[top:N], lam[N], AU, sp[top:], force[top:])
-    sp3, force3, lam3 = (a[:top].reshape(B, L, n).swapaxes(0, 1)
-                         for a in (sp, force, lam))
     # passes 1 and 3 with the block axis last
-    spT = np.ascontiguousarray(sp3.transpose(0, 2, 1))
-    forceT = np.ascontiguousarray(force3.transpose(0, 2, 1))
+    spT, forceT = block_last(sp, B, L), block_last(force, B, L)
     St = np.zeros((n, n + 1, B))
     St[:, :n] = np.eye(n)[..., None]
     TT = np.empty((2 * n, n + 1, B))
@@ -265,15 +283,30 @@ def kept_blocked_scan(lam, AU, sp, force):
         np.dot(lam[(j + 1) * L], S3[j, :n], out=lam[j * L])
         lam[j * L] += S3[j, n]
     lamT = np.empty((L, n, B))
-    t = np.empty((2 * n, B))
-    lam_next = np.ascontiguousarray(lam[L:top + 1:L].T)
-    for i in range(L - 1, -1, -1):
-        np.dot(AU.T, lam_next, out=t)
-        np.multiply(spT[i], t[n:], out=lamT[i])
-        lamT[i] += t[:n]
-        lamT[i] += forceT[i]
-        lam_next = lamT[i]
-    lam3[...] = lamT.transpose(0, 2, 1)
+    kept_block_recur(lamT, np.ascontiguousarray(lam[L:top + 1:L].T), AU, spT, forceT)
+    lam[:top] = lamT.transpose(2, 0, 1).reshape(top, n)
+
+
+def kept_shooting(lam, AU, sp, force, L):
+    """adjoint._blocked_scan's multiple shooting over blocks of L steps with
+    keyword `out` forms, kept to pin its bits: sweep 1 from lam[B*L] and
+    zeros, sweep 2 from sweep 1's lambda at the bottom of each block above.
+    Returns whether every block was final; lam[:B*L] is written only then."""
+    N, n = sp.shape
+    B = N // L
+    top = B * L
+    kept_recur(lam[top:N], lam[N], AU, sp[top:], force[top:])
+    spT, forceT = block_last(sp, B, L), block_last(force, B, L)
+    first, second = np.empty((L, n, B)), np.empty((L, n, B))
+    hi = np.zeros((n, B))
+    hi[:, -1] = lam[top]
+    kept_block_recur(first, hi, AU, spT, forceT)
+    hi[:, :-1] = first[0, :, 1:]
+    kept_block_recur(second, hi, AU, spT, forceT)
+    if first[0, :, 1:].tobytes() != second[0, :, 1:].tobytes():
+        return False
+    lam[:top] = second.transpose(2, 0, 1).reshape(top, n)
+    return True
 
 
 def kept_diagonal_recur(lam, top, U, a, sp, force):
@@ -293,8 +326,8 @@ def kept_diagonal_recur(lam, top, U, a, sp, force):
 
 def kept_costates(params, traj, w):
     """The costates by the kept step form of the regime backward_costates
-    runs at these sizes and this A: the scan, the dense loop or the
-    diagonal loop."""
+    runs at these sizes and this A: multiple shooting, the scan, the dense
+    loop or the diagonal loop."""
     N, n = traj.N, params.n
     want = np.empty((N + 1, n))
     want[N] = final_costate(params, traj.x[N], traj.e[N])
@@ -303,7 +336,9 @@ def kept_costates(params, traj, w):
     AU = np.concatenate([params.A, params.U], axis=1)
     a = np.diagonal(params.A)
     if adjoint._scan_pays(N, n):
-        kept_blocked_scan(want, AU, sp, force)
+        L = model.shooting_block(params, N)
+        if not (L and kept_shooting(want, AU, sp, force, L)):
+            kept_blocked_scan(want, AU, sp, force)
     elif n >= DIAGONAL_MIN_N and np.array_equal(params.A, np.diag(a)):
         kept_diagonal_recur(want[:N], want[N], params.U, a, sp, force)
     else:
@@ -316,6 +351,8 @@ def kept_costates(params, traj, w):
 def test_costates_equal_the_kept_step_forms_bit_for_bit(N, n):
     params, seq, x0, w = random_instance(29, n=n, m=2, r=2, N=N, scale=0.3,
                                          state_loss_kind="tanh_approx")
+    # (1999, 1) shoots: q = 0.724 gives blocks of 138 steps
+    assert (model.shooting_block(params, N) > 0) == ((N, n) == (1999, 1))
     traj = forward(params, seq, x0)
     assert np.array_equal(backward_costates(params, traj, w).lam,
                           kept_costates(params, traj, w))
@@ -409,6 +446,113 @@ def test_explosion_inside_a_scan_block_names_the_same_k(A, U, V):
     # 464..479
     assert adjoint._scan_pays(500, 2)
     assert_explosion_names(469, N=500, A=A, U=U, V=V)
+
+
+def rate_instance(seed, n, N, sigma="tanh", state_loss_kind="none", q=0.8):
+    """random_instance (m = r = 2) with A scaled to ||A||_2 = q/2 and U so
+    that step_rate(params) = q, whatever the sigma's sup sigma'."""
+    params, seq, x0, w = random_instance(seed, n=n, m=2, r=2, N=N, sigma=sigma,
+                                         state_loss_kind=state_loss_kind)
+    params.A *= q / 2 / spectral_norm(params.A)
+    params.U *= q / 2 / model.SIGMAS[sigma].prime_sup / spectral_norm(params.U)
+    return params, seq, x0, w
+
+
+def spy_blocked_scan(monkeypatch):
+    """Record (L, result) of each adjoint._blocked_scan call: L = 0 for the
+    scan's own passes, L > 0 for multiple shooting."""
+    calls = []
+    scan = adjoint._blocked_scan
+
+    def spy(lam, AUT, force, L=0):
+        calls.append((L, scan(lam, AUT, force, L)))
+        return calls[-1][1]
+    monkeypatch.setattr(adjoint, "_blocked_scan", spy)
+    return calls
+
+
+@pytest.mark.parametrize("state_loss", ("none", "tanh_approx"))
+@pytest.mark.parametrize("sigma", NONLINEARITIES)
+@pytest.mark.parametrize("N, n", [(2400, 16), (2500, 1)])
+def test_shooting_costates_match_the_per_step_reference(monkeypatch, N, n, sigma,
+                                                        state_loss):
+    # q = 0.8: blocks of 199 steps, 12 of them, with 12 and 112 steps above.
+    # A block may be left open, where the multipliers decay with little
+    # forcing (relu without a state loss): the scan's result is then taken
+    params, seq, x0, w = rate_instance(41, n, N, sigma, state_loss)
+    assert model.shooting_block(params, N) == 199
+    traj = forward(params, seq, x0)
+    calls = spy_blocked_scan(monkeypatch)
+    got = backward_costates(params, traj, w).lam
+    assert calls in ([(199, True)], [(199, False), (0, True)])
+    assert calls == [(199, True)] or (sigma, state_loss) == ("relu", "none")
+    want = backward_reference(params, traj, w)
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("N, n, q, shoots", [
+    (2388, 8, 0.8, True),       # 12 blocks of 199 steps
+    (2387, 8, 0.8, False),      # fewer than SHOOT_BLOCKS blocks
+    (2400, 16, 0.8, True),
+    (3000, 20, 0.8, False),     # n above SHOOT_MAX_N, in the scan's band
+    (512, 4, 0.2, True),        # 18 blocks of 28 steps
+    (511, 4, 0.2, False),       # N below SHOOT_MIN_N
+    (3000, 8, 1.01, False),     # q >= 1: no decay rate
+])
+def test_shooting_runs_exactly_where_shooting_block_says(monkeypatch, N, n, q, shoots):
+    params, seq, x0, w = rate_instance(43, n, N, q=q)
+    L = model.shooting_block(params, N)
+    assert adjoint._scan_pays(N, n) and (L > 0) == shoots
+    traj = forward(params, seq, x0)
+    calls = spy_blocked_scan(monkeypatch)
+    backward_costates(params, traj, w)
+    assert calls == [(L, True)]
+
+
+def test_a_first_sweep_off_by_one_ulp_gives_the_scan_bits(monkeypatch):
+    # sweep 1's rows of block 5 are nudged by one ulp, its bottom row among
+    # them, so block 4 restarts from a boundary that sweep 2 does not end
+    # block 5 with, and sweep 2 never meets sweep 1 in every block: the
+    # shooting result is discarded whole for the scan's
+    N = 2500
+    params, seq, x0, w = rate_instance(47, 8, N, state_loss_kind="tanh_approx")
+    traj = forward(params, seq, x0)
+    with monkeypatch.context() as m:
+        m.setattr(adjoint, "shooting_block", lambda params, N: 0)
+        scan = backward_costates(params, traj, w).lam
+    recur, nudged = adjoint._recur, []
+
+    def nudge(lam, *args):
+        recur(lam, *args)
+        # sweep 1 is the first recursion over blocks, (L, n, B)
+        if lam.ndim == 3 and not nudged:
+            nudged.append(lam.shape)
+            lam[:, :, 5] = np.nextafter(lam[:, :, 5], np.inf)
+    monkeypatch.setattr(adjoint, "_recur", nudge)
+    calls = spy_blocked_scan(monkeypatch)
+    got = backward_costates(params, traj, w).lam
+    assert nudged == [(199, 8, N // 199)]
+    assert calls == [(199, False), (0, True)]
+    assert got.tobytes() == scan.tobytes()
+
+
+def test_explosion_inside_a_shooting_block_names_the_loop_k(monkeypatch):
+    # an infinite output error at k, 17 steps into block 5, makes lambda_k
+    # the first non-finite multiplier of the downward recursion
+    N = 2500
+    params, seq, x0, w = rate_instance(53, 8, N)
+    L = model.shooting_block(params, N)
+    traj = forward(params, seq, x0)
+    k = 5 * L + 17
+    traj.e[k] = np.inf
+    calls = spy_blocked_scan(monkeypatch)
+    with pytest.raises(CostateExplosionError) as got:
+        backward_costates(params, traj, w)
+    with pytest.raises(CostateExplosionError) as ref:
+        backward_reference(params, traj, w)
+    assert calls[0][0] == L > 0
+    assert got.value.k == ref.value.k == k
 
 
 def test_per_step_gradients_zero():
@@ -526,8 +670,10 @@ def test_costate_decay_bound():
 
 
 # (N, n) of each co-state regime: the loop, the loop that leaves a diagonal
-# A out of its product, and the blocked scan
-COSTATE_REGIMES = {"loop": (40, 6), "diagonal": (40, DIAGONAL_MIN_N), "scan": (2000, 8)}
+# A out of its product, the blocked scan and, at q = 0.9 (blocks of 422
+# steps), its multiple shooting
+COSTATE_REGIMES = {"loop": (40, 6), "diagonal": (40, DIAGONAL_MIN_N), "scan": (2000, 8),
+                   "shooting": (5100, 8)}
 
 
 @pytest.mark.parametrize("state_loss", ("none", "tanh_approx"))
@@ -541,7 +687,7 @@ def test_costates_obey_the_step_rate_certificate(regime, state_loss):
     # N steps gather below N (n + 3) sqrt(n) u < 1e-11 (u = 2^-53) at these
     # sizes; the slack 1e-9 leaves a hundredfold margin.
     N, n = COSTATE_REGIMES[regime]
-    assert adjoint._scan_pays(N, n) == (regime == "scan")
+    assert adjoint._scan_pays(N, n) == (regime in ("scan", "shooting"))
     for sigma, seed in itertools.product(NONLINEARITIES, (1, 2, 3)):
         params, seq, x0, w = random_instance(seed, n=n, m=2, r=2, N=N, sigma=sigma,
                                              state_loss_kind=state_loss)
@@ -551,6 +697,7 @@ def test_costates_obey_the_step_rate_certificate(regime, state_loss):
                      / spectral_norm(params.U))
         q = model.step_rate(params)
         assert q == pytest.approx(0.9, rel=1e-12)
+        assert (model.shooting_block(params, N) > 0) == (regime == "shooting")
         traj = forward(params, seq, x0)
         lam = backward_costates(params, traj, w).lam
         F = float(np.linalg.norm(adjoint._forcing(params, traj, w)[1], axis=1).max())

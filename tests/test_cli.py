@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from brnn import cli, model, tasks
+from brnn import adjoint, cli, model, tasks
 from brnn.cli import (load_checkpoint, main, save_checkpoint)
 from brnn.errors import (CheckpointFormatError, ConfigurationError,
                          CostateExplosionError, DatasetFormatError,
@@ -1299,19 +1299,25 @@ def test_train_writes_the_same_bytes_with_and_without_shooting(monkeypatch, tmp_
     data = tmp_path / "data.csv"
     assert run("generate", "--task", "bandpass", "--N", "4999", "--m", "2", "--r", "2",
                "--out", str(data)) == 0
-    sweeps, blocks = [], []
+    sweeps, blocks, backward = [], [], {}
     sweep, shooting_block = model._sweep, model.shooting_block
     monkeypatch.setattr(model, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
     # the block length forward finds for each epoch's params
     monkeypatch.setattr(model, "shooting_block",
                         lambda params, N: blocks.append(shooting_block(params, N))
                         or blocks[-1])
+    # the backward pass reads the same rule through its own name, which
+    # stays unpatched, so that it runs alike in both runs
+    monkeypatch.setattr(adjoint, "shooting_block",
+                        lambda params, N: backward[regime].append(shooting_block(params, N))
+                        or backward[regime][-1])
     outputs = {}
     for regime in ("shooting", "loop"):
         if regime == "loop":
             monkeypatch.setattr(model, "shooting_block", lambda params, N: 0)
         capsys.readouterr()
         sweeps.clear()
+        backward[regime] = []
         metrics, ckpt = tmp_path / f"{regime}.csv", tmp_path / f"{regime}.txt"
         # mean: the total falls. Under sum this run diverges, its total
         # growing 2e4-fold by epoch 3, whose params are outside the shooting
@@ -1330,4 +1336,6 @@ def test_train_writes_the_same_bytes_with_and_without_shooting(monkeypatch, tmp_
     # sweeps each
     assert len(blocks) == 3 and all(L > 0 for L in blocks)
     assert outputs["shooting"][3] == 6 and outputs["loop"][3] == 0
+    # each epoch's backward pass shoots in both runs
+    assert backward["shooting"] == backward["loop"] == blocks[:2]
     assert outputs["shooting"][:3] == outputs["loop"][:3]

@@ -353,8 +353,9 @@ def contractive_instance(n, sigma, q, N, seed=0):
 
 
 def spy_shoot(monkeypatch):
-    """Record (k0, L) of each multiple-shooting call and the sweeps run."""
-    calls = {"shoot": [], "sweeps": 0}
+    """Record (k0, L) of each multiple-shooting call, the sweeps run and the
+    steps each sweep ran in every block."""
+    calls = {"shoot": [], "sweeps": 0, "steps": []}
     shoot, sweep = model._shoot, model._sweep
 
     def spy(Z, M, sigma, n, L):
@@ -364,7 +365,8 @@ def spy_shoot(monkeypatch):
 
     def count(*args):
         calls["sweeps"] += 1
-        return sweep(*args)
+        calls["steps"].append(sweep(*args))
+        return calls["steps"][-1]
     monkeypatch.setattr(model, "_shoot", spy)
     monkeypatch.setattr(model, "_sweep", count)
     return calls
@@ -436,7 +438,7 @@ def test_non_contractive_model_runs_the_loop(monkeypatch):
     assert model.step_rate(params) >= 1.0
     calls = spy_shoot(monkeypatch)
     traj = forward(params, seq, x0)
-    assert calls == {"shoot": [], "sweeps": 0}
+    assert calls == {"shoot": [], "sweeps": 0, "steps": []}
     x, h = matmul_step_rollout(params, seq, x0)
     assert same_bits(traj.x, x) and same_bits(traj.h, h)
 
@@ -455,22 +457,41 @@ def test_open_blocks_after_two_sweeps_fall_back_to_the_loop(monkeypatch, sigma):
 
 
 def test_a_block_off_by_one_ulp_ends_the_final_blocks(monkeypatch):
-    # the first sweep's end of block 3 is nudged by one ulp, so block 4
-    # restarts from a state that is not the loop's: blocks 0-3 are final,
-    # and no block after block 4 may count as final, though their starts
-    # match
+    # block 4's restart state, sweep 1's end of block 3, is nudged by one
+    # ulp, so block 4 restarts from a state that is not the loop's: blocks
+    # 0-3 are final, and no block after block 4 may count as final, though
+    # their starts match. The start is nudged, not sweep 1's end, which
+    # sweep 2 leaves in place when it stops early
     params, seq, x0 = contractive_instance(8, "tanh", 0.8, 3000)
     calls = spy_shoot(monkeypatch)
     sweep = model._sweep
 
-    def nudge(Zb, M, sigma, n, ends):
-        sweep(Zb, M, sigma, n, ends)
+    def nudge(Zb, M, sigma, n, ends, *stop):
         if calls["sweeps"] == 1:
-            ends[3] = np.nextafter(ends[3], np.inf)
+            # sweep 2 runs blocks 1..: block 4 is its fourth
+            Zb[3, 0, :n] = np.nextafter(Zb[3, 0, :n], np.inf)
+        return sweep(Zb, M, sigma, n, ends, *stop)
     monkeypatch.setattr(model, "_sweep", nudge)
     traj = forward(params, seq, x0)
     (k0, L), = calls["shoot"]
     assert k0 == 4 * L
+    x, h = matmul_step_rollout(params, seq, x0)
+    assert same_bits(traj.x, x) and same_bits(traj.h, h)
+
+
+@pytest.mark.parametrize("sigma", ["tanh", "logistic", "relu", "identity"])
+def test_the_restart_sweep_stops_once_its_blocks_meet_the_first(monkeypatch, sigma):
+    # sweep 2's blocks meet sweep 1's states before their last row, and
+    # from the row at which all of them have sweep 1's bits on, the rows
+    # are sweep 1's
+    params, seq, x0 = contractive_instance(8, sigma, 0.8, 3000)
+    L = model.shooting_block(params, seq.N)
+    calls = spy_shoot(monkeypatch)
+    traj = forward(params, seq, x0)
+    (k0, _), = calls["shoot"]
+    first, second = calls["steps"]
+    assert first == L and second < L and second % model.SWEEP_TEST_ROWS == 0
+    assert k0 == (seq.N // L) * L
     x, h = matmul_step_rollout(params, seq, x0)
     assert same_bits(traj.x, x) and same_bits(traj.h, h)
 
